@@ -1,12 +1,21 @@
 """Argument existence, verification, relevance, and complexity classification.
 
 An argument for a claim is a consistent subset of the knowledge base that
-entails the claim and is subset-minimal with that property. Everything
-here reduces to is_consistent/entails calls; the "auto" engine adds
-answer-identical shortcuts (constant-assignment validity, whole-base
-consistency, maximal-satisfied-subset search by assignment), while
-"generic" forces plain canonical subset enumeration for differential
-testing.
+entails the claim and is subset-minimal with that property. By
+monotonicity a support exists iff some maximal consistent subset (MCS) of
+the base entails the claim.
+
+The "auto" engine answers existence and one support for a consistent
+base through is_consistent and entails alone, and relevance on monotone
+languages by clause decomposition. Every other query whose assignment
+space fits the mask limit compiles the base once into per-assignment
+formula signatures: their maximal elements are the MCSes, and the maximal
+signatures of the claim's non-models decide entailment of any subset.
+Existence, one minimal support, all minimal supports (the minimal hitting
+sets inside each MCS) and relevance are read off that compiled base with
+no subset enumeration. Past the mask limit, and always under the
+"generic" engine, one canonical subset search over at most max_kb
+formulas answers instead.
 """
 
 from __future__ import annotations
@@ -42,14 +51,11 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_KB = 20
 
-# Assignment spaces up to this size use the matrix method for existence
-# checks over inconsistent knowledge bases.
-_MATRIX_LIMIT = 1 << 12
-
-# Subset searches precompute one satisfaction mask per formula when the
-# joint assignment space stays below this bound; beyond it they fall
-# back to per-subset consistency and entailment calls.
-_SUBSET_MASK_LIMIT = 1 << 20
+# Bases whose signature array (one 64-bit word per 64 formulas per
+# assignment) fits in this many words are compiled into a _KB, and the
+# generic subset search tests them on satisfaction masks; beyond it both
+# fall back to per-subset consistency and entailment calls.
+_MASK_LIMIT = 1 << 20
 
 COMPLEXITY_CLASSES = (
     "P",
@@ -142,63 +148,166 @@ def _check_subset_budget(delta: Sequence[GammaFormula], max_kb: int):
         )
 
 
-def _subsets(n: int):
-    """All index subsets by cardinality, then lexicographic."""
-    for size in range(n + 1):
-        yield from itertools.combinations(range(n), size)
-
-
-def _satisfaction_matrix(
-    delta: Sequence[GammaFormula], alpha: GammaFormula
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    order = tuple(sorted(variables_of(delta) | alpha.variables))
-    rows = [models_mask(f.constraints, order) for f in delta]
-    alpha_mask = models_mask(alpha.constraints, order)
-    if not rows:
-        return np.zeros((0, alpha_mask.size), dtype=np.bool_), alpha_mask, order
-    return np.array(rows), alpha_mask, order
-
-
-def _subset_masks(
+def _mask_order(
     delta: Sequence[GammaFormula], alpha: GammaFormula, max_models: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Satisfaction masks for subset search, or None past the size bound."""
-    order_size = len(variables_of(delta) | alpha.variables)
-    if (1 << order_size) > min(max_models, _SUBSET_MASK_LIMIT):
+) -> tuple[str, ...] | None:
+    """The joint variable order, or None past max_models or _MASK_LIMIT."""
+    order = tuple(sorted(variables_of(delta) | alpha.variables))
+    words = (len(delta) + 63) // 64
+    if (1 << len(order)) > max_models or (1 << len(order)) * words > _MASK_LIMIT:
         return None
-    sat, alpha_mask, _ = _satisfaction_matrix(delta, alpha)
-    return sat, alpha_mask
+    return order
 
 
-def _models_of_subset(sat: np.ndarray, indices: Sequence[int]) -> np.ndarray:
-    if not indices:
-        return np.ones(sat.shape[1], dtype=np.bool_)
-    return np.bitwise_and.reduce(sat[list(indices)], axis=0)
+def _members(bits: int) -> tuple[int, ...]:
+    return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
 
 
-def _matrix_entailing_assignments(
-    sat: np.ndarray, alpha_mask: np.ndarray
-) -> np.ndarray:
-    """For each assignment m, does the subset satisfied at m entail alpha.
+def _maximal(sig: np.ndarray) -> list[int]:
+    """The inclusion-maximal distinct rows of a signature array, as ints.
 
-    Entry [m, c] of the intermediate product counts formulas satisfied
-    at m but not at c; c is a model of that subset exactly when the
-    count is zero, and the subset entails alpha when all its models
-    land in alpha's satisfaction mask.
+    A row with the most members is maximal among the rows left, so each
+    pass takes one and drops every row it contains.
     """
-    sat_f = sat.astype(np.float32)
-    violations = sat_f.T @ (1.0 - sat_f)
-    is_model = violations == 0.0
-    bad = is_model & ~alpha_mask[np.newaxis, :]
-    return ~bad.any(axis=1)
+    tops = []
+    while len(sig):
+        top = sig[np.argmax(np.bitwise_count(sig).sum(axis=1))]
+        tops.append(int.from_bytes(top.astype("<u8").tobytes(), "little"))
+        sig = sig[(sig & ~top).any(axis=1)]
+    return tops
 
 
-def _eps_shortcut_applies(delta: Sequence[GammaFormula]) -> bool:
-    relations = {c.relation for f in delta for c in f.constraints}
-    if not relations:
-        return True
-    reports = [relation_properties(r) for r in relations]
-    return all(r.zero_valid for r in reports) or all(r.one_valid for r in reports)
+class _KB:
+    """A knowledge base compiled against one claim.
+
+    Bit i of an assignment's signature says that it satisfies delta[i].
+    The maximal signatures `mcs` are the maximal consistent subsets of
+    delta, and `bad` holds the maximal signatures of alpha's non-models.
+    A subset is consistent iff it lies inside some member of `mcs`, and
+    entails alpha iff it lies inside no member of `bad`.
+    """
+
+    def __init__(self, delta: Sequence[GammaFormula], alpha: GammaFormula, order):
+        self.n = len(delta)
+        sig = np.zeros((1 << len(order), (self.n + 63) // 64), dtype=np.uint64)
+        for i, f in enumerate(delta):
+            row = models_mask(f.constraints, order)
+            sig[:, i >> 6] |= row.astype(np.uint64) << np.uint64(i & 63)
+        self.mcs = _maximal(sig)
+        self.bad = _maximal(sig[~models_mask(alpha.constraints, order)])
+
+    @classmethod
+    def compile(cls, delta, alpha, max_models: int) -> _KB | None:
+        order = _mask_order(delta, alpha, max_models)
+        return None if order is None else cls(delta, alpha, order)
+
+    def entails(self, s: int) -> bool:
+        return all(s & ~b for b in self.bad)
+
+    def first_support(self) -> Support | None:
+        """Shrink the first entailing MCS, ascending, while it entails."""
+        for m in self.mcs:
+            if self.entails(m):
+                for i in _members(m):
+                    if self.entails(m & ~(1 << i)):
+                        m &= ~(1 << i)
+                return Support(_members(m))
+        return None
+
+    def edges(self, m: int) -> list[int]:
+        """The inclusion-minimal sets m & ~b over b in `bad`.
+
+        A subset of an MCS m entails alpha iff it meets all of them, and
+        every subset of m is consistent, so the minimal supports inside m
+        are their minimal hitting sets. Each of those is a minimal support
+        outright: its proper subsets lie in m and do not entail alpha. An
+        m that does not entail alpha has the one edge 0.
+        """
+        edges: list[int] = []
+        for e in sorted({m & ~b for b in self.bad}, key=int.bit_count):
+            if not any(f & ~e == 0 for f in edges):
+                edges.append(e)
+        return edges
+
+    def minimal_supports(self) -> list[Support]:
+        """The minimal hitting sets of each MCS's edges, by Berge's method."""
+        found: set[int] = set()
+        for m in self.mcs:
+            transversals = [0]
+            for e in self.edges(m):
+                hit = [t for t in transversals if t & e]
+                grown = {
+                    t | 1 << i for t in transversals if not t & e for i in _members(e)
+                }
+                transversals = hit + [
+                    g
+                    for g in grown
+                    if not any(h & ~g == 0 for h in hit)
+                    and not any(o != g and o & ~g == 0 for o in grown)
+                ]
+            found.update(transversals)
+        ordered = sorted(found, key=lambda t: (t.bit_count(), _members(t)))
+        return [Support(_members(t)) for t in ordered]
+
+    def relevant(self, idx: int) -> bool:
+        """Does some minimal support contain delta[idx].
+
+        One does iff for some MCS M containing idx and some b in `bad`,
+        (b & M) | idx entails alpha. Taking b with M & ~b a minimal edge E
+        containing idx is enough: as no other minimal edge lies inside E,
+        (M & ~E) | idx meets them all. So idx is relevant iff it lies in a
+        minimal edge of an MCS that contains it.
+        """
+        bit = 1 << idx
+        return any(bit & e for m in self.mcs if m & bit for e in self.edges(m))
+
+
+def _subset_search(
+    delta: Sequence[GammaFormula],
+    alpha: GammaFormula,
+    engine: str,
+    max_models: int,
+    max_kb: int,
+):
+    """Yield every minimal support in canonical order.
+
+    Subsets are visited by cardinality then lexicographically, skipping
+    supersets of a support already found; any other subset that is
+    consistent and entails alpha is minimal, since a smaller qualifying
+    subset would have come first. Subsets are tested on satisfaction
+    masks when those fit, else by is_consistent/entails calls.
+
+    Raises:
+        BudgetExceededError: when len(delta) exceeds max_kb.
+    """
+    _check_subset_budget(delta, max_kb)
+    order = _mask_order(delta, alpha, max_models)
+    if order is not None:
+        rows = [models_mask(f.constraints, order) for f in delta]
+        sat = np.array(rows, dtype=np.bool_).reshape(len(delta), 1 << len(order))
+        outside = ~models_mask(alpha.constraints, order)
+
+        def qualifies(subset):
+            models = sat[list(subset)].all(axis=0)
+            return models.any() and not (models & outside).any()
+
+    else:
+
+        def qualifies(subset):
+            chosen = [delta[i] for i in subset]
+            return is_consistent(
+                chosen, engine=engine, max_models=max_models
+            ) and entails(chosen, alpha, engine=engine, max_models=max_models)
+
+    found: list[int] = []
+    for size in range(len(delta) + 1):
+        for subset in itertools.combinations(range(len(delta)), size):
+            bits = sum(1 << i for i in subset)
+            if any(s & ~bits == 0 for s in found):
+                continue
+            if qualifies(subset):
+                found.append(bits)
+                yield Support(subset)
 
 
 def arg_exists(
@@ -211,74 +320,25 @@ def arg_exists(
 ) -> bool:
     """Decide whether some consistent subset of delta entails alpha.
 
-    The auto engine tries three answer-identical routes in order: if
-    every knowledge-base relation is 0-valid or every one is 1-valid,
-    the base is consistent and the answer is entails(delta, alpha); the
-    same holds whenever the base happens to be consistent, since
-    entailment is monotone. Otherwise a support exists iff for some
-    assignment m the subset of formulas satisfied at m entails alpha,
-    which is decided by matrix arithmetic on small assignment spaces and
-    by canonical subset search beyond them.
+    A support exists iff some MCS of delta entails alpha. The auto
+    engine answers entails(delta, alpha) when delta is consistent, its
+    one MCS, and otherwise tests each MCS of the compiled base. Past the
+    mask limit, and under the generic engine, canonical subset search
+    looks for a first support.
 
     Raises:
-        BudgetExceededError: the instance exceeds the model or subset
-            budget on the path that needs it.
+        BudgetExceededError: the instance exceeds the model budget, or
+            the subset search exceeds max_kb.
     """
     delta = list(delta)
-    if engine == "generic":
-        _check_subset_budget(delta, max_kb)
-        masks = _subset_masks(delta, alpha, max_models)
-        for subset in _subsets(len(delta)):
-            if masks is not None:
-                models = _models_of_subset(masks[0], subset)
-                if models.any() and not (models & ~masks[1]).any():
-                    return True
-            else:
-                chosen = [delta[i] for i in subset]
-                if is_consistent(
-                    chosen, engine="generic", max_models=max_models
-                ) and entails(chosen, alpha, engine="generic", max_models=max_models):
-                    return True
-        return False
-    if _eps_shortcut_applies(delta):
-        logger.debug("arg_exists: constant-assignment shortcut")
-        return entails(delta, alpha, engine=engine, max_models=max_models)
-    if is_consistent(delta, engine=engine, max_models=max_models):
-        return entails(delta, alpha, engine=engine, max_models=max_models)
-    order_size = len(variables_of(delta) | alpha.variables)
-    if (1 << order_size) <= _MATRIX_LIMIT:
-        sat, alpha_mask, _ = _satisfaction_matrix(delta, alpha)
-        return bool(_matrix_entailing_assignments(sat, alpha_mask).any())
-    _check_subset_budget(delta, max_kb)
-    masks = _subset_masks(delta, alpha, max_models)
-    for subset in _subsets(len(delta)):
-        if masks is not None:
-            models = _models_of_subset(masks[0], subset)
-            if models.any() and not (models & ~masks[1]).any():
-                return True
-        else:
-            chosen = [delta[i] for i in subset]
-            if is_consistent(chosen, engine=engine, max_models=max_models) and entails(
-                chosen, alpha, engine=engine, max_models=max_models
-            ):
-                return True
-    return False
-
-
-def _removal_pass(
-    candidate: list[int],
-    delta: Sequence[GammaFormula],
-    alpha: GammaFormula,
-    engine: str,
-    max_models: int,
-) -> Support:
-    """Greedily drop indices in ascending order while entailment holds."""
-    kept = list(candidate)
-    for idx in sorted(candidate):
-        rest = [delta[i] for i in kept if i != idx]
-        if entails(rest, alpha, engine=engine, max_models=max_models):
-            kept.remove(idx)
-    return Support(tuple(sorted(kept)))
+    if engine != "generic":
+        if is_consistent(delta, engine=engine, max_models=max_models):
+            return entails(delta, alpha, engine=engine, max_models=max_models)
+        kb = _KB.compile(delta, alpha, max_models)
+        if kb is not None:
+            return any(kb.entails(m) for m in kb.mcs)
+    search = _subset_search(delta, alpha, engine, max_models, max_kb)
+    return next(search, None) is not None
 
 
 def find_minimal_support(
@@ -291,57 +351,32 @@ def find_minimal_support(
 ) -> Support | None:
     """Return one minimal support for alpha, or None when none exists.
 
-    The result is deterministic per engine: a consistent entailing
-    candidate is located (the whole base, the subset satisfied at the
-    first qualifying assignment, or the first subset in canonical
-    search order), then indices are removed in ascending order whenever
-    entailment survives. The returned support always passes argcheck.
+    The result is deterministic per engine. The auto engine takes the
+    whole base when it is consistent, and otherwise the first entailing
+    MCS of the compiled base, and removes indices in ascending order
+    whenever entailment survives. Past the mask limit, and under the
+    generic engine, it is the first support in canonical subset order.
+    The returned support always passes argcheck.
+
+    Raises:
+        BudgetExceededError: the instance exceeds the model budget, or
+            the subset search exceeds max_kb.
     """
     delta = list(delta)
-    if engine == "generic":
-        _check_subset_budget(delta, max_kb)
-        masks = _subset_masks(delta, alpha, max_models)
-        for subset in _subsets(len(delta)):
-            if masks is not None:
-                models = _models_of_subset(masks[0], subset)
-                hit = models.any() and not (models & ~masks[1]).any()
-            else:
-                chosen = [delta[i] for i in subset]
-                hit = is_consistent(
-                    chosen, engine="generic", max_models=max_models
-                ) and entails(chosen, alpha, engine="generic", max_models=max_models)
-            if hit:
-                return _removal_pass(list(subset), delta, alpha, "generic", max_models)
-        return None
-    if _eps_shortcut_applies(delta) or is_consistent(
-        delta, engine=engine, max_models=max_models
-    ):
-        if not entails(delta, alpha, engine=engine, max_models=max_models):
-            return None
-        return _removal_pass(list(range(len(delta))), delta, alpha, engine, max_models)
-    order_size = len(variables_of(delta) | alpha.variables)
-    if (1 << order_size) <= _MATRIX_LIMIT:
-        sat, alpha_mask, _ = _satisfaction_matrix(delta, alpha)
-        good = _matrix_entailing_assignments(sat, alpha_mask)
-        if not good.any():
-            return None
-        m = int(np.argmax(good))
-        candidate = [i for i in range(len(delta)) if sat[i, m]]
-        return _removal_pass(candidate, delta, alpha, engine, max_models)
-    _check_subset_budget(delta, max_kb)
-    masks = _subset_masks(delta, alpha, max_models)
-    for subset in _subsets(len(delta)):
-        if masks is not None:
-            models = _models_of_subset(masks[0], subset)
-            hit = models.any() and not (models & ~masks[1]).any()
-        else:
-            chosen = [delta[i] for i in subset]
-            hit = is_consistent(
-                chosen, engine=engine, max_models=max_models
-            ) and entails(chosen, alpha, engine=engine, max_models=max_models)
-        if hit:
-            return _removal_pass(list(subset), delta, alpha, engine, max_models)
-    return None
+    if engine != "generic":
+        if is_consistent(delta, engine=engine, max_models=max_models):
+            if not entails(delta, alpha, engine=engine, max_models=max_models):
+                return None
+            kept = list(range(len(delta)))
+            for idx in range(len(delta)):
+                rest = [delta[i] for i in kept if i != idx]
+                if entails(rest, alpha, engine=engine, max_models=max_models):
+                    kept.remove(idx)
+            return Support(tuple(kept))
+        kb = _KB.compile(delta, alpha, max_models)
+        if kb is not None:
+            return kb.first_support()
+    return next(_subset_search(delta, alpha, engine, max_models, max_kb), None)
 
 
 def enumerate_minimal_supports(
@@ -354,36 +389,22 @@ def enumerate_minimal_supports(
 ) -> list[Support]:
     """List every minimal support in canonical order.
 
-    Subsets are visited by cardinality then lexicographically; any
-    superset of an already-accepted support is skipped, after which
-    consistency plus entailment suffices for minimality (a smaller
-    qualifying subset would have been accepted first). Complete within
-    the subset budget.
+    Canonical order is by cardinality, then lexicographic. The auto
+    engine compiles the base and, inside each MCS, builds the minimal
+    sets that meet the MCS minus every maximal signature of alpha's
+    non-models. Past the mask limit, and under the generic engine,
+    canonical subset search lists the supports.
 
     Raises:
         BudgetExceededError: when len(delta) exceeds max_kb.
     """
     delta = list(delta)
     _check_subset_budget(delta, max_kb)
-    masks = _subset_masks(delta, alpha, max_models)
-    accepted: list[Support] = []
-    accepted_sets: list[frozenset[int]] = []
-    for subset in _subsets(len(delta)):
-        as_set = frozenset(subset)
-        if any(prev <= as_set for prev in accepted_sets):
-            continue
-        if masks is not None:
-            models = _models_of_subset(masks[0], subset)
-            hit = models.any() and not (models & ~masks[1]).any()
-        else:
-            chosen = [delta[i] for i in subset]
-            hit = is_consistent(
-                chosen, engine=engine, max_models=max_models
-            ) and entails(chosen, alpha, engine=engine, max_models=max_models)
-        if hit:
-            accepted.append(Support(subset))
-            accepted_sets.append(as_set)
-    return accepted
+    if engine != "generic":
+        kb = _KB.compile(delta, alpha, max_models)
+        if kb is not None:
+            return kb.minimal_supports()
+    return list(_subset_search(delta, alpha, engine, max_models, max_kb))
 
 
 def _psi_index(delta: Sequence[GammaFormula], psi: int | GammaFormula) -> int:
@@ -397,22 +418,14 @@ def _psi_index(delta: Sequence[GammaFormula], psi: int | GammaFormula) -> int:
     raise ValueError("the queried formula is not in the knowledge base")
 
 
-def _positive_clauses(alpha: GammaFormula) -> list[frozenset[str]]:
-    """Positive clause decomposition of a claim, deduplicated keep-first."""
+def _monotone_clauses(alpha: GammaFormula, upward: bool) -> list[frozenset[str]]:
+    """The claim's positive (upward) or negative clauses as variable sets,
+    deduplicated keep-first."""
     clauses: list[frozenset[str]] = []
     for c in alpha.constraints:
-        for clause in positive_cnf_of(c.relation):
-            lits = frozenset(c.args[i - 1] for i in clause.pos)
-            if lits not in clauses:
-                clauses.append(lits)
-    return clauses
-
-
-def _negative_clauses(alpha: GammaFormula) -> list[frozenset[str]]:
-    clauses: list[frozenset[str]] = []
-    for c in alpha.constraints:
-        for clause in negative_cnf_of(c.relation):
-            lits = frozenset(c.args[i - 1] for i in clause.neg)
+        for clause in (positive_cnf_of if upward else negative_cnf_of)(c.relation):
+            coords = clause.pos if upward else clause.neg
+            lits = frozenset(c.args[i - 1] for i in coords)
             if lits not in clauses:
                 clauses.append(lits)
     return clauses
@@ -437,11 +450,30 @@ def _entails_literal_clause(
     return bool(np.all(~mask | hit))
 
 
-def _check_monotone_language(delta, alpha, flag: str):
+def _argrel_monotone(
+    delta: Sequence[GammaFormula],
+    alpha: GammaFormula,
+    psi: int | GammaFormula,
+    upward: bool,
+    engine: str,
+    max_models: int,
+) -> bool:
+    delta = list(delta)
+    flag = "positive" if upward else "negative"
     relations = {c.relation for f in (*delta, alpha) for c in f.constraints}
     if not all(getattr(relation_properties(r), flag) for r in relations):
-        direction = "upward" if flag == "positive" else "downward"
+        direction = "upward" if upward else "downward"
         raise PreconditionError(f"instance relations are not all {direction}-closed")
+    idx = _psi_index(delta, psi)
+    for clause in _monotone_clauses(alpha, upward):
+        candidate = [delta[idx]] + [
+            f
+            for i, f in enumerate(delta)
+            if i != idx and not _entails_literal_clause(f, clause, upward)
+        ]
+        if entails(candidate, alpha, engine=engine, max_models=max_models):
+            return True
+    return False
 
 
 def argrel_positive(
@@ -464,18 +496,7 @@ def argrel_positive(
         PreconditionError: some relation in the instance is not
             upward-closed.
     """
-    delta = list(delta)
-    _check_monotone_language(delta, alpha, "positive")
-    idx = _psi_index(delta, psi)
-    for clause in _positive_clauses(alpha):
-        candidate = [delta[idx]] + [
-            f
-            for i, f in enumerate(delta)
-            if i != idx and not _entails_literal_clause(f, clause, True)
-        ]
-        if entails(candidate, alpha, engine=engine, max_models=max_models):
-            return True
-    return False
+    return _argrel_monotone(delta, alpha, psi, True, engine, max_models)
 
 
 def argrel_negative(
@@ -487,18 +508,7 @@ def argrel_negative(
     max_models: int = DEFAULT_MAX_MODELS,
 ) -> bool:
     """Dual of argrel_positive for downward-closed languages."""
-    delta = list(delta)
-    _check_monotone_language(delta, alpha, "negative")
-    idx = _psi_index(delta, psi)
-    for clause in _negative_clauses(alpha):
-        candidate = [delta[idx]] + [
-            f
-            for i, f in enumerate(delta)
-            if i != idx and not _entails_literal_clause(f, clause, False)
-        ]
-        if entails(candidate, alpha, engine=engine, max_models=max_models):
-            return True
-    return False
+    return _argrel_monotone(delta, alpha, psi, False, engine, max_models)
 
 
 def argrel(
@@ -514,56 +524,38 @@ def argrel(
 
     psi may be given as an index into delta or as a formula (its first
     occurrence is used). On monotone languages the clause-decomposition
-    algorithm runs; otherwise the general criterion searches for a
-    subset containing psi that is consistent, entails alpha, and stops
-    entailing when psi is removed. Greedy deletion of other members
-    preserves those conditions, so such a subset exists exactly when a
-    minimal support contains psi. The generic engine instead checks
-    membership in the enumerated minimal supports.
+    algorithm runs. Otherwise the auto engine compiles the base: psi is
+    relevant iff for some MCS M containing psi and some maximal
+    signature b of alpha's non-models, (b & M) plus psi entails alpha;
+    with no such b, alpha is valid and its one minimal support is empty.
+    Past the mask limit, and under the generic engine, the minimal
+    supports are searched in canonical order until one contains psi.
 
     Raises:
-        BudgetExceededError: subset search beyond max_kb.
+        BudgetExceededError: when len(delta) exceeds max_kb outside the
+            monotone case.
     """
     delta = list(delta)
     idx = _psi_index(delta, psi)
-    if engine == "generic":
-        supports = enumerate_minimal_supports(
-            delta, alpha, engine="generic", max_models=max_models, max_kb=max_kb
-        )
-        return any(idx in s for s in supports)
-    relations = {c.relation for f in (*delta, alpha) for c in f.constraints}
-    reports = [relation_properties(r) for r in relations]
-    if all(r.positive for r in reports):
-        logger.debug("argrel: clause decomposition (upward-closed)")
-        return argrel_positive(delta, alpha, idx, engine=engine, max_models=max_models)
-    if all(r.negative for r in reports):
-        logger.debug("argrel: clause decomposition (downward-closed)")
-        return argrel_negative(delta, alpha, idx, engine=engine, max_models=max_models)
-    _check_subset_budget(delta, max_kb)
-    masks = _subset_masks(delta, alpha, max_models)
-    others = [i for i in range(len(delta)) if i != idx]
-    for size in range(len(others) + 1):
-        for combo in itertools.combinations(others, size):
-            if masks is not None:
-                base = _models_of_subset(masks[0], combo)
-                models = base & masks[0][idx]
-                if (
-                    models.any()
-                    and not (models & ~masks[1]).any()
-                    and (base & ~masks[1]).any()
-                ):
-                    return True
-                continue
-            subset = sorted((idx, *combo))
-            chosen = [delta[i] for i in subset]
-            without = [delta[i] for i in subset if i != idx]
-            if (
-                is_consistent(chosen, engine=engine, max_models=max_models)
-                and entails(chosen, alpha, engine=engine, max_models=max_models)
-                and not entails(without, alpha, engine=engine, max_models=max_models)
-            ):
-                return True
-    return False
+    if engine != "generic":
+        relations = {c.relation for f in (*delta, alpha) for c in f.constraints}
+        reports = [relation_properties(r) for r in relations]
+        if all(r.positive for r in reports):
+            logger.debug("argrel: clause decomposition (upward-closed)")
+            return argrel_positive(
+                delta, alpha, idx, engine=engine, max_models=max_models
+            )
+        if all(r.negative for r in reports):
+            logger.debug("argrel: clause decomposition (downward-closed)")
+            return argrel_negative(
+                delta, alpha, idx, engine=engine, max_models=max_models
+            )
+        _check_subset_budget(delta, max_kb)
+        kb = _KB.compile(delta, alpha, max_models)
+        if kb is not None:
+            return kb.relevant(idx)
+    supports = _subset_search(delta, alpha, engine, max_models, max_kb)
+    return any(idx in s for s in supports)
 
 
 def classify_complexity(language: ConstraintLanguage) -> ComplexityReport:

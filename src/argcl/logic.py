@@ -25,6 +25,7 @@ from .formulas import (
     Constraint,
     DEFAULT_MAX_MODELS,
     GammaFormula,
+    _as_constraints,
     models_mask,
 )
 from .relations import Relation, relation_properties
@@ -355,15 +356,6 @@ def _affine_sat(
 # ---------------------------------------------------------------------------
 
 
-def _collect(phi: GammaFormula | Iterable[GammaFormula]) -> list[Constraint]:
-    if isinstance(phi, GammaFormula):
-        return list(phi.constraints)
-    out: list[Constraint] = []
-    for f in phi:
-        out.extend(f.constraints)
-    return out
-
-
 def _fragment(relations: set[Relation]) -> str:
     reports = [relation_properties(r) for r in relations]
     for flag in ("horn", "dual_horn", "bijunctive", "affine"):
@@ -420,7 +412,7 @@ def is_consistent(
         BudgetExceededError: enumeration would exceed max_models.
     """
     _check_engine(engine)
-    constraints = _collect(phi)
+    constraints = _as_constraints(phi)
     if not constraints:
         return True
     if engine == "generic":
@@ -456,7 +448,7 @@ def entails(
         BudgetExceededError: enumeration would exceed max_models.
     """
     _check_engine(engine)
-    premises = _collect(phi)
+    premises = _as_constraints(phi)
     relations = {c.relation for c in premises} | {c.relation for c in alpha.constraints}
     fragment = "generic" if engine == "generic" else _fragment(relations)
     if fragment == "generic":

@@ -1,10 +1,14 @@
 """Tests for argument existence, verification, relevance, and classification."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from argcl import (
+    DEFAULT_MAX_MODELS,
     BudgetExceededError,
     ComplexityReport,
     Constraint,
@@ -24,7 +28,9 @@ from argcl import (
     relation_properties,
 )
 
+from argcl.argumentation import _mask_order
 from conftest import (
+    AND_NOT,
     EQ2,
     IMPL,
     NAE3,
@@ -319,6 +325,164 @@ class TestMonotoneArgrel:
         delta = [or2("a", "b")]
         with pytest.raises(PreconditionError, match="downward-closed"):
             argrel_negative(delta, or2("a", "b"), 0)
+
+
+KB_RELATIONS = (NEQ, IMPL, OR2, EQ2, AND_NOT, NAE3, ONE_IN_THREE, T, F)
+
+
+@st.composite
+def kb_instances(draw):
+    """8-10 formulas of 1-2 constraints over at most 10 variables; the unit
+    relations T and F make bases with several MCSes common."""
+    variables = [f"v{i}" for i in range(draw(st.integers(2, 10)))]
+
+    def formula():
+        constraints = []
+        for _ in range(draw(st.integers(1, 2))):
+            relation = draw(st.sampled_from(KB_RELATIONS))
+            args = tuple(draw(st.sampled_from(variables)) for _ in range(relation.arity))
+            constraints.append(Constraint(relation, args))
+        return GammaFormula(tuple(constraints))
+
+    delta = [formula() for _ in range(draw(st.integers(8, 10)))]
+    alpha = formula()
+    return delta, alpha, draw(st.integers(0, len(delta) - 1))
+
+
+def all_queries(delta, alpha, psi, **kwargs):
+    return (
+        arg_exists(delta, alpha, **kwargs),
+        find_minimal_support(delta, alpha, **kwargs),
+        enumerate_minimal_supports(delta, alpha, **kwargs),
+        argrel(delta, alpha, psi, **kwargs),
+    )
+
+
+class TestCompiledBase:
+    """The auto engine's compiled signature base against the generic
+    engine's canonical subset search and against known answers."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(kb_instances())
+    def test_auto_matches_generic(self, instance):
+        delta, alpha, psi = instance
+        exists, support, supports, relevant = all_queries(delta, alpha, psi)
+        want = enumerate_minimal_supports(delta, alpha, engine="generic")
+        assert supports == want
+        assert exists == bool(want) == arg_exists(delta, alpha, engine="generic")
+        if want:
+            assert support in want
+            assert argcheck(support.formulas(delta), alpha)
+        else:
+            assert support is None
+        assert find_minimal_support(delta, alpha, engine="generic") == (
+            want[0] if want else None
+        )
+        assert relevant == any(psi in s for s in want)
+        assert relevant == argrel(delta, alpha, psi, engine="generic")
+
+    @pytest.mark.parametrize("engine", ["auto", "generic"])
+    def test_valid_claim_has_only_the_empty_support(self, engine):
+        delta = [
+            gamma(Constraint(T, ("x",))),
+            gamma(Constraint(F, ("x",))),
+            gamma(Constraint(NEQ, ("a", "b"))),
+        ]
+        alpha = gamma(Constraint(EQ2, ("y", "y")))
+        for psi in range(len(delta)):
+            answers = all_queries(delta, alpha, psi, engine=engine)
+            assert answers == (True, Support(()), [Support(())], False)
+
+    @pytest.mark.parametrize("engine", ["auto", "generic"])
+    def test_consistent_base_without_entailment(self, engine):
+        delta = [gamma(Constraint(NEQ, ("a", "b"))), gamma(Constraint(IMPL, ("b", "c")))]
+        alpha = gamma(Constraint(T, ("c",)))
+        for psi in range(len(delta)):
+            assert all_queries(delta, alpha, psi, engine=engine) == (
+                False,
+                None,
+                [],
+                False,
+            )
+
+    @pytest.mark.parametrize("engine", ["auto", "generic"])
+    def test_empty_base(self, engine):
+        tautology = gamma(Constraint(EQ2, ("x", "x")))
+        assert find_minimal_support([], tautology, engine=engine) == Support(())
+        assert enumerate_minimal_supports([], tautology, engine=engine) == [Support(())]
+        assert find_minimal_support([], or2("a", "b"), engine=engine) is None
+        assert enumerate_minimal_supports([], or2("a", "b"), engine=engine) == []
+
+    @pytest.mark.parametrize("engine", ["auto", "generic"])
+    def test_duplicate_formulas_in_an_inconsistent_base(self, engine):
+        impl = gamma(Constraint(IMPL, ("x", "y")))
+        delta = [
+            gamma(Constraint(T, ("x",))),
+            gamma(Constraint(F, ("x",))),
+            impl,
+            impl,
+            gamma(Constraint(F, ("y",))),
+        ]
+        alpha = gamma(Constraint(T, ("y",)))
+        supports = enumerate_minimal_supports(delta, alpha, engine=engine)
+        assert supports == [Support((0, 2)), Support((0, 3))]
+        assert find_minimal_support(delta, alpha, engine=engine) in supports
+        relevant = [argrel(delta, alpha, i, engine=engine) for i in range(len(delta))]
+        assert relevant == [True, False, True, True, False]
+
+    @pytest.mark.parametrize("size", [63, 70])
+    def test_large_inconsistent_base(self, size):
+        # F(v0) first, T(v0) and IMPL(v0, v1) last, and fillers over
+        # v2..v9 in between: the one minimal support for T(v1) is the
+        # last two formulas. 70 formulas need two signature words.
+        fillers = [
+            gamma(Constraint(rel, (f"v{i}", f"v{j}")))
+            for rel in (NEQ, EQ2, IMPL)
+            for i, j in itertools.combinations(range(2, 10), 2)
+        ]
+        delta = (
+            [gamma(Constraint(F, ("v0",)))]
+            + fillers[: size - 3]
+            + [gamma(Constraint(T, ("v0",))), gamma(Constraint(IMPL, ("v0", "v1")))]
+        )
+        assert len(delta) == size
+        alpha = gamma(Constraint(T, ("v1",)))
+        want = Support((size - 2, size - 1))
+        assert all_queries(delta, alpha, size - 1, max_kb=size) == (
+            True,
+            want,
+            [want],
+            True,
+        )
+        assert not argrel(delta, alpha, 0, max_kb=size)
+        assert all_queries(delta, gamma(Constraint(F, ("v1",))), 0, max_kb=size) == (
+            False,
+            None,
+            [],
+            False,
+        )
+
+    @pytest.mark.parametrize("n_vars", [20, 21])
+    def test_either_side_of_the_mask_limit(self, n_vars):
+        names = [f"v{i:02d}" for i in range(n_vars)]
+        chain = GammaFormula(
+            tuple(Constraint(IMPL, pair) for pair in zip(names, names[1:]))
+        )
+        delta = [
+            gamma(Constraint(T, ("v00",))),
+            gamma(Constraint(F, ("v00",))),
+            chain,
+        ]
+        alpha = gamma(Constraint(T, (names[-1],)))
+        fits = _mask_order(delta, alpha, DEFAULT_MAX_MODELS) is not None
+        assert fits == (n_vars == 20)
+        assert all_queries(delta, alpha, 2) == (
+            True,
+            Support((0, 2)),
+            [Support((0, 2))],
+            True,
+        )
+        assert not argrel(delta, alpha, 1)
 
 
 # A 1-valid ternary relation closed under none of the four operations:

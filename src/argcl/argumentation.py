@@ -29,7 +29,16 @@ import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 from .formulas import DEFAULT_MAX_MODELS, GammaFormula, models_mask, variables_of
-from .logic import entails, is_consistent, negative_cnf_of, positive_cnf_of
+from .logic import (
+    _Premises,
+    _check_engine,
+    _entailed,
+    _fragment,
+    entails,
+    is_consistent,
+    negative_cnf_of,
+    positive_cnf_of,
+)
 from .relations import ConstraintLanguage, language_properties, relation_properties
 
 __all__ = [
@@ -127,9 +136,23 @@ def argcheck(
     entails alpha. By monotonicity of entailment the last condition is
     equivalent to single-element removal never preserving entailment,
     which is what gets checked. Duplicate formulas are collapsed first
-    (set semantics).
+    (set semantics). When phi and alpha lie in one tractable fragment, phi
+    is compiled once with one clause block per formula, and each removal
+    check leaves that formula's block out.
     """
+    _check_engine(engine)
     formulas = _dedup(phi)
+    relations = {c.relation for f in (*formulas, alpha) for c in f.constraints}
+    fragment = "generic" if engine == "generic" else _fragment(relations)
+    if fragment != "generic":
+        premises = _Premises(fragment, [f.constraints for f in formulas])
+        claim = premises.refutations(alpha)
+        whole = premises.solver()
+        if not whole.ok or not _entailed(whole, claim):
+            return False
+        return not any(
+            _entailed(premises.solver(without=i), claim) for i in range(len(formulas))
+        )
     if not is_consistent(formulas, engine=engine, max_models=max_models):
         return False
     if not entails(formulas, alpha, engine=engine, max_models=max_models):

@@ -282,7 +282,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         PreconditionError,
         ConstructionError,
         OSError,
-        TypeError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,28 +1,10 @@
-"""Array kernels for model filtering and closure tests.
-
-Two interchangeable implementations live here: numba-compiled loops and
-vectorized numpy. The active one is chosen by the ARGCL_KERNEL environment
-variable ("auto", "numba", "numpy"; default "auto" picks numba when it is
-importable). Both compute identical results; the flag only trades speed.
-Answer-affecting behavior is controlled elsewhere (the --engine flag).
-"""
+"""Array kernels for model filtering and closure tests, in vectorized numpy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba as nb
-
-    NUMBA_AVAILABLE = True
-except ImportError:
-    NUMBA_AVAILABLE = False
-
 __all__ = [
-    "NUMBA_AVAILABLE",
-    "kernel_mode",
     "filter_models",
     "pair_closure",
     "triple_closure",
@@ -43,30 +25,6 @@ OP_NIMP = 3
 OP_MAJ = 0
 OP_XOR3 = 1
 
-_MODE = os.environ.get("ARGCL_KERNEL", "auto").lower()
-if _MODE not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"ARGCL_KERNEL must be auto, numba or numpy, got {_MODE!r}")
-if _MODE == "numba" and not NUMBA_AVAILABLE:
-    raise RuntimeError("ARGCL_KERNEL=numba but numba is not importable")
-
-
-def kernel_mode() -> str:
-    """Return the implementation in use: "numba" or "numpy"."""
-    if _MODE == "numpy":
-        return "numpy"
-    if _MODE == "numba":
-        return "numba"
-    return "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-def njit(*args, **kwargs):
-    """numba.njit when available, identity decorator otherwise."""
-    if NUMBA_AVAILABLE:
-        return nb.njit(*args, **kwargs)
-    if len(args) == 1 and callable(args[0]):
-        return args[0]
-    return lambda func: func
-
 
 # ---------------------------------------------------------------------------
 # Model filtering: which of the 2**n assignments satisfy every constraint.
@@ -78,12 +36,22 @@ def njit(*args, **kwargs):
 # ---------------------------------------------------------------------------
 
 
-def filter_models_numpy(
+def filter_models(
     n_vars: int,
     tables: list[np.ndarray],
     positions: list[tuple[int, ...]],
 ) -> np.ndarray:
-    """Boolean array over all 2**n_vars assignments, vectorized."""
+    """Satisfaction mask over all assignments.
+
+    Args:
+        n_vars: number of variables; the result has 2**n_vars entries.
+        tables: per-constraint relation truth tables (bool, length 2**k).
+        positions: per-constraint variable indices, one per argument.
+
+    Returns:
+        Boolean array: entry a is True iff assignment a satisfies every
+        constraint.
+    """
     count = 1 << n_vars
     sat = np.ones(count, dtype=np.bool_)
     if not tables:
@@ -98,74 +66,13 @@ def filter_models_numpy(
     return sat
 
 
-@njit(cache=True)
-def _filter_models_loop(n_vars, flat_tables, table_offsets, flat_pos, pos_offsets, arities, out):
-    count = 1 << n_vars
-    n_constraints = arities.shape[0]
-    for a in range(count):
-        ok = True
-        for c in range(n_constraints):
-            k = arities[c]
-            base = pos_offsets[c]
-            idx = 0
-            for j in range(k):
-                p = flat_pos[base + j]
-                idx |= ((a >> (n_vars - 1 - p)) & 1) << (k - 1 - j)
-            if not flat_tables[table_offsets[c] + idx]:
-                ok = False
-                break
-        out[a] = ok
-
-
-def filter_models_numba(
-    n_vars: int,
-    tables: list[np.ndarray],
-    positions: list[tuple[int, ...]],
-) -> np.ndarray:
-    """Boolean array over all 2**n_vars assignments, compiled loop."""
-    count = 1 << n_vars
-    out = np.empty(count, dtype=np.bool_)
-    if not tables:
-        out[:] = True
-        return out
-    flat_tables = np.concatenate(tables)
-    table_offsets = np.zeros(len(tables), dtype=np.int64)
-    np.cumsum([t.shape[0] for t in tables[:-1]], out=table_offsets[1:])
-    flat_pos = np.array([p for pos in positions for p in pos], dtype=np.int64)
-    arities = np.array([len(pos) for pos in positions], dtype=np.int64)
-    pos_offsets = np.zeros(len(positions), dtype=np.int64)
-    np.cumsum(arities[:-1], out=pos_offsets[1:])
-    _filter_models_loop(n_vars, flat_tables, table_offsets, flat_pos, pos_offsets, arities, out)
-    return out
-
-
-def filter_models(
-    n_vars: int,
-    tables: list[np.ndarray],
-    positions: list[tuple[int, ...]],
-) -> np.ndarray:
-    """Satisfaction mask over all assignments, using the configured kernel.
-
-    Args:
-        n_vars: number of variables; the result has 2**n_vars entries.
-        tables: per-constraint relation truth tables (bool, length 2**k).
-        positions: per-constraint variable indices, one per argument.
-
-    Returns:
-        Boolean array: entry a is True iff assignment a satisfies every
-        constraint.
-    """
-    if kernel_mode() == "numba":
-        return filter_models_numba(n_vars, tables, positions)
-    return filter_models_numpy(n_vars, tables, positions)
-
-
 # ---------------------------------------------------------------------------
 # Closure tests over tuple bitmasks.
 # ---------------------------------------------------------------------------
 
 
-def pair_closure_numpy(members: np.ndarray, table: np.ndarray, op: int, full_mask: int) -> bool:
+def pair_closure(members: np.ndarray, table: np.ndarray, op: int, full_mask: int) -> bool:
+    """True iff the relation is closed under the binary coordinate-wise op."""
     m1 = members[:, None]
     m2 = members[None, :]
     if op == OP_AND:
@@ -181,34 +88,8 @@ def pair_closure_numpy(members: np.ndarray, table: np.ndarray, op: int, full_mas
     return bool(table[res].all())
 
 
-@njit(cache=True)
-def _pair_closure_loop(members, table, op, full_mask):
-    n = members.shape[0]
-    for i in range(n):
-        for j in range(n):
-            a = members[i]
-            b = members[j]
-            if op == 0:
-                r = a & b
-            elif op == 1:
-                r = a | b
-            elif op == 2:
-                r = (~a & full_mask) | b
-            else:
-                r = a & (~b & full_mask)
-            if not table[r]:
-                return False
-    return True
-
-
-def pair_closure(members: np.ndarray, table: np.ndarray, op: int, full_mask: int) -> bool:
-    """True iff the relation is closed under the binary coordinate-wise op."""
-    if kernel_mode() == "numba":
-        return bool(_pair_closure_loop(members, table, op, full_mask))
-    return pair_closure_numpy(members, table, op, full_mask)
-
-
-def triple_closure_numpy(members: np.ndarray, table: np.ndarray, op: int) -> bool:
+def triple_closure(members: np.ndarray, table: np.ndarray, op: int) -> bool:
+    """True iff the relation is closed under the ternary coordinate-wise op."""
     m1 = members[:, None]
     m2 = members[None, :]
     for c in members:
@@ -221,28 +102,3 @@ def triple_closure_numpy(members: np.ndarray, table: np.ndarray, op: int) -> boo
         if not table[res].all():
             return False
     return True
-
-
-@njit(cache=True)
-def _triple_closure_loop(members, table, op):
-    n = members.shape[0]
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                a = members[i]
-                b = members[j]
-                c = members[l]
-                if op == 0:
-                    r = (a & b) | (a & c) | (b & c)
-                else:
-                    r = a ^ b ^ c
-                if not table[r]:
-                    return False
-    return True
-
-
-def triple_closure(members: np.ndarray, table: np.ndarray, op: int) -> bool:
-    """True iff the relation is closed under the ternary coordinate-wise op."""
-    if kernel_mode() == "numba":
-        return bool(_triple_closure_loop(members, table, op))
-    return triple_closure_numpy(members, table, op)

@@ -3,11 +3,12 @@
 Two entry points, is_consistent and entails, sit on top of several
 answer-identical engines. The generic engine enumerates assignments and
 is the correctness anchor; when every relation in the input lies in a
-tractable fragment (Horn, dual Horn, bijunctive, affine) a dedicated
-polynomial engine is dispatched instead. Entailment reduces to
-unsatisfiability of the premises plus unit assumptions refuting one
-prime-implicate clause of the claim at a time, which stays inside the
-fragment of the inputs.
+tractable fragment (Horn, dual Horn, bijunctive, affine) the premises are
+compiled once per call into that fragment's polynomial engine: counter
+unit propagation, an implication graph, or a GF(2) echelon form.
+Entailment then reduces to unsatisfiability of the premises plus the
+unit literals refuting one prime-implicate clause of the claim, one
+assumption check per clause against that single compile.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import functools
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -158,124 +159,139 @@ def negative_cnf_of(relation: Relation) -> tuple[Clause, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Fragment engines. Each decides satisfiability of a constraint set plus
-# unit assumptions, assuming every relation lies in its fragment.
+# Fragment engines. Variables are interned to ints; literal 2v stands for
+# variable v true and 2v + 1 for v false, so l ^ 1 is the complement of l.
+# Each engine is built once from premises in its fragment and then decides
+# satisfiability of the premises plus any number of literal sets.
 # ---------------------------------------------------------------------------
 
-_Lit = tuple[str, bool]
+# The count of a satisfied clause: no run of decrements brings it to 1.
+_SATISFIED = 1 << 40
 
 
-def _instantiated_clauses(constraints: Iterable[Constraint]) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """CNF of a constraint set on its actual variables, tautologies dropped."""
-    out = []
-    for c in constraints:
-        for clause in cnf_of(c.relation):
-            pos = frozenset(c.args[i - 1] for i in clause.pos)
-            neg = frozenset(c.args[i - 1] for i in clause.neg)
-            if pos & neg:
+class _UnitPropagation:
+    """Counter-based unit propagation; complete for Horn and dual Horn.
+
+    Each clause keeps the count of its literals not yet false. The
+    premises' fixpoint is computed once, and each literal set propagates
+    on from copies of the values and counts. With no conflict, setting
+    every open variable false (Horn) or true (dual Horn) is a model.
+    """
+
+    def __init__(self, n_lits: int, clauses: list[tuple[int, ...]], check: bool):
+        self.clauses = clauses
+        self.occurs: list[list[int]] = [[] for _ in range(n_lits)]
+        for c, lits in enumerate(clauses):
+            for lit in lits:
+                self.occurs[lit].append(c)
+        self.true = [False] * n_lits
+        self.left = [len(lits) for lits in clauses]
+        units = [lits[0] for lits in clauses if len(lits) == 1]
+        self.ok = self._propagate(self.true, self.left, units)
+
+    def _propagate(self, true: list[bool], left: list[int], queue: list[int]) -> bool:
+        occurs, clauses = self.occurs, self.clauses
+        while queue:
+            lit = queue.pop()
+            if true[lit]:
                 continue
-            out.append((tuple(sorted(pos)), tuple(sorted(neg))))
-    return out
-
-
-def _unit_propagation_sat(
-    clauses: list[tuple[tuple[str, ...], tuple[str, ...]]],
-    assumptions: Mapping[str, bool],
-) -> bool:
-    """Unit propagation to fixpoint; complete for Horn and dual Horn sets."""
-    assign = dict(assumptions)
-    changed = True
-    while changed:
-        changed = False
-        for pos, neg in clauses:
-            if any(assign.get(v) is True for v in pos):
-                continue
-            if any(assign.get(v) is False for v in neg):
-                continue
-            open_lits = [(v, True) for v in pos if v not in assign]
-            open_lits += [(v, False) for v in neg if v not in assign]
-            if not open_lits:
+            if true[lit ^ 1]:
                 return False
-            if len(open_lits) == 1:
-                v, val = open_lits[0]
-                assign[v] = val
-                changed = True
-    return True
+            true[lit] = True
+            for c in occurs[lit]:
+                left[c] = _SATISFIED
+            for c in occurs[lit ^ 1]:
+                left[c] -= 1
+                if left[c] == 1:
+                    queue.extend(other for other in clauses[c] if not true[other ^ 1])
+                elif not left[c]:
+                    return False
+        return True
+
+    def sat(self, lits: list[int]) -> bool:
+        if not self.ok:
+            return False
+        queue = [lit for lit in lits if not self.true[lit]]
+        return not queue or self._propagate(self.true.copy(), self.left.copy(), queue)
 
 
-def _two_sat(
-    clauses: list[tuple[tuple[str, ...], tuple[str, ...]]],
-    assumptions: Mapping[str, bool],
-) -> bool:
-    """Implication-graph 2-SAT with strongly connected components."""
-    variables: set[str] = set(assumptions)
-    for pos, neg in clauses:
-        variables.update(pos)
-        variables.update(neg)
-    index = {v: i for i, v in enumerate(sorted(variables))}
-    n = len(index)
-    # Literal node: 2i for v, 2i+1 for ~v.
-    adj: list[list[int]] = [[] for _ in range(2 * n)]
+class _ImplicationGraph:
+    """Implication-graph 2-SAT (Aspvall, Plass and Tarjan).
 
-    def add_clause(lits: list[tuple[int, bool]]):
-        if len(lits) == 1:
-            (i, s), = lits
-            a = 2 * i if s else 2 * i + 1
-            adj[a ^ 1].append(a)
-        else:
-            (i, s), (j, t) = lits
-            a = 2 * i if s else 2 * i + 1
-            b = 2 * j if t else 2 * j + 1
-            adj[a ^ 1].append(b)
-            adj[b ^ 1].append(a)
+    The premises are satisfiable iff no strongly connected component
+    holds a literal and its complement. They are then satisfiable with a
+    literal set L iff the literals reachable from L hold no complementary
+    pair: those literals can all be true, and the clauses they leave open
+    are premises on the other variables, satisfied by any model.
+    """
 
-    for pos, neg in clauses:
-        lits = [(index[v], True) for v in pos] + [(index[v], False) for v in neg]
-        add_clause(lits)
-    for v, val in assumptions.items():
-        add_clause([(index[v], val)])
+    def __init__(self, n_lits: int, clauses: list[tuple[int, ...]], check: bool):
+        self.succ: list[list[int]] = [[] for _ in range(n_lits)]
+        for lits in clauses:
+            if len(lits) == 1:
+                self.succ[lits[0] ^ 1].append(lits[0])
+            else:
+                a, b = lits
+                self.succ[a ^ 1].append(b)
+                self.succ[b ^ 1].append(a)
+        self.ok = not check or _no_complementary_component(self.succ)
 
-    # Iterative Tarjan SCC.
-    order = [0] * (2 * n)
-    low = [0] * (2 * n)
-    seen = [False] * (2 * n)
-    on_stack = [False] * (2 * n)
-    comp = [-1] * (2 * n)
+    def sat(self, lits: list[int]) -> bool:
+        if not self.ok:
+            return False
+        succ = self.succ
+        seen = set(lits)
+        stack = list(seen)
+        while stack:
+            lit = stack.pop()
+            if lit ^ 1 in seen:
+                return False
+            for nxt in succ[lit]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return True
+
+
+def _no_complementary_component(succ: list[list[int]]) -> bool:
+    """Iterative Tarjan SCC: False iff a component holds l and l ^ 1."""
+    n = len(succ)
+    order = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
     stack: list[int] = []
-    counter = itertools.count()
-    n_comp = 0
-    for root in range(2 * n):
-        if seen[root]:
+    counter = n_comp = 0
+    for root in range(n):
+        if order[root] >= 0:
             continue
-        work = [(root, 0)]
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            node, ptr = work.pop()
-            if ptr == 0:
-                seen[node] = True
-                order[node] = low[node] = next(counter)
-                stack.append(node)
-                on_stack[node] = True
-            if ptr < len(adj[node]):
-                work.append((node, ptr + 1))
-                nxt = adj[node][ptr]
-                if not seen[nxt]:
-                    work.append((nxt, 0))
-                elif on_stack[nxt]:
+            node, edges = work[-1]
+            for nxt in edges:
+                if order[nxt] < 0:
+                    order[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    work.append((nxt, iter(succ[nxt])))
+                    break
+                if comp[nxt] < 0:
                     low[node] = min(low[node], order[nxt])
             else:
-                if low[node] == order[node]:
-                    while True:
-                        top = stack.pop()
-                        on_stack[top] = False
-                        comp[top] = n_comp
-                        low[top] = low[node]
-                        if top == node:
-                            break
-                    n_comp += 1
+                work.pop()
                 if work:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[node])
-    return all(comp[2 * i] != comp[2 * i + 1] for i in range(n))
+                if low[node] == order[node]:
+                    while True:
+                        top = stack.pop()
+                        comp[top] = n_comp
+                        if top == node:
+                            break
+                    n_comp += 1
+    return all(comp[lit] != comp[lit + 1] for lit in range(0, n, 2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -318,37 +334,127 @@ def _affine_rows(relation: Relation) -> tuple[tuple[int, int], ...]:
     return tuple(rows)
 
 
-def _affine_sat(
-    constraints: Iterable[Constraint],
-    assumptions: Mapping[str, bool],
-    variables: Iterable[str],
-) -> bool:
-    """Gaussian elimination over GF(2) on the stacked constraint systems."""
-    index = {v: i for i, v in enumerate(sorted(set(variables) | set(assumptions)))}
-    rows: list[tuple[int, int]] = []
-    for c in constraints:
-        k = c.relation.arity
-        for cmask, rhs in _affine_rows(c.relation):
-            gmask = 0
-            for j, arg in enumerate(c.args):
-                if (cmask >> (k - 1 - j)) & 1:
-                    gmask ^= 1 << index[arg]
-            rows.append((gmask, rhs))
-    for v, val in assumptions.items():
-        rows.append((1 << index[v], int(val)))
-    pivots: dict[int, tuple[int, int]] = {}
+def _eliminate(pivots: dict[int, tuple[int, int]], rows: Iterable[tuple[int, int]]) -> bool:
+    """Add GF(2) rows (variable mask, rhs) to an echelon form keyed by
+    leading bit; False when a row reduces to 0 = 1."""
     for mask, rhs in rows:
         while mask:
-            lead = 1 << (mask.bit_length() - 1)
-            if lead not in pivots:
+            lead = mask.bit_length()
+            pivot = pivots.get(lead)
+            if pivot is None:
                 pivots[lead] = (mask, rhs)
                 break
-            pm, pr = pivots[lead]
-            mask ^= pm
-            rhs ^= pr
-        if not mask and rhs:
-            return False
+            mask ^= pivot[0]
+            rhs ^= pivot[1]
+        else:
+            if rhs:
+                return False
     return True
+
+
+class _Gf2Elimination:
+    """Gaussian elimination over GF(2), complete for affine premises.
+
+    The premises' rows are brought to echelon form once; each literal set
+    reduces its unit rows against a copy of the pivots.
+    """
+
+    def __init__(self, n_lits: int, rows: list[tuple[int, int]], check: bool):
+        self.pivots: dict[int, tuple[int, int]] = {}
+        self.ok = _eliminate(self.pivots, rows)
+
+    def sat(self, lits: list[int]) -> bool:
+        units = [(1 << (lit >> 1), ~lit & 1) for lit in lits]
+        return self.ok and _eliminate(dict(self.pivots), units)
+
+
+_ENGINES = {
+    "horn": _UnitPropagation,
+    "dual_horn": _UnitPropagation,
+    "bijunctive": _ImplicationGraph,
+    "affine": _Gf2Elimination,
+}
+
+
+class _Premises:
+    """Premises compiled once for one fragment, as blocks of constraints.
+
+    Compiling interns the variables and instantiates each block's
+    prime-implicate clauses (GF(2) rows on the affine fragment) once;
+    solver() builds the fragment's engine over every block or all but one.
+    """
+
+    def __init__(self, fragment: str, blocks: Iterable[Iterable[Constraint]]):
+        self.index: dict[str, int] = {}
+        self.engine = _ENGINES[fragment]
+        instantiate = self._rows if fragment == "affine" else self._clauses
+        self.blocks = [instantiate(block) for block in blocks]
+
+    def _ids(self, c: Constraint) -> list[int]:
+        index = self.index
+        return [index.setdefault(a, len(index)) for a in c.args]
+
+    def _clauses(self, constraints: Iterable[Constraint]) -> list[tuple[int, ...]]:
+        out = []
+        for c in constraints:
+            ids = self._ids(c)
+            # Only repeated arguments can merge literals or make a
+            # tautology, so the set is built only for them.
+            repeated = len(set(ids)) < len(ids)
+            for clause in cnf_of(c.relation):
+                lits = [2 * ids[i - 1] for i in clause.pos]
+                lits += [2 * ids[i - 1] + 1 for i in clause.neg]
+                if repeated:
+                    lits = set(lits)
+                    if any(lit ^ 1 in lits for lit in lits):
+                        continue
+                out.append(tuple(lits))
+        return out
+
+    def _rows(self, constraints: Iterable[Constraint]) -> list[tuple[int, int]]:
+        out = []
+        for c in constraints:
+            ids = self._ids(c)
+            k = len(ids)
+            for cmask, rhs in _affine_rows(c.relation):
+                gmask = 0
+                for j, v in enumerate(ids):
+                    if cmask >> (k - 1 - j) & 1:
+                        gmask ^= 1 << v
+                out.append((gmask, rhs))
+        return out
+
+    def solver(self, without: int | None = None):
+        """The engine over every block except `without`.
+
+        Every subset of consistent premises is consistent, so a solver
+        that leaves a block out is built with check=False: the implication
+        graph then skips its component search. Propagation and elimination
+        decide consistency as they build, so they ignore the flag.
+        """
+        items = [x for i, block in enumerate(self.blocks) if i != without for x in block]
+        return self.engine(2 * len(self.index), items, without is None)
+
+    def refutations(self, alpha: GammaFormula) -> list[list[int]]:
+        """The negation of each non-tautological prime-implicate clause of
+        alpha, as literals on premise variables; the others are free."""
+        index = self.index
+        out = []
+        for c in alpha.constraints:
+            for clause in cnf_of(c.relation):
+                pos = {c.args[i - 1] for i in clause.pos}
+                neg = {c.args[i - 1] for i in clause.neg}
+                if pos & neg:
+                    continue
+                lits = [2 * index[v] + 1 for v in pos if v in index]
+                lits += [2 * index[v] for v in neg if v in index]
+                out.append(lits)
+        return out
+
+
+def _entailed(solver, refutations: list[list[int]]) -> bool:
+    """Consistent premises entail alpha iff every refutation is unsatisfiable."""
+    return not any(solver.sat(lits) for lits in refutations)
 
 
 # ---------------------------------------------------------------------------
@@ -367,21 +473,6 @@ def _fragment(relations: set[Relation]) -> str:
 def _check_engine(engine: str):
     if engine not in ("auto", "generic"):
         raise ValueError(f"unknown engine {engine!r}")
-
-
-def _sat_in_fragment(
-    fragment: str,
-    constraints: list[Constraint],
-    assumptions: Mapping[str, bool],
-) -> bool:
-    if fragment in ("horn", "dual_horn"):
-        clauses = _instantiated_clauses(constraints)
-        units = [((v,), ()) if val else ((), (v,)) for v, val in assumptions.items()]
-        return _unit_propagation_sat(clauses + units, {})
-    if fragment == "bijunctive":
-        return _two_sat(_instantiated_clauses(constraints), assumptions)
-    variables = {a for c in constraints for a in c.args}
-    return _affine_sat(constraints, assumptions, variables)
 
 
 def _enumeration_sat(constraints: list[Constraint], max_models: int) -> bool:
@@ -425,7 +516,7 @@ def is_consistent(
     logger.debug("is_consistent via %s engine", fragment)
     if fragment == "generic":
         return _enumeration_sat(constraints, max_models)
-    return _sat_in_fragment(fragment, constraints, {})
+    return _Premises(fragment, [constraints]).solver().ok
 
 
 def entails(
@@ -438,10 +529,11 @@ def entails(
     """Decide whether every common model of the premises satisfies alpha.
 
     The generic engine enumerates the joint assignment space once and
-    compares satisfaction masks. The fragment path refutes one
-    prime-implicate clause of alpha at a time: the clause's negation is
-    a set of unit assumptions, so each check is a fragment
-    satisfiability call on the premises. Inconsistent premises entail
+    compares satisfaction masks. The fragment path compiles the premises
+    once and refutes one prime-implicate clause of alpha at a time: the
+    clause's negation is a set of unit literals, so each check is one
+    assumption call on the compiled premises. Literals on variables the
+    premises do not mention are free. Inconsistent premises entail
     everything.
 
     Raises:
@@ -463,14 +555,6 @@ def entails(
         alpha_mask = models_mask(alpha.constraints, order)
         return not bool(np.any(phi_mask & ~alpha_mask))
     logger.debug("entails via %s engine", fragment)
-    for c in alpha.constraints:
-        for clause in cnf_of(c.relation):
-            pos = frozenset(c.args[i - 1] for i in clause.pos)
-            neg = frozenset(c.args[i - 1] for i in clause.neg)
-            if pos & neg:
-                continue
-            assumptions = {v: False for v in pos}
-            assumptions.update({v: True for v in neg})
-            if _sat_in_fragment(fragment, premises, assumptions):
-                return False
-    return True
+    compiled = _Premises(fragment, [premises])
+    solver = compiled.solver()
+    return not solver.ok or _entailed(solver, compiled.refutations(alpha))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from argcl import solve_source, parse_dimacs
+from argcl import cli, solve_source, parse_dimacs
 from argcl.cli import main
 
 LANG = """\
@@ -115,6 +115,18 @@ class TestSolve:
         )
         assert main(["solve", "rel", path]) == 2
         assert "relevant" in capsys.readouterr().err
+
+    def test_internal_type_error_propagates(self, workdir, monkeypatch):
+        # A TypeError is a bug, not a usage error: no exit code hides it.
+        def broken(*args, **kwargs):
+            raise TypeError("internal bug")
+
+        monkeypatch.setattr(cli, "is_consistent", broken)
+        path = instance_file(
+            workdir, "typeerror.arg", "formula f = OR2(a,b)\nkb f\nclaim OR2(b,a)\n"
+        )
+        with pytest.raises(TypeError, match="internal bug"):
+            main(["solve", "sat", path])
 
     def test_engine_budget_exit(self, workdir, capsys):
         path = instance_file(

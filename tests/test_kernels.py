@@ -1,14 +1,10 @@
-"""Checks that the compiled and vectorized kernels agree everywhere."""
+"""Checks the array kernels against naive loops."""
 
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 
 from argcl.kernels import (
-    NUMBA_AVAILABLE,
     OP_AND,
     OP_IMP,
     OP_MAJ,
@@ -16,13 +12,8 @@ from argcl.kernels import (
     OP_OR,
     OP_XOR3,
     filter_models,
-    filter_models_numba,
-    filter_models_numpy,
-    kernel_mode,
     pair_closure,
-    pair_closure_numpy,
     triple_closure,
-    triple_closure_numpy,
 )
 
 
@@ -82,40 +73,28 @@ def random_case(rng, max_vars=6, max_constraints=4):
     return n_vars, tables, positions
 
 
-class TestKernelMode:
-    def test_mode_is_known(self):
-        assert kernel_mode() in ("numba", "numpy")
-
-    def test_default_prefers_numba(self):
-        if os.environ.get("ARGCL_KERNEL", "auto") == "auto" and NUMBA_AVAILABLE:
-            assert kernel_mode() == "numba"
-
-
 class TestFilterModels:
     def test_frozen_or2(self):
         table = np.array([False, True, True, True])
-        for impl in (filter_models_numpy, filter_models_numba, filter_models):
-            assert impl(2, [table], [(0, 1)]).tolist() == [False, True, True, True]
+        assert filter_models(2, [table], [(0, 1)]).tolist() == [False, True, True, True]
 
     def test_assignment_bit_order(self):
         # Variable p lives in bit (n_vars - 1 - p) of the assignment index.
         on = np.array([False, True])
-        mask = filter_models_numpy(3, [on], [(0,)])
+        mask = filter_models(3, [on], [(0,)])
         assert mask.tolist() == [a >= 4 for a in range(8)]
-        mask = filter_models_numpy(3, [on], [(2,)])
+        mask = filter_models(3, [on], [(2,)])
         assert mask.tolist() == [a % 2 == 1 for a in range(8)]
 
     def test_no_constraints(self):
-        assert filter_models_numpy(3, [], []).all()
-        assert filter_models_numba(3, [], []).all()
+        assert filter_models(3, [], []).all()
 
     def test_implementations_agree(self):
         rng = random.Random(402)
         for _ in range(120):
             n_vars, tables, positions = random_case(rng)
             want = naive_filter(n_vars, tables, positions)
-            assert filter_models_numpy(n_vars, tables, positions).tolist() == want
-            assert filter_models_numba(n_vars, tables, positions).tolist() == want
+            assert filter_models(n_vars, tables, positions).tolist() == want
 
     def test_dispatcher_matches_mode(self):
         table = np.array([True, False, False, True])
@@ -155,7 +134,6 @@ class TestPairClosure:
             for op in (OP_AND, OP_OR, OP_IMP, OP_NIMP):
                 want = naive_pair(members, table, op, full)
                 assert pair_closure(members, table, op, full) == want
-                assert pair_closure_numpy(members, table, op, full) == want
 
 
 class TestTripleClosure:
@@ -189,46 +167,4 @@ class TestTripleClosure:
             for op in (OP_MAJ, OP_XOR3):
                 want = naive_triple(members, table, op)
                 assert triple_closure(members, table, op) == want
-                assert triple_closure_numpy(members, table, op) == want
 
-
-class TestEnvFlag:
-    def run_probe(self, value):
-        env = dict(os.environ)
-        env["ARGCL_KERNEL"] = value
-        return subprocess.run(
-            [sys.executable, "-c", "from argcl.kernels import kernel_mode; print(kernel_mode())"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-
-    def test_numpy_override(self):
-        probe = self.run_probe("numpy")
-        assert probe.returncode == 0
-        assert probe.stdout.strip() == "numpy"
-
-    def test_bad_value_rejected(self):
-        probe = self.run_probe("fortran")
-        assert probe.returncode != 0
-        assert "ARGCL_KERNEL" in probe.stderr
-
-    def test_results_identical_across_modes(self):
-        # The flag may change speed, never answers.
-        code = (
-            "from argcl import parse_relations, classify_complexity;"
-            "lang = parse_relations('relation NAE3 3 { 001 010 011 100 101 110 }');"
-            "r = classify_complexity(lang);"
-            "print(r.arg, r.argcheck, r.argrel)"
-        )
-        outs = []
-        for value in ("numpy", "numba"):
-            env = dict(os.environ)
-            env["ARGCL_KERNEL"] = value
-            probe = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, env=env
-            )
-            assert probe.returncode == 0
-            outs.append(probe.stdout)
-        assert outs[0] == outs[1]
-        assert outs[0] == "SigmaP2-complete DP-complete SigmaP2-complete\n"

@@ -4,6 +4,8 @@ import random
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from argcl import (
     BudgetExceededError,
@@ -13,6 +15,7 @@ from argcl import (
     GammaFormula,
     PreconditionError,
     Relation,
+    argcheck,
     cnf_of,
     entails,
     is_consistent,
@@ -28,6 +31,7 @@ from conftest import (
     NAE3,
     NEQ,
     OR2,
+    OR3,
     T,
     F,
     naive_consistent,
@@ -265,3 +269,59 @@ def test_fragment_engines_match_naive(name, language):
         alpha = random_formula(rng, language, variables)
         assert is_consistent(delta) == naive_consistent(delta)
         assert entails(delta, alpha) == naive_entails(delta, alpha)
+
+
+NAND2 = Relation("NAND2", 2, frozenset({0b00, 0b01, 0b10}))
+HORN3 = Relation("HORN3", 3, frozenset(range(8)) - {0b110})
+ODD3 = Relation("ODD3", 3, frozenset({0b001, 0b010, 0b100, 0b111}))
+
+# One language per Schaefer fragment, each with both constant units so that
+# bases can be inconsistent. Auto dispatch tries horn, dual Horn, bijunctive
+# and affine in that order; each language holds relations outside the
+# fragments tried before its own, so every engine gets instances.
+SCHAEFER_LANGUAGES = {
+    "horn": (HORN3, NAND2, IMPL, T, F),
+    "dual_horn": (OR3, OR2, IMPL, T, F),
+    "bijunctive": (OR2, NAND2, NEQ, IMPL, T, F),
+    "affine": (EVEN3, ODD3, NEQ, EQ2, T, F),
+}
+
+
+@st.composite
+def schaefer_instances(draw):
+    """0-6 formulas over p0..p4 in one fragment; a claim copied from some
+    of them, or drawn over p0..p4 plus q0 and q1, which no premise
+    mentions; and a candidate argument: those source formulas, or all."""
+    language = SCHAEFER_LANGUAGES[draw(st.sampled_from(sorted(SCHAEFER_LANGUAGES)))]
+    premise_vars = [f"p{i}" for i in range(5)]
+    claim_vars = premise_vars + ["q0", "q1"]
+
+    def formula(variables, size):
+        constraints = []
+        for _ in range(draw(st.integers(1, size))):
+            relation = draw(st.sampled_from(language))
+            args = tuple(draw(st.sampled_from(variables)) for _ in range(relation.arity))
+            constraints.append(Constraint(relation, args))
+        return GammaFormula(tuple(constraints))
+
+    delta = [formula(premise_vars, 2) for _ in range(draw(st.integers(0, 6)))]
+    if delta and draw(st.booleans()):
+        # A claim copied from some premises, so that entailment and
+        # minimality both come up often.
+        sources = draw(st.lists(st.sampled_from(delta), min_size=1, max_size=3))
+        copied = tuple(draw(st.sampled_from(f.constraints)) for f in sources)
+        return delta, GammaFormula(copied), sources
+    return delta, formula(claim_vars, 3), delta
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(schaefer_instances())
+def test_compiled_engines_match_generic(instance):
+    delta, alpha, phi = instance
+    for query in (
+        lambda engine: is_consistent(delta, engine=engine),
+        lambda engine: entails(delta, alpha, engine=engine),
+        lambda engine: argcheck(delta, alpha, engine=engine),
+        lambda engine: argcheck(phi, alpha, engine=engine),
+    ):
+        assert query("auto") == query("generic")

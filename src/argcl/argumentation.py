@@ -28,7 +28,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
-from .formulas import DEFAULT_MAX_MODELS, GammaFormula, models_mask, variables_of
+from .formulas import (
+    DEFAULT_MAX_MODELS,
+    GammaFormula,
+    models_mask,
+    satisfies,
+    variables_of,
+)
 from .logic import (
     _Premises,
     _check_engine,
@@ -151,7 +157,7 @@ def argcheck(
         if not whole.ok or not _entailed(whole, claim):
             return False
         return not any(
-            _entailed(premises.solver(without=i), claim) for i in range(len(formulas))
+            _entailed(premises.solver(without={i}), claim) for i in range(len(formulas))
         )
     if not is_consistent(formulas, engine=engine, max_models=max_models):
         return False
@@ -215,7 +221,7 @@ class _KB:
         sig = np.zeros((1 << len(order), (self.n + 63) // 64), dtype=np.uint64)
         for i, f in enumerate(delta):
             row = models_mask(f.constraints, order)
-            sig[:, i >> 6] |= row.astype(np.uint64) << np.uint64(i & 63)
+            sig[:, i >> 6] += row * np.uint64(1 << (i & 63))
         self.mcs = _maximal(sig)
         self.bad = _maximal(sig[~models_mask(alpha.constraints, order)])
 
@@ -388,18 +394,41 @@ def find_minimal_support(
     delta = list(delta)
     if engine != "generic":
         if is_consistent(delta, engine=engine, max_models=max_models):
-            if not entails(delta, alpha, engine=engine, max_models=max_models):
-                return None
-            kept = list(range(len(delta)))
-            for idx in range(len(delta)):
-                rest = [delta[i] for i in kept if i != idx]
-                if entails(rest, alpha, engine=engine, max_models=max_models):
-                    kept.remove(idx)
-            return Support(tuple(kept))
+            return _shrink_consistent(delta, alpha, max_models)
         kb = _KB.compile(delta, alpha, max_models)
         if kb is not None:
             return kb.first_support()
     return next(_subset_search(delta, alpha, engine, max_models, max_kb), None)
+
+
+def _shrink_consistent(
+    delta: list[GammaFormula], alpha: GammaFormula, max_models: int
+) -> Support | None:
+    """Shrink a consistent base that entails alpha, ascending, while it
+    entails. When the instance lies in one fragment, delta is compiled
+    once with one block per formula and each step leaves blocks out."""
+    relations = {c.relation for f in (*delta, alpha) for c in f.constraints}
+    fragment = _fragment(relations)
+    if fragment != "generic":
+        premises = _Premises(fragment, [f.constraints for f in delta])
+        claim = premises.refutations(alpha)
+
+        def entailing(dropped):
+            return _entailed(premises.solver(without=dropped), claim)
+
+    else:
+
+        def entailing(dropped):
+            rest = [f for i, f in enumerate(delta) if i not in dropped]
+            return entails(rest, alpha, max_models=max_models)
+
+    if not entailing(set()):
+        return None
+    dropped: set[int] = set()
+    for idx in range(len(delta)):
+        if entailing(dropped | {idx}):
+            dropped.add(idx)
+    return Support(tuple(i for i in range(len(delta)) if i not in dropped))
 
 
 def enumerate_minimal_supports(
@@ -457,20 +486,17 @@ def _monotone_clauses(alpha: GammaFormula, upward: bool) -> list[frozenset[str]]
 def _entails_literal_clause(
     formula: GammaFormula, clause: frozenset[str], value: bool
 ) -> bool:
-    """Does the formula force some clause variable to the given value."""
-    overlap = clause & formula.variables
-    if not overlap:
+    """Does the formula force some clause variable to the given value.
+
+    The formula is upward-closed when value is True and downward-closed
+    when it is False. It then has a model with every clause variable at
+    not-value iff the point that sets them so and every other variable to
+    value is a model, so one evaluation decides.
+    """
+    if not clause & formula.variables:
         return False
-    order = tuple(sorted(formula.variables))
-    n = len(order)
-    mask = models_mask(formula.constraints, order)
-    hit = np.zeros(1 << n, dtype=np.bool_)
-    assignments = np.arange(1 << n, dtype=np.int64)
-    for i, v in enumerate(order):
-        if v in overlap:
-            bit = (assignments >> (n - 1 - i)) & 1
-            hit |= bit == int(value)
-    return bool(np.all(~mask | hit))
+    point = {v: (v in clause) != value for v in formula.variables}
+    return not all(satisfies(point, c) for c in formula.constraints)
 
 
 def _argrel_monotone(

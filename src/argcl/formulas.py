@@ -218,7 +218,10 @@ def models_mask(constraints: Iterable[Constraint], order: tuple[Variable, ...]) 
     """Satisfaction mask of a constraint conjunction over ordered variables.
 
     Entry m of the result says whether assignment mask m (variable at
-    order position i holds bit n-1-i) satisfies every constraint.
+    order position i holds bit n-1-i) satisfies every constraint. The
+    mask is 1 byte per assignment; each constraint's truth table is
+    broadcast over its (2,) * n view and ANDed in place, so no
+    per-assignment index array is built.
     """
     tables, positions = _constraint_arrays(constraints, order)
     return kernels.filter_models(len(order), tables, positions)

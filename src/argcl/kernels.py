@@ -1,4 +1,9 @@
-"""Array kernels for model filtering and closure tests, in vectorized numpy."""
+"""Array kernels for model filtering and closure tests, in vectorized numpy.
+
+Model filtering ANDs each constraint's truth table, broadcast over an
+n-axis view of the assignment mask, into that mask in place: 1 byte per
+assignment and no index arrays.
+"""
 
 from __future__ import annotations
 
@@ -31,8 +36,14 @@ OP_XOR3 = 1
 #
 # Assignment a in [0, 2**n) encodes the variable at sorted position i in bit
 # (n-1-i), so ascending integers enumerate assignments lexicographically.
-# A constraint is (table, positions): table is the relation's truth table
-# over 2**k rows, positions maps constraint argument j to a variable index.
+# The flat bool mask (1 byte per assignment) is viewed as an array of shape
+# (2,) * n whose axis i is the variable at position i. A constraint is
+# (table, positions): table is the relation's truth table over 2**k rows,
+# positions maps constraint argument j to a variable index. Its table is
+# reshaped to (2,) * k, its axes put in ascending-position order (repeated
+# arguments collapsed onto their distinct variables first, on 2**k entries),
+# and ANDed into the view in place with size 1 on every other axis. No
+# per-assignment index array is built.
 # ---------------------------------------------------------------------------
 
 
@@ -52,18 +63,37 @@ def filter_models(
         Boolean array: entry a is True iff assignment a satisfies every
         constraint.
     """
-    count = 1 << n_vars
-    sat = np.ones(count, dtype=np.bool_)
-    if not tables:
-        return sat
-    assignments = np.arange(count, dtype=np.int64)
+    sat = np.ones(1 << n_vars, dtype=np.bool_)
+    view = sat.reshape((2,) * n_vars)
     for table, pos in zip(tables, positions):
-        k = len(pos)
-        idx = np.zeros(count, dtype=np.int64)
-        for j, p in enumerate(pos):
-            idx |= ((assignments >> (n_vars - 1 - p)) & 1) << (k - 1 - j)
-        sat &= table[idx]
+        view &= _broadcast_table(n_vars, table, pos)
     return sat
+
+
+def _broadcast_table(
+    n_vars: int, table: np.ndarray, pos: tuple[int, ...]
+) -> np.ndarray:
+    """The table as an n_vars-axis array: size 2 on the axes of its
+    distinct variables, in ascending order, and size 1 elsewhere."""
+    k = len(pos)
+    axes = sorted(set(pos))
+    if len(axes) == k:
+        t = table.reshape((2,) * k)
+        if list(pos) != axes:
+            t = t.transpose(sorted(range(k), key=pos.__getitem__))
+    else:
+        # Row r of the collapsed table sets distinct variable m to bit
+        # (d-1-m) of r; argument j reads its variable into table bit (k-1-j).
+        d = len(axes)
+        rows = np.arange(1 << d)
+        idx = 0
+        for j, p in enumerate(pos):
+            idx = idx | ((rows >> (d - 1 - axes.index(p))) & 1) << (k - 1 - j)
+        t = table[idx]
+    shape = [1] * n_vars
+    for p in axes:
+        shape[p] = 2
+    return t.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import functools
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .formulas import (
     _as_constraints,
     models_mask,
 )
-from .relations import Relation, relation_properties
+from .relations import RELATION_CACHE_SIZE, Relation, relation_properties
 
 __all__ = [
     "Clause",
@@ -70,7 +70,7 @@ def _clause_holds(t: int, pos_mask: int, neg_mask: int, full: int) -> bool:
     return bool((t & pos_mask) | (~t & full & neg_mask))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
 def cnf_of(relation: Relation) -> tuple[Clause, ...]:
     """Prime-implicate CNF of a relation over its coordinates.
 
@@ -106,7 +106,7 @@ def cnf_of(relation: Relation) -> tuple[Clause, ...]:
     return tuple(kept)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
 def positive_cnf_of(relation: Relation) -> tuple[Clause, ...]:
     """All-positive CNF of an upward-closed relation.
 
@@ -132,7 +132,7 @@ def positive_cnf_of(relation: Relation) -> tuple[Clause, ...]:
     return tuple(clauses)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
 def negative_cnf_of(relation: Relation) -> tuple[Clause, ...]:
     """All-negative CNF of a downward-closed relation.
 
@@ -294,7 +294,7 @@ def _no_complementary_component(succ: list[list[int]]) -> bool:
     return all(comp[lit] != comp[lit + 1] for lit in range(0, n, 2))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
 def _affine_rows(relation: Relation) -> tuple[tuple[int, int], ...]:
     """Linear system (coefficient mask, rhs) whose GF(2) solutions are R.
 
@@ -424,16 +424,17 @@ class _Premises:
                 out.append((gmask, rhs))
         return out
 
-    def solver(self, without: int | None = None):
-        """The engine over every block except `without`.
+    def solver(self, without: Collection[int] = ()):
+        """The engine over every block whose index is not in `without`.
 
         Every subset of consistent premises is consistent, so a solver
-        that leaves a block out is built with check=False: the implication
+        that leaves blocks out is built with check=False: the implication
         graph then skips its component search. Propagation and elimination
         decide consistency as they build, so they ignore the flag.
         """
-        items = [x for i, block in enumerate(self.blocks) if i != without for x in block]
-        return self.engine(2 * len(self.index), items, without is None)
+        blocks = (block for i, block in enumerate(self.blocks) if i not in without)
+        items = [x for block in blocks for x in block]
+        return self.engine(2 * len(self.index), items, not without)
 
     def refutations(self, alpha: GammaFormula) -> list[list[int]]:
         """The negation of each non-tautological prime-implicate clause of

@@ -37,6 +37,10 @@ MAX_ARITY = 16
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+# Every cache keyed on a Relation keeps at most this many entries, so a
+# stream of fresh relations holds memory flat.
+RELATION_CACHE_SIZE = 256
+
 # Closure tests on relations with at most this many tuples run as plain
 # Python loops; larger ones go through the array kernels.
 _SMALL_RELATION = 64
@@ -108,7 +112,7 @@ class Relation:
 EQUALITY = Relation("=", 2, frozenset({0b00, 0b11}))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
 def truth_table(relation: Relation) -> np.ndarray:
     """Boolean membership table of length 2**arity, indexed by tuple mask."""
     table = np.zeros(1 << relation.arity, dtype=np.bool_)
@@ -200,7 +204,7 @@ def _closed_triple(relation: Relation, op: int) -> bool:
     return kernels.triple_closure(members, truth_table(relation), op)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
 def relation_properties(relation: Relation) -> PropertyReport:
     """Compute every property flag of a single relation.
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -315,6 +316,28 @@ class TestMonotoneArgrel:
             assert argrel(delta, alpha, psi) == want
             assert argrel_negative(delta, alpha, psi) == want
             done += 1
+
+    def test_wide_formula_never_enumerates(self):
+        # One OR2 chain over 40 variables: enumerating its 2**40
+        # assignments is out of reach, so each clause test must be one
+        # point evaluation. The chain forces x20 | x21 (one of its links)
+        # but not x0 | y, since x0 = 0 and every other x at 1 satisfies it.
+        xs = [f"x{i}" for i in range(40)]
+        chain = gamma(*(Constraint(OR2, pair) for pair in zip(xs, xs[1:])))
+        delta = [chain, or2("x0", "y"), or2("y", "z")]
+        planted = [
+            (or2("x20", "x21"), [True, False, False]),
+            (or2("x0", "y"), [False, True, False]),
+            (or2("x0", "z"), [False, False, False]),
+            (
+                gamma(Constraint(OR2, ("x0", "y")), Constraint(OR2, ("x5", "x6"))),
+                [True, True, False],
+            ),
+        ]
+        start = time.perf_counter()
+        for alpha, want in planted:
+            assert [argrel(delta, alpha, i) for i in range(3)] == want
+        assert time.perf_counter() - start < 1.0
 
     def test_positive_precondition(self):
         delta = [gamma(Constraint(NEQ, ("a", "b")))]

@@ -1,6 +1,7 @@
 """Checks the array kernels against naive loops."""
 
 import random
+import tracemalloc
 
 import numpy as np
 
@@ -61,15 +62,17 @@ def naive_triple(members, table, op):
     return True
 
 
-def random_case(rng, max_vars=6, max_constraints=4):
-    n_vars = rng.randint(1, max_vars)
+def random_case(rng, max_vars=6, max_constraints=4, max_arity=4):
+    """Positions are drawn independently, so they come unsorted and may
+    repeat, as in R(x, x, y)."""
+    n_vars = rng.randint(0, max_vars)
     tables = []
     positions = []
-    for _ in range(rng.randint(0, max_constraints)):
-        k = rng.randint(1, min(3, n_vars))
+    for _ in range(rng.randint(0, max_constraints) if n_vars else 0):
+        k = rng.randint(1, max_arity)
         rows = [rng.random() < 0.6 for _ in range(1 << k)]
         tables.append(np.array(rows, dtype=np.bool_))
-        positions.append(tuple(rng.sample(range(n_vars), k)))
+        positions.append(tuple(rng.randrange(n_vars) for _ in range(k)))
     return n_vars, tables, positions
 
 
@@ -89,12 +92,48 @@ class TestFilterModels:
     def test_no_constraints(self):
         assert filter_models(3, [], []).all()
 
+    def test_no_variables(self):
+        assert filter_models(0, [], []).tolist() == [True]
+
+    def test_repeated_positions(self):
+        # R(x, x, y) reads x for both of its first two arguments.
+        table = np.array([True, False, False, True, False, True, True, False])
+        for pos in [(0, 0, 1), (1, 1, 0), (0, 1, 0), (1, 0, 1), (2, 2, 2)]:
+            got = filter_models(3, [table], [pos])
+            assert got.tolist() == naive_filter(3, [table], [pos])
+
+    def test_unsorted_positions(self):
+        table = np.array([False, True, True, False, True, True, False, True])
+        for pos in [(2, 0, 1), (1, 2, 0), (2, 1, 0), (3, 0, 2)]:
+            got = filter_models(4, [table], [pos])
+            assert got.tolist() == naive_filter(4, [table], [pos])
+
     def test_implementations_agree(self):
         rng = random.Random(402)
         for _ in range(120):
             n_vars, tables, positions = random_case(rng)
             want = naive_filter(n_vars, tables, positions)
             assert filter_models(n_vars, tables, positions).tolist() == want
+
+    def test_agrees_up_to_twelve_variables(self):
+        rng = random.Random(405)
+        for _ in range(30):
+            n_vars, tables, positions = random_case(rng, max_vars=12)
+            want = naive_filter(n_vars, tables, positions)
+            assert filter_models(n_vars, tables, positions).tolist() == want
+
+    def test_memory_is_one_byte_per_assignment(self):
+        # 2**22 assignments take 4 MB as a bool mask; one int64 index
+        # array over them would take 32 MB more.
+        or2 = np.array([False, True, True, True])
+        tracemalloc.start()
+        try:
+            mask = filter_models(22, [or2] * 3, [(0, 21), (7, 3), (12, 12)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert mask.sum() == 3 * 3 * 2**17
 
     def test_dispatcher_matches_mode(self):
         table = np.array([True, False, False, True])

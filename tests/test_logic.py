@@ -18,12 +18,16 @@ from argcl import (
     argcheck,
     cnf_of,
     entails,
+    find_minimal_support,
     is_consistent,
     negative_cnf_of,
     positive_cnf_of,
     relation_properties,
 )
 
+from argcl.formulas import satisfies
+from argcl.logic import _affine_rows
+from argcl.relations import RELATION_CACHE_SIZE, truth_table
 from conftest import (
     CATALOG,
     EQ2,
@@ -325,3 +329,75 @@ def test_compiled_engines_match_generic(instance):
         lambda engine: argcheck(phi, alpha, engine=engine),
     ):
         assert query("auto") == query("generic")
+
+
+@st.composite
+def consistent_bases(draw):
+    """1-8 formulas over p0..p7 in the Horn, 2-CNF or affine language, all
+    satisfied by one drawn plant; a claim copied from some of them, or
+    drawn from the same language over p0..p7 and the free q0."""
+    name = draw(st.sampled_from(["horn", "bijunctive", "affine"]))
+    language = SCHAEFER_LANGUAGES[name]
+    variables = [f"p{i}" for i in range(8)]
+    plant = {v: draw(st.booleans()) for v in variables}
+
+    def planted():
+        args = tuple(draw(st.sampled_from(variables)) for _ in range(3))
+        choices = [Constraint(r, args[: r.arity]) for r in language]
+        return draw(st.sampled_from([c for c in choices if satisfies(plant, c)]))
+
+    delta = [
+        GammaFormula(tuple(planted() for _ in range(draw(st.integers(1, 2)))))
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    if draw(st.booleans()):
+        sources = draw(st.lists(st.sampled_from(delta), min_size=1, max_size=3))
+        copied = tuple(draw(st.sampled_from(f.constraints)) for f in sources)
+        return delta, GammaFormula(copied)
+    relation = draw(st.sampled_from(language))
+    claim_vars = variables + ["q0"]
+    args = tuple(draw(st.sampled_from(claim_vars)) for _ in range(relation.arity))
+    return delta, GammaFormula((Constraint(relation, args),))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(consistent_bases())
+def test_consistent_shrink_matches_entails_loop(instance):
+    """find_minimal_support on a consistent base shrinks one compile; it
+    must give what a removal loop over entails calls gives."""
+    delta, alpha = instance
+    assert is_consistent(delta, engine="generic")
+    want = None
+    if entails(delta, alpha, engine="generic"):
+        kept = list(range(len(delta)))
+        for idx in range(len(delta)):
+            rest = [delta[i] for i in kept if i != idx]
+            if entails(rest, alpha, engine="generic"):
+                kept.remove(idx)
+        want = tuple(kept)
+    support = find_minimal_support(delta, alpha)
+    assert (None if support is None else support.indices) == want
+    if support is not None:
+        assert argcheck(support.formulas(delta), alpha, engine="generic")
+
+
+def test_relation_caches_are_bounded():
+    caches = (
+        truth_table,
+        relation_properties,
+        cnf_of,
+        positive_cnf_of,
+        negative_cnf_of,
+        _affine_rows,
+    )
+    # Upward-closed, downward-closed and affine shapes, a third each, so
+    # that every cache sees more fresh relations than it may keep.
+    shapes = (OR2.tuples, NAND2.tuples, NEQ.tuples)
+    for i in range(1000):
+        relation = Relation(f"FRESH{i}", 2, shapes[i % 3])
+        truth_table(relation)
+        relation_properties(relation)
+        cnf_of(relation)
+        [positive_cnf_of, negative_cnf_of, _affine_rows][i % 3](relation)
+    for cache in caches:
+        assert cache.cache_info().currsize <= RELATION_CACHE_SIZE == 256

@@ -192,18 +192,72 @@ def _members(bits: int) -> tuple[int, ...]:
     return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
 
 
-def _maximal(sig: np.ndarray) -> list[int]:
-    """The inclusion-maximal distinct rows of a signature array, as ints.
+def _canonical(sets: Iterable[int]) -> list[int]:
+    """Most members first, ties broken by ascending bitmask."""
+    return sorted(sets, key=lambda s: (-s.bit_count(), s))
 
-    A row with the most members is maximal among the rows left, so each
-    pass takes one and drops every row it contains.
+
+def _maximal(sig: np.ndarray, n: int) -> list[int]:
+    """The inclusion-maximal distinct rows of an n-formula signature array,
+    as ints in canonical order (`_canonical`).
+
+    When the 2**n subsets of the formulas number at most 8 per row, so a
+    byte per subset takes no more memory than the rows' 64-bit words, one
+    superset-OR transform over their presence bitset finds them all,
+    however many there are (`_maximal_present`). Otherwise the rows are
+    peeled, one pass per maximal row (`_maximal_peel`). Both routes
+    return the same list.
     """
+    if (1 << n) <= 8 * len(sig):
+        return _maximal_present(sig, n)
+    return _maximal_peel(sig)
+
+
+def _maximal_peel(sig: np.ndarray) -> list[int]:
+    """A row with the most members is maximal among the rows left, so each
+    pass takes one and drops every row it contains."""
     tops = []
     while len(sig):
         top = sig[np.argmax(np.bitwise_count(sig).sum(axis=1))]
         tops.append(int.from_bytes(top.astype("<u8").tobytes(), "little"))
         sig = sig[(sig & ~top).any(axis=1)]
-    return tops
+    return _canonical(tops)
+
+
+def _maximal_present(sig: np.ndarray, n: int) -> list[int]:
+    """Bit s of a 2**n-bit int marks subset s as a row. The superset-OR
+    (zeta) transform of that bitset (Bjorklund, Husfeldt, Kaski and
+    Koivisto, STOC 2007), one shift-and-mask step per formula, marks every
+    subset of a row; a row is maximal iff none of its one-formula
+    extensions is marked. This costs n * 2**n bit operations, however many
+    maximal rows there are. Rows are one word: the caller's
+    2**n <= 8 * rows <= 8 * _MASK_LIMIT keeps n <= 23.
+    """
+    codes = sig[:, 0].view(np.int64) if n else np.zeros(len(sig), dtype=np.int64)
+    present = np.zeros(1 << n, dtype=np.bool_)
+    present[codes] = True
+    rows = int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
+    size = ((1 << n) + 7) >> 3
+    # lacking[i] marks the subsets without formula i: bit patterns 0x55,
+    # 0x33, 0x0f, then runs of 2**(i-3) 0xff and 0x00 bytes.
+    patterns = [b"\x55" * size, b"\x33" * size, b"\x0f" * size]
+    for i in range(3, n):
+        run = 1 << (i - 3)
+        patterns.append((b"\xff" * run + b"\x00" * run) * (size // run // 2))
+    lacking = [int.from_bytes(p, "little") for p in patterns]
+    within = rows
+    for i in range(n):
+        within |= (within >> (1 << i)) & lacking[i]
+    extended = 0
+    for i in range(n):
+        extended |= (within >> (1 << i)) & lacking[i]
+    tops = (rows & ~extended).to_bytes(size, "little")
+    return _canonical(
+        8 * j + b
+        for j in np.flatnonzero(np.frombuffer(tops, dtype=np.uint8)).tolist()
+        for b in range(8)
+        if tops[j] >> b & 1
+    )
 
 
 class _KB:
@@ -213,17 +267,26 @@ class _KB:
     The maximal signatures `mcs` are the maximal consistent subsets of
     delta, and `bad` holds the maximal signatures of alpha's non-models.
     A subset is consistent iff it lies inside some member of `mcs`, and
-    entails alpha iff it lies inside no member of `bad`.
+    entails alpha iff it lies inside no member of `bad`. Both lists are in
+    canonical order, most formulas first and ties by ascending bitmask,
+    whichever route of `_maximal` found them.
     """
 
     def __init__(self, delta: Sequence[GammaFormula], alpha: GammaFormula, order):
         self.n = len(delta)
-        sig = np.zeros((1 << len(order), (self.n + 63) // 64), dtype=np.uint64)
-        for i, f in enumerate(delta):
-            row = models_mask(f.constraints, order)
-            sig[:, i >> 6] += row * np.uint64(1 << (i & 63))
-        self.mcs = _maximal(sig)
-        self.bad = _maximal(sig[~models_mask(alpha.constraints, order)])
+        sig = np.empty((1 << len(order), (self.n + 63) // 64), dtype=np.uint64)
+        for w in range(sig.shape[1]):
+            # Each word is ORed up in the narrowest unsigned type that holds
+            # its bits: for 12 formulas a pass moves 2 bytes per assignment,
+            # not 8.
+            word = delta[64 * w : 64 * w + 64]
+            acc = np.zeros(len(sig), dtype=np.min_scalar_type((1 << len(word)) - 1))
+            for j, f in enumerate(word):
+                row = models_mask(f.constraints, order)
+                acc |= np.left_shift(row, j, dtype=acc.dtype)
+            sig[:, w] = acc
+        self.mcs = _maximal(sig, self.n)
+        self.bad = _maximal(sig[~models_mask(alpha.constraints, order)], self.n)
 
     @classmethod
     def compile(cls, delta, alpha, max_models: int) -> _KB | None:
@@ -382,9 +445,11 @@ def find_minimal_support(
 
     The result is deterministic per engine. The auto engine takes the
     whole base when it is consistent, and otherwise the first entailing
-    MCS of the compiled base, and removes indices in ascending order
-    whenever entailment survives. Past the mask limit, and under the
-    generic engine, it is the first support in canonical subset order.
+    MCS of the compiled base in canonical MCS order (most formulas first,
+    ties broken by the ascending bitmask of their indices), and removes
+    indices in ascending order whenever entailment survives. Past the mask
+    limit, and under the generic engine, it is the first support in
+    canonical subset order.
     The returned support always passes argcheck.
 
     Raises:

@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,14 @@ from argcl import (
     relation_properties,
 )
 
-from argcl.argumentation import _mask_order
+from argcl.argumentation import (
+    _KB,
+    _mask_order,
+    _maximal,
+    _maximal_peel,
+    _maximal_present,
+)
+from argcl.formulas import satisfies
 from conftest import (
     AND_NOT,
     EQ2,
@@ -506,6 +514,107 @@ class TestCompiledBase:
             True,
         )
         assert not argrel(delta, alpha, 1)
+
+    @pytest.mark.parametrize("size", [8, 63, 64, 65, 70])
+    def test_signatures_match_brute_force(self, size):
+        # Formula 63 takes the top bit of the first signature word and 64
+        # starts a second word; a wrong bit for either changes mcs or bad
+        # here, before any query loop runs.
+        rng = random.Random(size)
+        variables = [f"v{i}" for i in range(8)]
+
+        def formula():
+            relation = rng.choice(KB_RELATIONS)
+            args = tuple(rng.choice(variables) for _ in range(relation.arity))
+            return gamma(Constraint(relation, args))
+
+        delta = [formula() for _ in range(size)]
+        alpha = gamma(Constraint(OR2, ("v0", "v1")))
+        order = _mask_order(delta, alpha, DEFAULT_MAX_MODELS)
+        signatures, outside = set(), set()
+        for values in itertools.product((False, True), repeat=len(order)):
+            point = dict(zip(order, values))
+            sig = sum(
+                1 << i
+                for i, f in enumerate(delta)
+                if all(satisfies(point, c) for c in f.constraints)
+            )
+            signatures.add(sig)
+            if not all(satisfies(point, c) for c in alpha.constraints):
+                outside.add(sig)
+        kb = _KB(delta, alpha, order)
+        assert kb.mcs == brute_maximal(signatures)
+        assert kb.bad == brute_maximal(outside)
+        assert len(kb.mcs) > 1 and kb.bad
+
+
+def brute_maximal(rows):
+    """The distinct rows that no other row contains, most members first,
+    ties by ascending value."""
+    rows = set(rows)
+    tops = [r for r in rows if not any(o != r and o & r == r for o in rows)]
+    return sorted(tops, key=lambda r: (-bin(r).count("1"), r))
+
+
+def signature_array(rows, n):
+    """Rows as an array of 64-bit words, low word first."""
+    words = (n + 63) // 64
+    out = np.zeros((len(rows), words), dtype=np.uint64)
+    for i, r in enumerate(rows):
+        for w in range(words):
+            out[i, w] = r >> (64 * w) & (2**64 - 1)
+    return out
+
+
+def sampled_rows(n, distinct, count, seed):
+    """count rows drawn with repeats from `distinct` random n-bit values."""
+    rng = random.Random(seed)
+    values = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(distinct)]
+    return [rng.choice(values) for _ in range(count)]
+
+
+class TestMaximal:
+    """Both routes of _maximal against a brute-force maximal set, in the
+    canonical order the callers rely on."""
+
+    @pytest.mark.parametrize(
+        "n, rows",
+        [
+            (0, [0] * 3),
+            (1, [0, 1, 1, 0]),
+            (1, [0, 0]),
+            (12, [0b101, 0b011, 0b101] * 200 + [0b110, 0b1000, 0b1000]),
+            (12, [0b1111_0000_1111] * 512),
+            (12, list(range(0, 1 << 12, 7))),
+            (12, sampled_rows(12, 60, 700, seed=12)),
+        ],
+    )
+    def test_routes_agree_where_the_bitset_fits(self, n, rows):
+        sig = signature_array(rows, n)
+        assert (1 << n) <= 8 * len(sig)
+        want = brute_maximal(rows)
+        assert _maximal_present(sig, n) == want
+        assert _maximal_peel(sig) == want
+        assert _maximal(sig, n) == want
+
+    @pytest.mark.parametrize("n", [0, 1, 12, 63, 64, 65])
+    def test_no_rows(self, n):
+        sig = signature_array([], n)
+        assert _maximal(sig, n) == [] == _maximal_peel(sig)
+
+    @pytest.mark.parametrize("n", [12, 63, 64, 65])
+    def test_peel_with_duplicates(self, n):
+        rng = random.Random(n)
+        distinct = [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(8)]
+        distinct += [d & rng.getrandbits(n) for d in distinct]
+        rows = [rng.choice(distinct) for _ in range(100)] + distinct[:1] * 5
+        sig = signature_array(rows, n)
+        assert (1 << n) > 8 * len(sig)
+        assert _maximal(sig, n) == brute_maximal(rows)
+
+    def test_ties_in_ascending_bitmask_order(self):
+        rows = [0b1100, 0b0011, 0b1010, 0b0001]
+        assert _maximal_peel(signature_array(rows, 4)) == [0b0011, 0b1010, 0b1100]
 
 
 # A 1-valid ternary relation closed under none of the four operations:

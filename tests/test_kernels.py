@@ -4,6 +4,7 @@ import random
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from argcl.kernels import (
     OP_AND,
@@ -121,6 +122,31 @@ class TestFilterModels:
             n_vars, tables, positions = random_case(rng, max_vars=12)
             want = naive_filter(n_vars, tables, positions)
             assert filter_models(n_vars, tables, positions).tolist() == want
+
+    @pytest.mark.parametrize("n_vars", [13, 14, 15, 16])
+    def test_agrees_past_the_materialisation_width(self, n_vars):
+        # Tables on the first axes, on the last axes (materialised over the
+        # trailing six before the AND) and spread out, with repeated and
+        # unsorted positions, one call each and then all in one call.
+        n = n_vars
+        rng = random.Random(406 + n)
+        placements = [
+            (0, 1),
+            (n - 2, n - 1),
+            (0, n - 1),
+            (n - 1, n - 4, 2),
+            (n - 1, 3, n - 1),
+            (n - 6, n - 6),
+            (n // 2, 1),
+        ]
+        tables = []
+        for pos in placements:
+            rows = [rng.random() < 0.6 for _ in range(1 << len(pos))]
+            tables.append(np.array(rows, dtype=np.bool_))
+            got = filter_models(n, tables[-1:], [pos])
+            assert got.tolist() == naive_filter(n, tables[-1:], [pos])
+        got = filter_models(n, tables, placements)
+        assert got.tolist() == naive_filter(n, tables, placements)
 
     def test_memory_is_one_byte_per_assignment(self):
         # 2**22 assignments take 4 MB as a bool mask; one int64 index

@@ -6,16 +6,17 @@ monotonicity a support exists iff some maximal consistent subset (MCS) of
 the base entails the claim.
 
 The "auto" engine answers existence and one support for a consistent
-base through is_consistent and entails alone, and relevance on monotone
-languages by clause decomposition. Every other query whose assignment
-space fits the mask limit compiles the base once into per-assignment
-formula signatures: their maximal elements are the MCSes, and the maximal
-signatures of the claim's non-models decide entailment of any subset.
-Existence, one minimal support, all minimal supports (the minimal hitting
-sets inside each MCS) and relevance are read off that compiled base with
-no subset enumeration. Past the mask limit, and always under the
-"generic" engine, one canonical subset search over at most max_kb
-formulas answers instead.
+base from one compile of the base when the instance lies in a tractable
+fragment, and through is_consistent and entails when it does not; it
+answers relevance on monotone languages by clause decomposition. Every
+other query whose assignment space fits the mask limit compiles the base
+once into per-assignment formula signatures: their maximal elements are
+the MCSes, and the maximal signatures of the claim's non-models decide
+entailment of any subset. Existence, one minimal support, all minimal
+supports (the minimal hitting sets inside each MCS) and relevance are
+read off that compiled base with no subset enumeration. Past the mask
+limit, and always under the "generic" engine, one canonical subset
+search over at most max_kb formulas answers instead.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import BudgetExceededError, PreconditionError
 from .formulas import (
     DEFAULT_MAX_MODELS,
     GammaFormula,
+    _Order,
     models_mask,
     satisfies,
     variables_of,
@@ -148,10 +150,8 @@ def argcheck(
     """
     _check_engine(engine)
     formulas = _dedup(phi)
-    relations = {c.relation for f in (*formulas, alpha) for c in f.constraints}
-    fragment = "generic" if engine == "generic" else _fragment(relations)
-    if fragment != "generic":
-        premises = _Premises(fragment, [f.constraints for f in formulas])
+    premises = None if engine == "generic" else _fragment_premises(formulas, alpha)
+    if premises is not None:
         claim = premises.refutations(alpha)
         whole = premises.solver()
         if not whole.ok or not _entailed(whole, claim):
@@ -170,6 +170,18 @@ def argcheck(
     return True
 
 
+def _fragment_premises(
+    formulas: Sequence[GammaFormula], alpha: GammaFormula
+) -> _Premises | None:
+    """The formulas compiled with one block per formula, when they and
+    alpha lie in one tractable fragment; None otherwise."""
+    relations = {c.relation for f in (*formulas, alpha) for c in f.constraints}
+    fragment = _fragment(relations)
+    if fragment == "generic":
+        return None
+    return _Premises(fragment, [f.constraints for f in formulas])
+
+
 def _check_subset_budget(delta: Sequence[GammaFormula], max_kb: int):
     if len(delta) > max_kb:
         raise BudgetExceededError(
@@ -180,8 +192,9 @@ def _check_subset_budget(delta: Sequence[GammaFormula], max_kb: int):
 def _mask_order(
     delta: Sequence[GammaFormula], alpha: GammaFormula, max_models: int
 ) -> tuple[str, ...] | None:
-    """The joint variable order, or None past max_models or _MASK_LIMIT."""
-    order = tuple(sorted(variables_of(delta) | alpha.variables))
+    """The joint variable order, or None past max_models or _MASK_LIMIT.
+    It numbers its variables once for every models_mask call over it."""
+    order = _Order(sorted(variables_of(delta) | alpha.variables))
     words = (len(delta) + 63) // 64
     if (1 << len(order)) > max_models or (1 << len(order)) * words > _MASK_LIMIT:
         return None
@@ -412,11 +425,15 @@ def arg_exists(
 ) -> bool:
     """Decide whether some consistent subset of delta entails alpha.
 
-    A support exists iff some MCS of delta entails alpha. The auto
-    engine answers entails(delta, alpha) when delta is consistent, its
-    one MCS, and otherwise tests each MCS of the compiled base. Past the
-    mask limit, and under the generic engine, canonical subset search
-    looks for a first support.
+    A support exists iff some MCS of delta entails alpha. When delta is
+    consistent it is its own one MCS, and the auto engine answers whether
+    delta entails alpha. If delta and alpha lie in one tractable fragment,
+    delta is compiled once: that compile's whole-base solver decides
+    consistency, and the same solver refutes alpha's clauses. Otherwise
+    is_consistent and entails decide. An inconsistent base is compiled
+    into signatures and each MCS is tested. Past the mask limit, and
+    under the generic engine, canonical subset search looks for a first
+    support.
 
     Raises:
         BudgetExceededError: the instance exceeds the model budget, or
@@ -424,7 +441,12 @@ def arg_exists(
     """
     delta = list(delta)
     if engine != "generic":
-        if is_consistent(delta, engine=engine, max_models=max_models):
+        premises = _fragment_premises(delta, alpha)
+        if premises is not None:
+            whole = premises.solver()
+            if whole.ok:
+                return _entailed(whole, premises.refutations(alpha))
+        elif is_consistent(delta, engine=engine, max_models=max_models):
             return entails(delta, alpha, engine=engine, max_models=max_models)
         kb = _KB.compile(delta, alpha, max_models)
         if kb is not None:
@@ -447,9 +469,11 @@ def find_minimal_support(
     whole base when it is consistent, and otherwise the first entailing
     MCS of the compiled base in canonical MCS order (most formulas first,
     ties broken by the ascending bitmask of their indices), and removes
-    indices in ascending order whenever entailment survives. Past the mask
-    limit, and under the generic engine, it is the first support in
-    canonical subset order.
+    indices in ascending order whenever entailment survives. When delta
+    and alpha lie in one tractable fragment, delta is compiled once with
+    one block per formula: that compile decides consistency and serves
+    every shrink step. Past the mask limit, and under the generic engine,
+    it is the first support in canonical subset order.
     The returned support always passes argcheck.
 
     Raises:
@@ -458,7 +482,11 @@ def find_minimal_support(
     """
     delta = list(delta)
     if engine != "generic":
-        if is_consistent(delta, engine=engine, max_models=max_models):
+        premises = _fragment_premises(delta, alpha)
+        if premises is not None:
+            if premises.solver().ok:
+                return _shrink_consistent(delta, alpha, max_models, premises)
+        elif is_consistent(delta, engine=engine, max_models=max_models):
             return _shrink_consistent(delta, alpha, max_models)
         kb = _KB.compile(delta, alpha, max_models)
         if kb is not None:
@@ -467,15 +495,16 @@ def find_minimal_support(
 
 
 def _shrink_consistent(
-    delta: list[GammaFormula], alpha: GammaFormula, max_models: int
+    delta: list[GammaFormula],
+    alpha: GammaFormula,
+    max_models: int,
+    premises: _Premises | None = None,
 ) -> Support | None:
     """Shrink a consistent base that entails alpha, ascending, while it
-    entails. When the instance lies in one fragment, delta is compiled
-    once with one block per formula and each step leaves blocks out."""
-    relations = {c.relation for f in (*delta, alpha) for c in f.constraints}
-    fragment = _fragment(relations)
-    if fragment != "generic":
-        premises = _Premises(fragment, [f.constraints for f in delta])
+    entails. With premises, the caller's compile of delta with one block
+    per formula, each step leaves blocks out of it; without, each step is
+    one entails call on the formulas left."""
+    if premises is not None:
         claim = premises.refutations(alpha)
 
         def entailing(dropped):

@@ -4,7 +4,8 @@ Subcommands wrap the library one to one: props and classify read a
 relation file, solve/supports read an instance file, express builds a
 gadget over a relation file, reduce and oracle consume source-problem
 files. Exit codes: 0 for YES or success, 1 for NO, 2 for usage, parse,
-or precondition problems, 3 for exceeded budgets.
+or precondition problems and unreadable files, 3 for exceeded budgets.
+Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -59,7 +60,10 @@ __all__ = ["main", "run"]
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _base_dir(path: str) -> str:
@@ -282,7 +286,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         PreconditionError,
         ConstructionError,
         OSError,
-        ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,12 @@ unit propagation, an implication graph, or a GF(2) echelon form.
 Entailment then reduces to unsatisfiability of the premises plus the
 unit literals refuting one prime-implicate clause of the claim, one
 assumption check per clause against that single compile.
+
+The compile, _Premises, keeps one clause block per caller-given block, and
+its solvers answer consistency (solver().ok) and entailment (_entailed)
+alike. So the argumentation queries compile a base once, one block per
+formula, and read existence, verification and one minimal support off that
+compile, leaving blocks out where a query needs a subset.
 """
 
 from __future__ import annotations

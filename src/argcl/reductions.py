@@ -23,6 +23,7 @@ from .formulas import (
     Constraint,
     GammaFormula,
     Variable,
+    _IDENT_RE,
     _parse_constraints,
     conjoin,
     models_mask,
@@ -221,7 +222,7 @@ def parse_abduction(
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     used = parse_relations(fh.read())
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ParseError(f"cannot read {rest}: {exc}", lineno) from None
             for r in used:
                 if r.name in relations:
@@ -249,6 +250,8 @@ def parse_abduction(
                 kb_names.append(name)
         elif keyword == "hypotheses":
             for v in rest.split():
+                if not _IDENT_RE.match(v):
+                    raise ParseError(f"invalid variable name {v!r}", lineno)
                 if v in hypotheses:
                     raise ParseError(f"duplicate hypothesis {v}", lineno)
                 hypotheses.append(v)
@@ -257,6 +260,8 @@ def parse_abduction(
                 raise ParseError("multiple observation lines", lineno)
             if len(rest.split()) != 1:
                 raise ParseError("observation needs exactly one variable", lineno)
+            if not _IDENT_RE.match(rest):
+                raise ParseError(f"invalid variable name {rest!r}", lineno)
             observation = rest
         elif keyword == "claim":
             raise ParseError("abduction files take an observation, not a claim", lineno)

@@ -60,6 +60,11 @@ class Relation:
             in files or placed in a constraint language.
         arity: number of coordinates, 1 <= arity <= MAX_ARITY.
         tuples: satisfying tuples as bitmasks (first coordinate = MSB).
+
+    The hash, that of (name, arity, tuples), is computed once at
+    construction: relations key every per-relation cache and fragment
+    set. String hashes differ between interpreters, so a pickled
+    relation is rebuilt through its constructor, which hashes afresh.
     """
 
     name: str
@@ -80,6 +85,13 @@ class Relation:
             raise ValueError(f"relation {self.name} is empty")
         if len(tuples) == size:
             raise ValueError(f"relation {self.name} is the full relation")
+        object.__setattr__(self, "_hash", hash((self.name, self.arity, tuples)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.name, self.arity, self.tuples)
 
     @classmethod
     def from_strings(cls, name: str, tuple_strings: list[str] | tuple[str, ...]) -> "Relation":

@@ -30,6 +30,7 @@ from argcl import (
     relation_properties,
 )
 
+from argcl import argumentation
 from argcl.argumentation import (
     _KB,
     _mask_order,
@@ -207,6 +208,72 @@ class TestFindMinimalSupport:
         delta = [or2("a", f"b{i}") for i in range(3)]
         with pytest.raises(BudgetExceededError):
             find_minimal_support(delta, or2("a", "z"), engine="generic", max_kb=2)
+
+
+class TestOneCompile:
+    """A consistent base in one fragment with its claim is compiled once:
+    existence and one support read everything off that compile, and call
+    neither is_consistent nor entails."""
+
+    NAND2 = Relation("NAND2", 2, frozenset({0b00, 0b01, 0b10}))
+    # fragment: (base, entailed claim and its support, unentailed claim)
+    CASES = {
+        "bijunctive": (
+            [
+                gamma(Constraint(T, ("a",))),
+                gamma(Constraint(IMPL, ("a", "b"))),
+                gamma(Constraint(IMPL, ("b", "c"))),
+                gamma(Constraint(NEQ, ("c", "d"))),
+                or2("d", "e"),
+            ],
+            (gamma(Constraint(NEQ, ("b", "d"))), (0, 1, 2, 3)),
+            gamma(Constraint(IMPL, ("e", "d"))),
+        ),
+        "horn": (
+            [
+                gamma(Constraint(T, ("a",))),
+                gamma(Constraint(IMPL, ("a", "b"))),
+                gamma(Constraint(NAND2, ("b", "c"))),
+                gamma(Constraint(IMPL, ("d", "c"))),
+                gamma(Constraint(F, ("e",))),
+            ],
+            (gamma(Constraint(F, ("d",))), (0, 1, 2, 3)),
+            gamma(Constraint(T, ("d",))),
+        ),
+    }
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        built = []
+
+        class Counting(argumentation._Premises):
+            def __init__(self, fragment, blocks):
+                built.append(fragment)
+                super().__init__(fragment, blocks)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fragment route called is_consistent or entails")
+
+        monkeypatch.setattr(argumentation, "_Premises", Counting)
+        monkeypatch.setattr(argumentation, "is_consistent", forbidden)
+        monkeypatch.setattr(argumentation, "entails", forbidden)
+        return built
+
+    @pytest.mark.parametrize("fragment", sorted(CASES))
+    def test_arg_exists(self, compiles, fragment):
+        delta, (yes, _), no = self.CASES[fragment]
+        for alpha, want in ((yes, True), (no, False)):
+            compiles.clear()
+            assert arg_exists(delta, alpha) is want
+            assert compiles == [fragment]
+
+    @pytest.mark.parametrize("fragment", sorted(CASES))
+    def test_find_minimal_support(self, compiles, fragment):
+        delta, (yes, support), no = self.CASES[fragment]
+        for alpha, want in ((yes, Support(support)), (no, None)):
+            compiles.clear()
+            assert find_minimal_support(delta, alpha) == want
+            assert compiles == [fragment]
 
 
 class TestEnumerateMinimalSupports:

@@ -53,6 +53,16 @@ class TestProps:
         assert main(["props", str(workdir / "gone.rel")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_binary_file(self, workdir, capsys):
+        (workdir / "binary.rel").write_bytes(b"\xff\xfe relation")
+        assert main(["props", str(workdir / "binary.rel")]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+        path = instance_file(
+            workdir, "usebinary.arg", "use binary.rel\nformula f = OR2(a,b)\nkb f\nclaim OR2(b,a)\n"
+        )
+        assert main(["solve", "sat", path]) == 2
+        assert "cannot read binary.rel" in capsys.readouterr().err
+
 
 class TestClassify:
     def test_hard_language(self, workdir, capsys):
@@ -126,6 +136,19 @@ class TestSolve:
             workdir, "typeerror.arg", "formula f = OR2(a,b)\nkb f\nclaim OR2(b,a)\n"
         )
         with pytest.raises(TypeError, match="internal bug"):
+            main(["solve", "sat", path])
+
+    def test_internal_value_error_propagates(self, workdir, monkeypatch):
+        # A ValueError past parsing is a bug too: input problems arrive as
+        # ParseError or another ArgclError, so no exit code hides it.
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli, "is_consistent", broken)
+        path = instance_file(
+            workdir, "valueerror.arg", "formula f = OR2(a,b)\nkb f\nclaim OR2(b,a)\n"
+        )
+        with pytest.raises(ValueError, match="internal bug"):
             main(["solve", "sat", path])
 
     def test_engine_budget_exit(self, workdir, capsys):

@@ -15,6 +15,7 @@ from argcl import (
     GammaFormula,
     PreconditionError,
     Relation,
+    arg_exists,
     argcheck,
     cnf_of,
     entails,
@@ -25,7 +26,8 @@ from argcl import (
     relation_properties,
 )
 
-from argcl.formulas import satisfies
+from argcl.argumentation import _shrink_consistent
+from argcl.formulas import DEFAULT_MAX_MODELS, satisfies
 from argcl.logic import _affine_rows
 from argcl.relations import RELATION_CACHE_SIZE, truth_table
 from conftest import (
@@ -327,8 +329,14 @@ def test_compiled_engines_match_generic(instance):
         lambda engine: entails(delta, alpha, engine=engine),
         lambda engine: argcheck(delta, alpha, engine=engine),
         lambda engine: argcheck(phi, alpha, engine=engine),
+        lambda engine: arg_exists(delta, alpha, engine=engine),
     ):
         assert query("auto") == query("generic")
+    support = find_minimal_support(delta, alpha)
+    generic = find_minimal_support(delta, alpha, engine="generic")
+    assert (support is None) == (generic is None)
+    if support is not None:
+        assert argcheck(support.formulas(delta), alpha, engine="generic")
 
 
 @st.composite
@@ -364,7 +372,8 @@ def consistent_bases(draw):
 @given(consistent_bases())
 def test_consistent_shrink_matches_entails_loop(instance):
     """find_minimal_support on a consistent base shrinks one compile; it
-    must give what a removal loop over entails calls gives."""
+    must give what a removal loop over entails calls gives, as must the
+    shrink through auto entails calls, and arg_exists must agree."""
     delta, alpha = instance
     assert is_consistent(delta, engine="generic")
     want = None
@@ -375,10 +384,14 @@ def test_consistent_shrink_matches_entails_loop(instance):
             if entails(rest, alpha, engine="generic"):
                 kept.remove(idx)
         want = tuple(kept)
-    support = find_minimal_support(delta, alpha)
-    assert (None if support is None else support.indices) == want
-    if support is not None:
-        assert argcheck(support.formulas(delta), alpha, engine="generic")
+    for support in (
+        find_minimal_support(delta, alpha),
+        _shrink_consistent(delta, alpha, DEFAULT_MAX_MODELS),
+    ):
+        assert (None if support is None else support.indices) == want
+        if support is not None:
+            assert argcheck(support.formulas(delta), alpha, engine="generic")
+    assert arg_exists(delta, alpha) == (want is not None)
 
 
 def test_relation_caches_are_bounded():

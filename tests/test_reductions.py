@@ -241,6 +241,11 @@ class TestParseAbduction:
         with pytest.raises(ParseError, match="missing observation"):
             parse_abduction(text)
 
+    def test_variable_names_checked(self):
+        for old, new in (("hypotheses h", "hypotheses h -"), ("observation q", "observation q&")):
+            with pytest.raises(ParseError, match="invalid variable name"):
+                parse_abduction(ABD_TEXT.replace(old, new))
+
     def test_observation_not_hypothesis(self):
         text = ABD_TEXT.replace("hypotheses h", "hypotheses h q")
         with pytest.raises(ParseError, match="listed as a hypothesis"):

@@ -1,9 +1,16 @@
 """Tests for relations: validation, property flags, and the file format."""
 
+import dataclasses
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
+
+import argcl
 
 from argcl import (
     EQUALITY,
@@ -110,6 +117,58 @@ class TestRelationValidation:
         assert table.tolist() == [False, True, True, False]
         with pytest.raises(ValueError):
             table[0] = True
+
+
+# Unpickles a relation from stdin in a fresh interpreter and checks that it
+# hashes as a relation built there does; argv[1] is its hash in the sender.
+UNPICKLE_CHECK = """
+import pickle, sys
+from argcl import Relation, relation_properties
+r = pickle.loads(sys.stdin.buffer.read())
+twin = Relation(r.name, r.arity, r.tuples)
+assert hash(r) != int(sys.argv[1]), "string hashes were not salted differently"
+assert hash(r) == hash(twin) == hash((r.name, r.arity, r.tuples))
+assert {twin: "found"}[r] == "found"
+relation_properties(twin)
+hits = relation_properties.cache_info().hits
+relation_properties(r)
+assert relation_properties.cache_info().hits == hits + 1
+"""
+
+
+class TestRelationHash:
+    def test_equal_relations_hash_alike(self):
+        for r in CATALOG:
+            assert hash(r) == hash(Relation(r.name, r.arity, r.tuples))
+            assert hash(r) == hash((r.name, r.arity, r.tuples))
+
+    def test_replace_rehashes(self):
+        renamed = dataclasses.replace(OR2, name="OR2B")
+        assert hash(renamed) == hash(Relation("OR2B", 2, OR2.tuples))
+        narrowed = dataclasses.replace(OR2, tuples=frozenset({0b01}))
+        assert hash(narrowed) == hash(Relation("OR2", 2, frozenset({0b01})))
+
+    def test_pickle_round_trip(self):
+        assert pickle.loads(pickle.dumps(NAE3)) == NAE3
+        assert hash(pickle.loads(pickle.dumps(NAE3))) == hash(NAE3)
+
+    def test_unpickled_under_another_hash_seed(self):
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = os.path.dirname(os.path.dirname(argcl.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": src + (os.pathsep + path if path else ""),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", UNPICKLE_CHECK, str(hash(RPRIME))],
+            input=pickle.dumps(RPRIME),
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode()
 
 
 class TestRelationProperties:

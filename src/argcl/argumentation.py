@@ -32,7 +32,6 @@ from .errors import BudgetExceededError, PreconditionError
 from .formulas import (
     DEFAULT_MAX_MODELS,
     GammaFormula,
-    _Order,
     models_mask,
     satisfies,
     variables_of,
@@ -192,9 +191,8 @@ def _check_subset_budget(delta: Sequence[GammaFormula], max_kb: int):
 def _mask_order(
     delta: Sequence[GammaFormula], alpha: GammaFormula, max_models: int
 ) -> tuple[str, ...] | None:
-    """The joint variable order, or None past max_models or _MASK_LIMIT.
-    It numbers its variables once for every models_mask call over it."""
-    order = _Order(sorted(variables_of(delta) | alpha.variables))
+    """The joint variable order, or None past max_models or _MASK_LIMIT."""
+    order = tuple(sorted(variables_of(delta) | alpha.variables))
     words = (len(delta) + 63) // 64
     if (1 << len(order)) > max_models or (1 << len(order)) * words > _MASK_LIMIT:
         return None
@@ -439,6 +437,7 @@ def arg_exists(
         BudgetExceededError: the instance exceeds the model budget, or
             the subset search exceeds max_kb.
     """
+    _check_engine(engine)
     delta = list(delta)
     if engine != "generic":
         premises = _fragment_premises(delta, alpha)
@@ -480,6 +479,7 @@ def find_minimal_support(
         BudgetExceededError: the instance exceeds the model budget, or
             the subset search exceeds max_kb.
     """
+    _check_engine(engine)
     delta = list(delta)
     if engine != "generic":
         premises = _fragment_premises(delta, alpha)
@@ -544,6 +544,7 @@ def enumerate_minimal_supports(
     Raises:
         BudgetExceededError: when len(delta) exceeds max_kb.
     """
+    _check_engine(engine)
     delta = list(delta)
     _check_subset_budget(delta, max_kb)
     if engine != "generic":
@@ -678,6 +679,7 @@ def argrel(
         BudgetExceededError: when len(delta) exceeds max_kb outside the
             monotone case.
     """
+    _check_engine(engine)
     delta = list(delta)
     idx = _psi_index(delta, psi)
     if engine != "generic":

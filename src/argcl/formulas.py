@@ -202,14 +202,16 @@ class ArgInstance:
 # ---------------------------------------------------------------------------
 
 
-class _Order(tuple):
-    """A variable order that numbers its variables once, so that masking
-    many constraint sets over one order builds the index dict once."""
-
-    def __new__(cls, variables: Iterable[Variable]):
-        order = super().__new__(cls, variables)
-        order.position = {v: i for i, v in enumerate(order)}
-        return order
+def _constraint_arrays(
+    constraints: Iterable[Constraint], order: tuple[Variable, ...]
+) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
+    index = {v: i for i, v in enumerate(order)}
+    tables = []
+    positions = []
+    for c in constraints:
+        tables.append(truth_table(c.relation))
+        positions.append(tuple(index[a] for a in c.args))
+    return tables, positions
 
 
 def models_mask(constraints: Iterable[Constraint], order: tuple[Variable, ...]) -> np.ndarray:
@@ -219,18 +221,9 @@ def models_mask(constraints: Iterable[Constraint], order: tuple[Variable, ...]) 
     order position i holds bit n-1-i) satisfies every constraint. The
     mask is 1 byte per assignment; each constraint's truth table is
     broadcast over its (2,) * n view and ANDed in place, so no
-    per-assignment index array is built. An _Order brings its own
-    variable positions; any other order is numbered per call.
+    per-assignment index array is built.
     """
-    if isinstance(order, _Order):
-        position = order.position
-    else:
-        position = {v: i for i, v in enumerate(order)}
-    tables = []
-    positions = []
-    for c in constraints:
-        tables.append(truth_table(c.relation))
-        positions.append(tuple(position[a] for a in c.args))
+    tables, positions = _constraint_arrays(constraints, order)
     return kernels.filter_models(len(order), tables, positions)
 
 

@@ -17,8 +17,10 @@ from argcl import (
     Relation,
     arg_exists,
     argcheck,
+    argrel,
     cnf_of,
     entails,
+    enumerate_minimal_supports,
     find_minimal_support,
     is_consistent,
     negative_cnf_of,
@@ -247,6 +249,25 @@ class TestEntailment:
             want = naive_entails(delta, alpha)
             assert entails(delta, alpha) == want
             assert entails(delta, alpha, engine="generic") == want
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        arg_exists,
+        find_minimal_support,
+        enumerate_minimal_supports,
+        lambda delta, alpha, engine: argrel(delta, alpha, 0, engine=engine),
+    ],
+    ids=["arg_exists", "find_minimal_support", "enumerate_minimal_supports", "argrel"],
+)
+@pytest.mark.parametrize("engine", ["fast", "Generic"])
+def test_queries_reject_unknown_engine(query, engine):
+    # A consistent Horn base whose claim lies in its fragment: the one-compile
+    # route would answer it, so the engine must be checked before routing.
+    delta = [gamma(Constraint(T, ("a",))), gamma(Constraint(IMPL, ("a", "b")))]
+    with pytest.raises(ValueError, match="unknown engine"):
+        query(delta, gamma(Constraint(T, ("b",))), engine=engine)
 
 
 # Languages chosen so auto dispatch lands on each dedicated engine:

@@ -5,24 +5,28 @@ entails the claim and is subset-minimal with that property. By
 monotonicity a support exists iff some maximal consistent subset (MCS) of
 the base entails the claim.
 
-The "auto" engine answers existence and one support for a consistent
-base from one compile of the base when the instance lies in a tractable
-fragment, and through is_consistent and entails when it does not; it
-answers relevance on monotone languages by clause decomposition. Every
-other query whose assignment space fits the mask limit compiles the base
-once into per-assignment formula signatures: their maximal elements are
-the MCSes, and the maximal signatures of the claim's non-models decide
-entailment of any subset. Existence, one minimal support, all minimal
-supports (the minimal hitting sets inside each MCS) and relevance are
-read off that compiled base with no subset enumeration. Past the mask
-limit, and always under the "generic" engine, one canonical subset
-search over at most max_kb formulas answers instead.
+When the instance lies in a tractable fragment, the "auto" engine
+compiles the formulas once into one fragment engine: verification is read
+off it, and so are existence and one support for a consistent base.
+Outside the fragments they go through is_consistent and entails. The
+auto engine answers relevance on monotone languages by clause
+decomposition. Every other query whose assignment space fits the mask
+limit compiles the base once into per-assignment formula signatures:
+their maximal elements are the MCSes, and the maximal signatures of the
+claim's non-models decide entailment of any subset. Existence, one
+minimal support, all minimal supports (the minimal hitting sets inside
+each MCS) and relevance are read off that compiled base with no subset
+enumeration. Past the mask limit, and always under the "generic"
+engine, one canonical subset search over at most max_kb formulas
+answers instead.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -143,21 +147,20 @@ def argcheck(
     entails alpha. By monotonicity of entailment the last condition is
     equivalent to single-element removal never preserving entailment,
     which is what gets checked. Duplicate formulas are collapsed first
-    (set semantics). When phi and alpha lie in one tractable fragment, phi
-    is compiled once with one clause block per formula, and each removal
-    check leaves that formula's block out.
+    (set semantics).
+
+    When phi and alpha lie in one tractable fragment, phi is compiled
+    once into one engine with one block per formula. Each refutation of
+    one of alpha's clauses yields a core, the formulas that refutation
+    used. A formula in no core can go with every refutation intact, so
+    phi is not minimal. Otherwise each formula is masked out in turn and
+    only the refutations whose core holds it are tried again.
     """
     _check_engine(engine)
     formulas = _dedup(phi)
     premises = None if engine == "generic" else _fragment_premises(formulas, alpha)
     if premises is not None:
-        claim = premises.refutations(alpha)
-        whole = premises.solver()
-        if not whole.ok or not _entailed(whole, claim):
-            return False
-        return not any(
-            _entailed(premises.solver(without={i}), claim) for i in range(len(formulas))
-        )
+        return _argcheck_compiled(premises, alpha, len(formulas))
     if not is_consistent(formulas, engine=engine, max_models=max_models):
         return False
     if not entails(formulas, alpha, engine=engine, max_models=max_models):
@@ -167,6 +170,25 @@ def argcheck(
         if entails(rest, alpha, engine=engine, max_models=max_models):
             return False
     return True
+
+
+def _argcheck_compiled(premises: _Premises, alpha: GammaFormula, n: int) -> bool:
+    """argcheck on n formulas compiled one block each, from their one engine."""
+    engine = premises.engine
+    if not engine.ok:
+        return False
+    claim = premises.refutations(alpha)
+    cores = [engine.core(lits) for lits in claim]
+    if None in cores:
+        return False
+    if functools.reduce(operator.or_, cores, 0) != (1 << n) - 1:
+        return False
+    # Removing formula i keeps every refutation whose core misses i, so
+    # only the others are tried with i masked; one of them must now hold.
+    return all(
+        any(engine.sat(lits, 1 << i) for lits, core in zip(claim, cores) if core >> i & 1)
+        for i in range(n)
+    )
 
 
 def _fragment_premises(
@@ -426,8 +448,8 @@ def arg_exists(
     A support exists iff some MCS of delta entails alpha. When delta is
     consistent it is its own one MCS, and the auto engine answers whether
     delta entails alpha. If delta and alpha lie in one tractable fragment,
-    delta is compiled once: that compile's whole-base solver decides
-    consistency, and the same solver refutes alpha's clauses. Otherwise
+    delta is compiled once: that compile's engine decides consistency,
+    and the same engine refutes alpha's clauses. Otherwise
     is_consistent and entails decide. An inconsistent base is compiled
     into signatures and each MCS is tested. Past the mask limit, and
     under the generic engine, canonical subset search looks for a first
@@ -442,9 +464,8 @@ def arg_exists(
     if engine != "generic":
         premises = _fragment_premises(delta, alpha)
         if premises is not None:
-            whole = premises.solver()
-            if whole.ok:
-                return _entailed(whole, premises.refutations(alpha))
+            if premises.engine.ok:
+                return _entailed(premises.engine, premises.refutations(alpha))
         elif is_consistent(delta, engine=engine, max_models=max_models):
             return entails(delta, alpha, engine=engine, max_models=max_models)
         kb = _KB.compile(delta, alpha, max_models)
@@ -469,10 +490,12 @@ def find_minimal_support(
     MCS of the compiled base in canonical MCS order (most formulas first,
     ties broken by the ascending bitmask of their indices), and removes
     indices in ascending order whenever entailment survives. When delta
-    and alpha lie in one tractable fragment, delta is compiled once with
-    one block per formula: that compile decides consistency and serves
-    every shrink step. Past the mask limit, and under the generic engine,
-    it is the first support in canonical subset order.
+    and alpha lie in one tractable fragment, delta is compiled once into
+    one engine with one block per formula. That engine decides
+    consistency and runs the shrink: an index outside the cores of
+    alpha's refutations goes with no check, and any other is tried with
+    the dropped blocks masked out. Past the mask limit, and under the
+    generic engine, it is the first support in canonical subset order.
     The returned support always passes argcheck.
 
     Raises:
@@ -484,8 +507,8 @@ def find_minimal_support(
     if engine != "generic":
         premises = _fragment_premises(delta, alpha)
         if premises is not None:
-            if premises.solver().ok:
-                return _shrink_consistent(delta, alpha, max_models, premises)
+            if premises.engine.ok:
+                return _shrink_compiled(premises, alpha, len(delta))
         elif is_consistent(delta, engine=engine, max_models=max_models):
             return _shrink_consistent(delta, alpha, max_models)
         kb = _KB.compile(delta, alpha, max_models)
@@ -495,34 +518,50 @@ def find_minimal_support(
 
 
 def _shrink_consistent(
-    delta: list[GammaFormula],
-    alpha: GammaFormula,
-    max_models: int,
-    premises: _Premises | None = None,
+    delta: list[GammaFormula], alpha: GammaFormula, max_models: int
 ) -> Support | None:
     """Shrink a consistent base that entails alpha, ascending, while it
-    entails. With premises, the caller's compile of delta with one block
-    per formula, each step leaves blocks out of it; without, each step is
-    one entails call on the formulas left."""
-    if premises is not None:
-        claim = premises.refutations(alpha)
-
-        def entailing(dropped):
-            return _entailed(premises.solver(without=dropped), claim)
-
-    else:
-
-        def entailing(dropped):
-            rest = [f for i, f in enumerate(delta) if i not in dropped]
-            return entails(rest, alpha, max_models=max_models)
-
-    if not entailing(set()):
+    entails; each step is one entails call on the formulas left."""
+    if not entails(delta, alpha, max_models=max_models):
         return None
     dropped: set[int] = set()
     for idx in range(len(delta)):
-        if entailing(dropped | {idx}):
+        rest = [f for i, f in enumerate(delta) if i not in dropped and i != idx]
+        if entails(rest, alpha, max_models=max_models):
             dropped.add(idx)
     return Support(tuple(i for i in range(len(delta)) if i not in dropped))
+
+
+def _shrink_compiled(premises: _Premises, alpha: GammaFormula, n: int) -> Support | None:
+    """_shrink_consistent on n consistent formulas compiled one block
+    each, from their one engine.
+
+    Each refutation of alpha keeps a core inside the formulas left. An
+    index in no core is dropped with no check, as every refutation goes
+    on without it (clause-set refinement, Marques-Silva and Lynce, SAT
+    2011). Otherwise only the refutations whose core holds the index are
+    tried with it masked out too, and their cores are renewed when it
+    goes. The support is the one the plain ascending loop keeps.
+    """
+    engine = premises.engine
+    claim = premises.refutations(alpha)
+    cores = [engine.core(lits) for lits in claim]
+    if None in cores:
+        return None
+    dropped = 0
+    for idx in range(n):
+        trial = dropped | 1 << idx
+        renewed = {}
+        for k, core in enumerate(cores):
+            if core >> idx & 1:
+                renewed[k] = engine.core(claim[k], trial)
+                if renewed[k] is None:
+                    break
+        else:
+            dropped = trial
+            for k, core in renewed.items():
+                cores[k] = core
+    return Support(tuple(i for i in range(n) if not dropped >> i & 1))
 
 
 def enumerate_minimal_supports(
@@ -555,14 +594,20 @@ def enumerate_minimal_supports(
 
 
 def _psi_index(delta: Sequence[GammaFormula], psi: int | GammaFormula) -> int:
-    if isinstance(psi, int):
-        if not 0 <= psi < len(delta):
-            raise ValueError(f"index {psi} out of range for a base of {len(delta)}")
-        return psi
-    for i, f in enumerate(delta):
-        if f == psi:
-            return i
-    raise ValueError("the queried formula is not in the knowledge base")
+    """psi's index: any integral value (operator.index) but a bool, or the
+    first occurrence of a formula."""
+    if isinstance(psi, (bool, np.bool_)):
+        raise ValueError(f"a bool ({psi}) is not an index into the knowledge base")
+    try:
+        idx = operator.index(psi)
+    except TypeError:
+        for i, f in enumerate(delta):
+            if f == psi:
+                return i
+        raise ValueError("the queried formula is not in the knowledge base") from None
+    if not 0 <= idx < len(delta):
+        raise ValueError(f"index {idx} out of range for a base of {len(delta)}")
+    return idx
 
 
 def _monotone_clauses(alpha: GammaFormula, upward: bool) -> list[frozenset[str]]:

@@ -10,11 +10,14 @@ Entailment then reduces to unsatisfiability of the premises plus the
 unit literals refuting one prime-implicate clause of the claim, one
 assumption check per clause against that single compile.
 
-The compile, _Premises, keeps one clause block per caller-given block, and
-its solvers answer consistency (solver().ok) and entailment (_entailed)
-alike. So the argumentation queries compile a base once, one block per
-formula, and read existence, verification and one minimal support off that
-compile, leaving blocks out where a query needs a subset.
+The compile, _Premises, builds one engine over all of its caller-given
+blocks and records the block that owns each clause or row. That engine
+decides consistency, answers each assumption check with any blocks masked
+out, and reports the core of a refutation: the blocks it used. So the
+argumentation queries compile a base once, one block per formula, and read
+existence, verification and one minimal support off that one engine: a
+subset question masks the blocks left out, and a formula outside every
+core needs no check at all.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import functools
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Collection, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -167,58 +170,138 @@ def negative_cnf_of(relation: Relation) -> tuple[Clause, ...]:
 # ---------------------------------------------------------------------------
 # Fragment engines. Variables are interned to ints; literal 2v stands for
 # variable v true and 2v + 1 for v false, so l ^ 1 is the complement of l.
-# Each engine is built once from premises in its fragment and then decides
-# satisfiability of the premises plus any number of literal sets.
+# Each engine is built once over every block of its premises, recording the
+# block that owns each clause or row, and then answers any number of literal
+# sets with any blocks masked out. Block masks are ints, block i at bit i.
+# sat and core are defined for consistent premises (ok), whose every subset
+# is consistent too.
 # ---------------------------------------------------------------------------
 
 # The count of a satisfied clause: no run of decrements brings it to 1.
 _SATISFIED = 1 << 40
 
 
+def _blocks(mask: int) -> Iterable[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class _UnitPropagation:
     """Counter-based unit propagation; complete for Horn and dual Horn.
 
-    Each clause keeps the count of its literals not yet false. The
-    premises' fixpoint is computed once, and each literal set propagates
-    on from copies of the values and counts. With no conflict, setting
-    every open variable false (Horn) or true (dual Horn) is a model.
+    Each clause keeps the count of its literals not yet false, and each
+    true literal its reason: the clause that forced it, or -1 for an
+    assumed one. The premises' fixpoint is computed once, and each literal
+    set propagates on from copies of the reasons and counts. With no
+    conflict, setting every open variable false (Horn) or true (dual Horn)
+    is a model. On a conflict, the reasons lead back from the falsified
+    clause to the clauses that refuted the literal set, and so to its core.
+
+    A masked block's clauses count as satisfied. The fixpoint is reused
+    unless a masked block forced one of its literals; it is then rebuilt
+    without them. The state of the last mask is kept for the next query.
     """
 
-    def __init__(self, n_lits: int, clauses: list[tuple[int, ...]], check: bool):
+    def __init__(self, n_lits: int, clauses: list[tuple[int, ...]], owners: list[int]):
         self.clauses = clauses
+        self.owners = owners
         self.occurs: list[list[int]] = [[] for _ in range(n_lits)]
+        self.members: dict[int, list[int]] = {}
         for c, lits in enumerate(clauses):
             for lit in lits:
                 self.occurs[lit].append(c)
-        self.true = [False] * n_lits
-        self.left = [len(lits) for lits in clauses]
-        units = [lits[0] for lits in clauses if len(lits) == 1]
-        self.ok = self._propagate(self.true, self.left, units)
+            self.members.setdefault(owners[c], []).append(c)
+        self.counts = [len(lits) for lits in clauses]
+        self.left = self.counts.copy()
+        self.reason = self._fixpoint(self.left)
+        self.ok = self.reason is not None
+        self.fed = 0
+        for c in self.reason or ():
+            if c is not None:
+                self.fed |= 1 << owners[c]
+        self.last = (0, self.reason, self.left)
 
-    def _propagate(self, true: list[bool], left: list[int], queue: list[int]) -> bool:
-        occurs, clauses = self.occurs, self.clauses
+    def _fixpoint(self, left: list[int]) -> list[int | None] | None:
+        """Propagate the unit clauses of fresh counts, updating them in
+        place; the reasons at the fixpoint, or None on a conflict."""
+        units = [c for c, n in enumerate(left) if n == 1]
+        reason: list[int | None] = [None] * len(self.occurs)
+        queue = [self.clauses[c][0] for c in units]
+        return reason if self._propagate(reason, left, queue, units) is None else None
+
+    def _state(self, masked: int):
+        if not masked:
+            return self.reason, self.left
+        if masked != self.last[0]:
+            fresh = masked & self.fed
+            left = (self.counts if fresh else self.left).copy()
+            for b in _blocks(masked):
+                for c in self.members.get(b, ()):
+                    left[c] = _SATISFIED
+            reason = self._fixpoint(left) if fresh else self.reason
+            self.last = (masked, reason, left)
+        return self.last[1], self.last[2]
+
+    def _propagate(self, reason, left, queue: list[int], whys: list[int]):
+        """Set the queued literals true, each with its reason, and
+        propagate. None without a conflict; else the true literals whose
+        derivations, with the blocks in the returned mask, refute."""
+        occurs, clauses, owners = self.occurs, self.clauses, self.owners
         while queue:
             lit = queue.pop()
-            if true[lit]:
+            why = whys.pop()
+            if reason[lit] is not None:
                 continue
-            if true[lit ^ 1]:
-                return False
-            true[lit] = True
+            if reason[lit ^ 1] is not None:
+                if why < 0:
+                    return [lit ^ 1], 0
+                return [other ^ 1 for other in clauses[why]], 1 << owners[why]
+            reason[lit] = why
             for c in occurs[lit]:
                 left[c] = _SATISFIED
             for c in occurs[lit ^ 1]:
                 left[c] -= 1
                 if left[c] == 1:
-                    queue.extend(other for other in clauses[c] if not true[other ^ 1])
+                    for other in clauses[c]:
+                        if reason[other ^ 1] is None:
+                            queue.append(other)
+                            whys.append(c)
                 elif not left[c]:
-                    return False
-        return True
+                    return [other ^ 1 for other in clauses[c]], 1 << owners[c]
+        return None
 
-    def sat(self, lits: list[int]) -> bool:
-        if not self.ok:
-            return False
-        queue = [lit for lit in lits if not self.true[lit]]
-        return not queue or self._propagate(self.true.copy(), self.left.copy(), queue)
+    def _refute(self, lits: list[int], masked: int):
+        reason, left = self._state(masked)
+        queue = [lit for lit in lits if reason[lit] is None]
+        if not queue:
+            return None
+        reason = reason.copy()
+        conflict = self._propagate(reason, left.copy(), queue, [-1] * len(queue))
+        return None if conflict is None else (reason, *conflict)
+
+    def sat(self, lits: list[int], masked: int = 0) -> bool:
+        return self._refute(lits, masked) is None
+
+    def core(self, lits: list[int], masked: int = 0) -> int | None:
+        """The blocks one refutation of lits used, or None if satisfiable."""
+        found = self._refute(lits, masked)
+        if found is None:
+            return None
+        reason, stack, blocks = found
+        clauses, owners = self.clauses, self.owners
+        seen = set(stack)
+        while stack:
+            c = reason[stack.pop()]
+            if c < 0:
+                continue
+            blocks |= 1 << owners[c]
+            for other in clauses[c]:
+                if reason[other ^ 1] is not None and other ^ 1 not in seen:
+                    seen.add(other ^ 1)
+                    stack.append(other ^ 1)
+        return blocks
 
 
 class _ImplicationGraph:
@@ -228,38 +311,58 @@ class _ImplicationGraph:
     holds a literal and its complement. They are then satisfiable with a
     literal set L iff the literals reachable from L hold no complementary
     pair: those literals can all be true, and the clauses they leave open
-    are premises on the other variables, satisfied by any model.
+    are premises on the other variables, satisfied by any model. An edge
+    (target, block, source) stands for one clause; the search skips a
+    masked block's edges, and its parent pointers lead from a
+    complementary pair back to L through the core's edges.
     """
 
-    def __init__(self, n_lits: int, clauses: list[tuple[int, ...]], check: bool):
-        self.succ: list[list[int]] = [[] for _ in range(n_lits)]
-        for lits in clauses:
+    def __init__(self, n_lits: int, clauses: list[tuple[int, ...]], owners: list[int]):
+        self.succ: list[list[tuple[int, int, int]]] = [[] for _ in range(n_lits)]
+        for lits, block in zip(clauses, owners):
             if len(lits) == 1:
-                self.succ[lits[0] ^ 1].append(lits[0])
+                lit = lits[0]
+                self.succ[lit ^ 1].append((lit, block, lit ^ 1))
             else:
                 a, b = lits
-                self.succ[a ^ 1].append(b)
-                self.succ[b ^ 1].append(a)
-        self.ok = not check or _no_complementary_component(self.succ)
+                self.succ[a ^ 1].append((b, block, a ^ 1))
+                self.succ[b ^ 1].append((a, block, b ^ 1))
+        self.ok = _no_complementary_component(self.succ)
 
-    def sat(self, lits: list[int]) -> bool:
-        if not self.ok:
-            return False
+    def _refute(self, lits: list[int], masked: int):
         succ = self.succ
-        seen = set(lits)
-        stack = list(seen)
+        parent: dict[int, tuple[int, int, int] | None] = dict.fromkeys(lits)
+        stack = list(parent)
         while stack:
             lit = stack.pop()
-            if lit ^ 1 in seen:
-                return False
-            for nxt in succ[lit]:
-                if nxt not in seen:
-                    seen.add(nxt)
+            if lit ^ 1 in parent:
+                return parent, lit
+            for edge in succ[lit]:
+                nxt = edge[0]
+                if nxt not in parent and not masked >> edge[1] & 1:
+                    parent[nxt] = edge
                     stack.append(nxt)
-        return True
+        return None
+
+    def sat(self, lits: list[int], masked: int = 0) -> bool:
+        return self._refute(lits, masked) is None
+
+    def core(self, lits: list[int], masked: int = 0) -> int | None:
+        """The blocks one refutation of lits used, or None if satisfiable."""
+        found = self._refute(lits, masked)
+        if found is None:
+            return None
+        parent, lit = found
+        blocks = 0
+        for end in (lit, lit ^ 1):
+            edge = parent[end]
+            while edge is not None:
+                blocks |= 1 << edge[1]
+                edge = parent[edge[2]]
+        return blocks
 
 
-def _no_complementary_component(succ: list[list[int]]) -> bool:
+def _no_complementary_component(succ: list[list[tuple[int, int, int]]]) -> bool:
     """Iterative Tarjan SCC: False iff a component holds l and l ^ 1."""
     n = len(succ)
     order = [-1] * n
@@ -276,7 +379,7 @@ def _no_complementary_component(succ: list[list[int]]) -> bool:
         work = [(root, iter(succ[root]))]
         while work:
             node, edges = work[-1]
-            for nxt in edges:
+            for nxt, _, _ in edges:
                 if order[nxt] < 0:
                     order[nxt] = low[nxt] = counter
                     counter += 1
@@ -340,38 +443,60 @@ def _affine_rows(relation: Relation) -> tuple[tuple[int, int], ...]:
     return tuple(rows)
 
 
-def _eliminate(pivots: dict[int, tuple[int, int]], rows: Iterable[tuple[int, int]]) -> bool:
-    """Add GF(2) rows (variable mask, rhs) to an echelon form keyed by
-    leading bit; False when a row reduces to 0 = 1."""
-    for mask, rhs in rows:
+def _eliminate(
+    pivots: dict[int, tuple[int, int, int]], rows: Iterable[tuple[int, int, int]]
+) -> int | None:
+    """Add GF(2) rows (variable mask, rhs, block mask) to an echelon form
+    keyed by leading bit. Each reduction ORs in the pivot's blocks, so a
+    row that reduces to 0 = 1 carries the blocks whose rows sum to it:
+    that block mask is returned, or None when every row fits."""
+    for mask, rhs, blocks in rows:
         while mask:
             lead = mask.bit_length()
             pivot = pivots.get(lead)
             if pivot is None:
-                pivots[lead] = (mask, rhs)
+                pivots[lead] = (mask, rhs, blocks)
                 break
             mask ^= pivot[0]
             rhs ^= pivot[1]
+            blocks |= pivot[2]
         else:
             if rhs:
-                return False
-    return True
+                return blocks
+    return None
 
 
 class _Gf2Elimination:
     """Gaussian elimination over GF(2), complete for affine premises.
 
     The premises' rows are brought to echelon form once; each literal set
-    reduces its unit rows against a copy of the pivots.
+    reduces its unit rows against a copy of the pivots. With blocks
+    masked, the rows left are eliminated afresh; the echelon form of the
+    last mask is kept for the next query.
     """
 
-    def __init__(self, n_lits: int, rows: list[tuple[int, int]], check: bool):
-        self.pivots: dict[int, tuple[int, int]] = {}
-        self.ok = _eliminate(self.pivots, rows)
+    def __init__(self, n_lits: int, rows: list[tuple[int, int]], owners: list[int]):
+        self.rows = [(mask, rhs, 1 << block) for (mask, rhs), block in zip(rows, owners)]
+        self.pivots: dict[int, tuple[int, int, int]] = {}
+        self.ok = _eliminate(self.pivots, self.rows) is None
+        self.last = (0, self.pivots)
 
-    def sat(self, lits: list[int]) -> bool:
-        units = [(1 << (lit >> 1), ~lit & 1) for lit in lits]
-        return self.ok and _eliminate(dict(self.pivots), units)
+    def _state(self, masked: int) -> dict[int, tuple[int, int, int]]:
+        if not masked:
+            return self.pivots
+        if masked != self.last[0]:
+            pivots: dict[int, tuple[int, int, int]] = {}
+            _eliminate(pivots, (row for row in self.rows if not row[2] & masked))
+            self.last = (masked, pivots)
+        return self.last[1]
+
+    def core(self, lits: list[int], masked: int = 0) -> int | None:
+        """The blocks one refutation of lits used, or None if satisfiable."""
+        units = [(1 << (lit >> 1), ~lit & 1, 0) for lit in lits]
+        return _eliminate(dict(self._state(masked)), units)
+
+    def sat(self, lits: list[int], masked: int = 0) -> bool:
+        return self.core(lits, masked) is None
 
 
 _ENGINES = {
@@ -385,16 +510,26 @@ _ENGINES = {
 class _Premises:
     """Premises compiled once for one fragment, as blocks of constraints.
 
-    Compiling interns the variables and instantiates each block's
-    prime-implicate clauses (GF(2) rows on the affine fragment) once;
-    solver() builds the fragment's engine over every block or all but one.
+    Compiling interns the variables, instantiates each block's
+    prime-implicate clauses (GF(2) rows on the affine fragment) once, and
+    builds the fragment's engine over all of them, with block i owning the
+    clauses of the i-th caller-given block. That one engine decides the
+    premises' consistency (engine.ok); on consistent premises it decides
+    whether they are satisfiable with a literal set while any blocks are
+    masked out (engine.sat), and which blocks one refutation used
+    (engine.core).
     """
 
     def __init__(self, fragment: str, blocks: Iterable[Iterable[Constraint]]):
         self.index: dict[str, int] = {}
-        self.engine = _ENGINES[fragment]
         instantiate = self._rows if fragment == "affine" else self._clauses
-        self.blocks = [instantiate(block) for block in blocks]
+        items: list = []
+        owners: list[int] = []
+        for i, block in enumerate(blocks):
+            made = instantiate(block)
+            items += made
+            owners += [i] * len(made)
+        self.engine = _ENGINES[fragment](2 * len(self.index), items, owners)
 
     def _ids(self, c: Constraint) -> list[int]:
         index = self.index
@@ -430,18 +565,6 @@ class _Premises:
                 out.append((gmask, rhs))
         return out
 
-    def solver(self, without: Collection[int] = ()):
-        """The engine over every block whose index is not in `without`.
-
-        Every subset of consistent premises is consistent, so a solver
-        that leaves blocks out is built with check=False: the implication
-        graph then skips its component search. Propagation and elimination
-        decide consistency as they build, so they ignore the flag.
-        """
-        blocks = (block for i, block in enumerate(self.blocks) if i not in without)
-        items = [x for block in blocks for x in block]
-        return self.engine(2 * len(self.index), items, not without)
-
     def refutations(self, alpha: GammaFormula) -> list[list[int]]:
         """The negation of each non-tautological prime-implicate clause of
         alpha, as literals on premise variables; the others are free."""
@@ -459,9 +582,9 @@ class _Premises:
         return out
 
 
-def _entailed(solver, refutations: list[list[int]]) -> bool:
+def _entailed(engine, refutations: list[list[int]]) -> bool:
     """Consistent premises entail alpha iff every refutation is unsatisfiable."""
-    return not any(solver.sat(lits) for lits in refutations)
+    return not any(engine.sat(lits) for lits in refutations)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +646,7 @@ def is_consistent(
     logger.debug("is_consistent via %s engine", fragment)
     if fragment == "generic":
         return _enumeration_sat(constraints, max_models)
-    return _Premises(fragment, [constraints]).solver().ok
+    return _Premises(fragment, [constraints]).engine.ok
 
 
 def entails(
@@ -563,5 +686,5 @@ def entails(
         return not bool(np.any(phi_mask & ~alpha_mask))
     logger.debug("entails via %s engine", fragment)
     compiled = _Premises(fragment, [premises])
-    solver = compiled.solver()
-    return not solver.ok or _entailed(solver, compiled.refutations(alpha))
+    engine = compiled.engine
+    return not engine.ok or _entailed(engine, compiled.refutations(alpha))

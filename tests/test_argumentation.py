@@ -30,7 +30,7 @@ from argcl import (
     relation_properties,
 )
 
-from argcl import argumentation
+from argcl import argumentation, logic
 from argcl.argumentation import (
     _KB,
     _mask_order,
@@ -211,11 +211,12 @@ class TestFindMinimalSupport:
 
 
 class TestOneCompile:
-    """A consistent base in one fragment with its claim is compiled once:
-    existence and one support read everything off that compile, and call
-    neither is_consistent nor entails."""
+    """A consistent base in one fragment with its claim is compiled once
+    into one engine: existence, verification and one support read
+    everything off it, and call neither is_consistent nor entails."""
 
     NAND2 = Relation("NAND2", 2, frozenset({0b00, 0b01, 0b10}))
+    EVEN3 = Relation("EVEN3", 3, frozenset({0b000, 0b011, 0b101, 0b110}))
     # fragment: (base, entailed claim and its support, unentailed claim)
     CASES = {
         "bijunctive": (
@@ -240,6 +241,28 @@ class TestOneCompile:
             (gamma(Constraint(F, ("d",))), (0, 1, 2, 3)),
             gamma(Constraint(T, ("d",))),
         ),
+        "dual_horn": (
+            [
+                gamma(Constraint(F, ("a",))),
+                gamma(Constraint(IMPL, ("b", "a"))),
+                or2("b", "c"),
+                gamma(Constraint(IMPL, ("c", "d"))),
+                gamma(Constraint(T, ("e",))),
+            ],
+            (gamma(Constraint(T, ("d",))), (0, 1, 2, 3)),
+            gamma(Constraint(F, ("d",))),
+        ),
+        "affine": (
+            [
+                gamma(Constraint(T, ("a",))),
+                gamma(Constraint(EQ2, ("a", "b"))),
+                gamma(Constraint(EVEN3, ("b", "c", "d"))),
+                gamma(Constraint(T, ("c",))),
+                gamma(Constraint(NEQ, ("e", "f"))),
+            ],
+            (gamma(Constraint(F, ("d",))), (0, 1, 2, 3)),
+            gamma(Constraint(T, ("e",))),
+        ),
     }
 
     @pytest.fixture
@@ -258,6 +281,36 @@ class TestOneCompile:
         monkeypatch.setattr(argumentation, "is_consistent", forbidden)
         monkeypatch.setattr(argumentation, "entails", forbidden)
         return built
+
+    @pytest.fixture
+    def engines(self, monkeypatch):
+        built = []
+        for fragment, cls in list(logic._ENGINES.items()):
+
+            def counting(*args, cls=cls):
+                built.append(cls.__name__)
+                return cls(*args)
+
+            monkeypatch.setitem(logic._ENGINES, fragment, counting)
+        return built
+
+    @pytest.mark.parametrize("fragment", sorted(CASES))
+    def test_argcheck(self, compiles, engines, fragment):
+        delta, (yes, support), no = self.CASES[fragment]
+        phi = [delta[i] for i in support]
+        extra = delta[len(support)]
+        cases = (
+            (phi, yes, True),  # every formula is needed
+            (phi + [extra], yes, False),  # extra lies in no core
+            (phi, no, False),  # not entailed
+            (phi[1:], yes, False),  # not entailed either
+        )
+        for premises, alpha, want in cases:
+            compiles.clear()
+            engines.clear()
+            assert argcheck(premises, alpha) is want
+            assert compiles == [fragment]
+            assert len(engines) == 1
 
     @pytest.mark.parametrize("fragment", sorted(CASES))
     def test_arg_exists(self, compiles, fragment):
@@ -334,6 +387,21 @@ class TestArgrel:
             argrel(delta, or2("a", "b"), 1)
         with pytest.raises(ValueError, match="not in the knowledge base"):
             argrel(delta, or2("a", "b"), or2("x", "y"))
+
+    def test_psi_any_integral_index(self):
+        delta = [or2("a", "b"), gamma(Constraint(NEQ, ("a", "b"))), gamma(Constraint(T, ("c",)))]
+        alpha = or2("a", "b")
+        assert argrel(delta, alpha, np.int64(1))
+        assert not argrel(delta, alpha, np.uint8(2))
+        with pytest.raises(ValueError, match="out of range"):
+            argrel(delta, alpha, np.int64(3))
+
+    @pytest.mark.parametrize("psi", [True, False, np.True_])
+    def test_psi_bool_rejected(self, psi):
+        # True must not be read as index 1.
+        delta = [or2("a", "b"), gamma(Constraint(NEQ, ("a", "b")))]
+        with pytest.raises(ValueError, match="bool"):
+            argrel(delta, or2("a", "b"), psi)
 
     def test_matches_naive_random(self):
         rng = random.Random(7777)

@@ -1,5 +1,7 @@
 """Tests for CNF extraction and the satisfiability and entailment engines."""
 
+import functools
+import operator
 import random
 import zlib
 
@@ -30,7 +32,7 @@ from argcl import (
 
 from argcl.argumentation import _shrink_consistent
 from argcl.formulas import DEFAULT_MAX_MODELS, satisfies
-from argcl.logic import _affine_rows
+from argcl.logic import _Premises, _affine_rows, _fragment
 from argcl.relations import RELATION_CACHE_SIZE, truth_table
 from conftest import (
     CATALOG,
@@ -361,11 +363,12 @@ def test_compiled_engines_match_generic(instance):
 
 
 @st.composite
-def consistent_bases(draw):
-    """1-8 formulas over p0..p7 in the Horn, 2-CNF or affine language, all
-    satisfied by one drawn plant; a claim copied from some of them, or
-    drawn from the same language over p0..p7 and the free q0."""
-    name = draw(st.sampled_from(["horn", "bijunctive", "affine"]))
+def consistent_bases(draw, names=tuple(sorted(SCHAEFER_LANGUAGES))):
+    """1-8 formulas over p0..p7 in the Horn, dual Horn, 2-CNF or affine
+    language (one of `names`), all satisfied by one drawn plant; a claim
+    copied from some of them, or drawn from the same language over p0..p7
+    and the free q0."""
+    name = draw(st.sampled_from(names))
     language = SCHAEFER_LANGUAGES[name]
     variables = [f"p{i}" for i in range(8)]
     plant = {v: draw(st.booleans()) for v in variables}
@@ -413,6 +416,66 @@ def test_consistent_shrink_matches_entails_loop(instance):
         if support is not None:
             assert argcheck(support.formulas(delta), alpha, engine="generic")
     assert arg_exists(delta, alpha) == (want is not None)
+
+
+@pytest.mark.parametrize("language", sorted(SCHAEFER_LANGUAGES))
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_cores_are_sound(language, data):
+    """For each refutation of a claim clause, with no blocks, some drawn
+    blocks or any one block masked: the engine's sat agrees with
+    enumeration over the formulas left, and a core misses the mask and
+    refutes on its own formulas. A formula in no core of an entailed
+    claim can go with the claim still entailed."""
+    delta, alpha = data.draw(consistent_bases((language,)))
+    masked = data.draw(st.integers(0, (1 << len(delta)) - 1))
+    relations = {c.relation for f in (*delta, alpha) for c in f.constraints}
+    premises = _Premises(_fragment(relations), [f.constraints for f in delta])
+    engine = premises.engine
+    assert engine.ok
+    names = list(premises.index)
+    cores = []
+    for lits in premises.refutations(alpha):
+        units = [gamma(Constraint(F if lit & 1 else T, (names[lit >> 1],))) for lit in lits]
+        for mask in (0, masked, *(1 << i for i in range(len(delta)))):
+            kept = [f for i, f in enumerate(delta) if not mask >> i & 1]
+            core = engine.core(lits, mask)
+            sat = is_consistent(kept + units, engine="generic")
+            assert engine.sat(lits, mask) is sat is (core is None)
+            if core is not None:
+                assert not core & mask
+                used = [f for i, f in enumerate(delta) if core >> i & 1]
+                assert not is_consistent(used + units, engine="generic")
+        cores.append(engine.core(lits))
+    if None not in cores:
+        used = functools.reduce(operator.or_, cores, 0)
+        for i in range(len(delta)):
+            if not used >> i & 1:
+                assert entails(delta[:i] + delta[i + 1 :], alpha, engine="generic")
+
+
+# Three blocks that the claim (last) needs together, through two
+# derivations that meet in a conflict, and a fourth block on other
+# variables.
+JOINT_CORES = {
+    "horn": ((IMPL, "ab"), (IMPL, "ac"), (NAND2, "bc"), (IMPL, "xy"), (F, "a")),
+    "dual_horn": ((IMPL, "ba"), (IMPL, "ca"), (OR2, "bc"), (IMPL, "xy"), (T, "a")),
+    "bijunctive": ((IMPL, "ab"), (IMPL, "ac"), (NAND2, "bc"), (NEQ, "xy"), (F, "a")),
+    "affine": ((EVEN3, "abc"), (EQ2, "bd"), (EQ2, "ce"), (NEQ, "xy"), (EVEN3, "ade")),
+}
+
+
+@pytest.mark.parametrize("fragment", sorted(JOINT_CORES))
+def test_core_spans_every_derivation(fragment):
+    *blocks, claim = [Constraint(r, tuple(args)) for r, args in JOINT_CORES[fragment]]
+    premises = _Premises(fragment, [[c] for c in blocks])
+    engine = premises.engine
+    refutations = premises.refutations(gamma(claim))
+    assert engine.ok and refutations
+    for lits in refutations:
+        assert engine.core(lits) == engine.core(lits, 0b1000) == 0b111
+        for i in range(3):
+            assert engine.sat(lits, 1 << i)
 
 
 def test_relation_caches_are_bounded():

@@ -10,8 +10,10 @@ compiles the formulas once into one fragment engine: verification is read
 off it, and so are existence and one support for a consistent base.
 Outside the fragments they go through is_consistent and entails. The
 auto engine answers relevance on monotone languages by clause
-decomposition. Every other query whose assignment space fits the mask
-limit compiles the base once into per-assignment formula signatures:
+decomposition, with no compile: point evaluations give the claim clauses
+each formula alone entails, and a cover test over those decides. Every
+other query whose assignment space fits the mask limit compiles the base
+once into per-assignment formula signatures:
 their maximal elements are the MCSes, and the maximal signatures of the
 claim's non-models decide entailment of any subset. Existence, one
 minimal support, all minimal supports (the minimal hitting sets inside
@@ -623,46 +625,67 @@ def _monotone_clauses(alpha: GammaFormula, upward: bool) -> list[frozenset[str]]
     return clauses
 
 
-def _entails_literal_clause(
-    formula: GammaFormula, clause: frozenset[str], value: bool
-) -> bool:
-    """Does the formula force some clause variable to the given value.
+def _cover(formula: GammaFormula, clauses: list[frozenset[str]], value: bool) -> int:
+    """The clauses the formula alone entails, as a bitmask over clauses.
 
     The formula is upward-closed when value is True and downward-closed
     when it is False. It then has a model with every clause variable at
     not-value iff the point that sets them so and every other variable to
-    value is a model, so one evaluation decides.
+    value is a model, so one evaluation decides each clause. A clause off
+    the formula's variables is never entailed, as relations are nonempty.
     """
-    if not clause & formula.variables:
-        return False
-    point = {v: (v in clause) != value for v in formula.variables}
-    return not all(satisfies(point, c) for c in formula.constraints)
+    variables = formula.variables
+    cover = 0
+    for k, clause in enumerate(clauses):
+        if clause & variables:
+            point = {v: (v in clause) != value for v in variables}
+            if not all(satisfies(point, c) for c in formula.constraints):
+                cover |= 1 << k
+    return cover
 
 
 def _argrel_monotone(
+    delta: list[GammaFormula], alpha: GammaFormula, idx: int, upward: bool
+) -> bool:
+    """Relevance of delta[idx] over an upward-closed (upward) or
+    downward-closed language, by clause covers.
+
+    The claim is the conjunction of its positive (or negative) clauses
+    C_k, and a conjunction of such formulas entails C_k iff one conjunct
+    does. So each formula's cover is computed once, and the candidate
+    base for C_i, psi and every formula not covering C_i, entails the
+    claim iff its members' covers hold every clause.
+    """
+    clauses = _monotone_clauses(alpha, upward)
+    covers = [_cover(f, clauses, upward) for f in delta]
+    full = (1 << len(clauses)) - 1
+    for i in range(len(clauses)):
+        held = covers[idx]
+        for j, cover in enumerate(covers):
+            if j != idx and not cover >> i & 1:
+                held |= cover
+        if held == full:
+            return True
+    return False
+
+
+def _argrel_closed(
     delta: Sequence[GammaFormula],
     alpha: GammaFormula,
     psi: int | GammaFormula,
     upward: bool,
     engine: str,
-    max_models: int,
 ) -> bool:
+    """_argrel_monotone after checking the engine and that every relation
+    of the instance is upward-closed (upward) or downward-closed."""
+    _check_engine(engine)
     delta = list(delta)
     flag = "positive" if upward else "negative"
     relations = {c.relation for f in (*delta, alpha) for c in f.constraints}
     if not all(getattr(relation_properties(r), flag) for r in relations):
         direction = "upward" if upward else "downward"
         raise PreconditionError(f"instance relations are not all {direction}-closed")
-    idx = _psi_index(delta, psi)
-    for clause in _monotone_clauses(alpha, upward):
-        candidate = [delta[idx]] + [
-            f
-            for i, f in enumerate(delta)
-            if i != idx and not _entails_literal_clause(f, clause, upward)
-        ]
-        if entails(candidate, alpha, engine=engine, max_models=max_models):
-            return True
-    return False
+    return _argrel_monotone(delta, alpha, _psi_index(delta, psi), upward)
 
 
 def argrel_positive(
@@ -679,13 +702,18 @@ def argrel_positive(
     candidate base keeps psi plus every formula not entailing C_i, and
     psi is relevant iff one candidate still entails the whole claim.
     Sound because entailment of a positive clause by a conjunction of
-    upward-closed formulas requires a single conjunct to entail it.
+    upward-closed formulas requires a single conjunct to entail it; by
+    the same fact a candidate entails the claim iff each C_k is entailed
+    by one of its formulas. Every test is one point evaluation of one
+    formula, under either engine, so no assignment space is enumerated
+    and max_models does not bind.
 
     Raises:
         PreconditionError: some relation in the instance is not
             upward-closed.
+        ValueError: an unknown engine.
     """
-    return _argrel_monotone(delta, alpha, psi, True, engine, max_models)
+    return _argrel_closed(delta, alpha, psi, True, engine)
 
 
 def argrel_negative(
@@ -696,8 +724,9 @@ def argrel_negative(
     engine: str = "auto",
     max_models: int = DEFAULT_MAX_MODELS,
 ) -> bool:
-    """Dual of argrel_positive for downward-closed languages."""
-    return _argrel_monotone(delta, alpha, psi, False, engine, max_models)
+    """Dual of argrel_positive for downward-closed languages; max_models
+    does not bind here either."""
+    return _argrel_closed(delta, alpha, psi, False, engine)
 
 
 def argrel(
@@ -732,14 +761,10 @@ def argrel(
         reports = [relation_properties(r) for r in relations]
         if all(r.positive for r in reports):
             logger.debug("argrel: clause decomposition (upward-closed)")
-            return argrel_positive(
-                delta, alpha, idx, engine=engine, max_models=max_models
-            )
+            return _argrel_monotone(delta, alpha, idx, True)
         if all(r.negative for r in reports):
             logger.debug("argrel: clause decomposition (downward-closed)")
-            return argrel_negative(
-                delta, alpha, idx, engine=engine, max_models=max_models
-            )
+            return _argrel_monotone(delta, alpha, idx, False)
         _check_subset_budget(delta, max_kb)
         kb = _KB.compile(delta, alpha, max_models)
         if kb is not None:

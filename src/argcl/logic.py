@@ -10,14 +10,16 @@ Entailment then reduces to unsatisfiability of the premises plus the
 unit literals refuting one prime-implicate clause of the claim, one
 assumption check per clause against that single compile.
 
-The compile, _Premises, builds one engine over all of its caller-given
-blocks and records the block that owns each clause or row. That engine
-decides consistency, answers each assumption check with any blocks masked
-out, and reports the core of a refutation: the blocks it used. So the
-argumentation queries compile a base once, one block per formula, and read
-existence, verification and one minimal support off that one engine: a
-subset question masks the blocks left out, and a formula outside every
-core needs no check at all.
+The compile, _Premises, instantiates every constraint in one pass from
+its relation's literal template (the prime-implicate clauses as
+(coordinate, sign) pairs, cached per relation like cnf_of itself), builds
+one engine over all of its caller-given blocks, and records the block
+that owns each clause or row. That engine decides consistency, answers
+each assumption check with any blocks masked out, and reports the core of
+a refutation: the blocks it used. So the argumentation queries compile a
+base once, one block per formula, and read existence, verification and
+one minimal support off that one engine: a subset question masks the
+blocks left out, and a formula outside every core needs no check at all.
 """
 
 from __future__ import annotations
@@ -116,6 +118,18 @@ def cnf_of(relation: Relation) -> tuple[Clause, ...]:
 
 
 @functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
+def _literal_template(relation: Relation) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """cnf_of as literal templates: each clause's literals, in order, as
+    (0-based coordinate, sign) pairs, sign 0 for a positive literal and 1
+    for a negated one. On a constraint whose j-th argument has id v_j the
+    clause is the literals 2 * v_j + sign (see the fragment engines)."""
+    return tuple(
+        tuple([(i - 1, 0) for i in clause.pos] + [(i - 1, 1) for i in clause.neg])
+        for clause in cnf_of(relation)
+    )
+
+
+@functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
 def positive_cnf_of(relation: Relation) -> tuple[Clause, ...]:
     """All-positive CNF of an upward-closed relation.
 
@@ -207,12 +221,11 @@ class _UnitPropagation:
     def __init__(self, n_lits: int, clauses: list[tuple[int, ...]], owners: list[int]):
         self.clauses = clauses
         self.owners = owners
-        self.occurs: list[list[int]] = [[] for _ in range(n_lits)]
-        self.members: dict[int, list[int]] = {}
+        occurs: list[list[int]] = [[] for _ in range(n_lits)]
         for c, lits in enumerate(clauses):
             for lit in lits:
-                self.occurs[lit].append(c)
-            self.members.setdefault(owners[c], []).append(c)
+                occurs[lit].append(c)
+        self.occurs = occurs
         self.counts = [len(lits) for lits in clauses]
         self.left = self.counts.copy()
         self.reason = self._fixpoint(self.left)
@@ -222,6 +235,14 @@ class _UnitPropagation:
             if c is not None:
                 self.fed |= 1 << owners[c]
         self.last = (0, self.reason, self.left)
+
+    @functools.cached_property
+    def members(self) -> dict[int, list[int]]:
+        """The clauses of each block, built when a mask first needs them."""
+        members: dict[int, list[int]] = {}
+        for c, block in enumerate(self.owners):
+            members.setdefault(block, []).append(c)
+        return members
 
     def _fixpoint(self, left: list[int]) -> list[int | None] | None:
         """Propagate the unit clauses of fresh counts, updating them in
@@ -510,60 +531,51 @@ _ENGINES = {
 class _Premises:
     """Premises compiled once for one fragment, as blocks of constraints.
 
-    Compiling interns the variables, instantiates each block's
-    prime-implicate clauses (GF(2) rows on the affine fragment) once, and
-    builds the fragment's engine over all of them, with block i owning the
-    clauses of the i-th caller-given block. That one engine decides the
-    premises' consistency (engine.ok); on consistent premises it decides
-    whether they are satisfiable with a literal set while any blocks are
-    masked out (engine.sat), and which blocks one refutation used
-    (engine.core).
+    Compiling interns the variables and instantiates every constraint in
+    one pass: each prime-implicate clause of its relation, kept as a
+    literal template of (coordinate, sign) pairs, becomes the literals
+    2v + sign on the argument ids v (on the affine fragment, each GF(2)
+    row becomes a mask of argument bits). The fragment's engine is then
+    built over all of them, with block i owning the clauses of the i-th
+    caller-given block. That one engine decides the premises' consistency
+    (engine.ok); on consistent premises it decides whether they are
+    satisfiable with a literal set while any blocks are masked out
+    (engine.sat), and which blocks one refutation used (engine.core).
     """
 
     def __init__(self, fragment: str, blocks: Iterable[Iterable[Constraint]]):
-        self.index: dict[str, int] = {}
-        instantiate = self._rows if fragment == "affine" else self._clauses
+        index: dict[str, int] = {}
+        self.index = index
+        affine = fragment == "affine"
         items: list = []
         owners: list[int] = []
         for i, block in enumerate(blocks):
-            made = instantiate(block)
-            items += made
-            owners += [i] * len(made)
-        self.engine = _ENGINES[fragment](2 * len(self.index), items, owners)
-
-    def _ids(self, c: Constraint) -> list[int]:
-        index = self.index
-        return [index.setdefault(a, len(index)) for a in c.args]
-
-    def _clauses(self, constraints: Iterable[Constraint]) -> list[tuple[int, ...]]:
-        out = []
-        for c in constraints:
-            ids = self._ids(c)
-            # Only repeated arguments can merge literals or make a
-            # tautology, so the set is built only for them.
-            repeated = len(set(ids)) < len(ids)
-            for clause in cnf_of(c.relation):
-                lits = [2 * ids[i - 1] for i in clause.pos]
-                lits += [2 * ids[i - 1] + 1 for i in clause.neg]
-                if repeated:
-                    lits = set(lits)
-                    if any(lit ^ 1 in lits for lit in lits):
-                        continue
-                out.append(tuple(lits))
-        return out
-
-    def _rows(self, constraints: Iterable[Constraint]) -> list[tuple[int, int]]:
-        out = []
-        for c in constraints:
-            ids = self._ids(c)
-            k = len(ids)
-            for cmask, rhs in _affine_rows(c.relation):
-                gmask = 0
-                for j, v in enumerate(ids):
-                    if cmask >> (k - 1 - j) & 1:
-                        gmask ^= 1 << v
-                out.append((gmask, rhs))
-        return out
+            start = len(items)
+            for c in block:
+                if affine:
+                    bits = [1 << index.setdefault(a, len(index)) for a in c.args]
+                    k = len(bits)
+                    for cmask, rhs in _affine_rows(c.relation):
+                        gmask = 0
+                        for j in range(k):
+                            if cmask >> (k - 1 - j) & 1:
+                                gmask ^= bits[j]
+                        items.append((gmask, rhs))
+                    continue
+                # The positive literal of each argument: 2v for id v.
+                lits = [2 * index.setdefault(a, len(index)) for a in c.args]
+                template = _literal_template(c.relation)
+                if len(set(lits)) == len(lits):
+                    items += [tuple([lits[j] + s for j, s in clause]) for clause in template]
+                    continue
+                # Only repeated arguments can merge literals or make a
+                # tautology, so the set is built only for them.
+                for clause in template:
+                    merged = {lits[j] + s for j, s in clause}
+                    if not any(lit ^ 1 in merged for lit in merged):
+                        items.append(tuple(merged))
+            owners += [i] * (len(items) - start)
+        self.engine = _ENGINES[fragment](2 * len(index), items, owners)
 
     def refutations(self, alpha: GammaFormula) -> list[list[int]]:
         """The negation of each non-tautological prime-implicate clause of
@@ -571,14 +583,13 @@ class _Premises:
         index = self.index
         out = []
         for c in alpha.constraints:
-            for clause in cnf_of(c.relation):
-                pos = {c.args[i - 1] for i in clause.pos}
-                neg = {c.args[i - 1] for i in clause.neg}
-                if pos & neg:
-                    continue
-                lits = [2 * index[v] + 1 for v in pos if v in index]
-                lits += [2 * index[v] for v in neg if v in index]
-                out.append(lits)
+            for clause in _literal_template(c.relation):
+                negated: dict[str, int] = {}
+                for j, sign in clause:
+                    if negated.setdefault(c.args[j], sign ^ 1) == sign:
+                        break
+                else:
+                    out.append([2 * index[v] + s for v, s in negated.items() if v in index])
         return out
 
 

@@ -424,6 +424,46 @@ class TestArgrel:
             argrel(delta, gamma(Constraint(NEQ, ("x", "y"))), 0)
 
 
+NAND2 = Relation("NAND2", 2, frozenset({0b00, 0b01, 0b10}))
+NAND3 = Relation("NAND3", 3, frozenset(range(7)))
+OR3 = Relation("OR3", 3, frozenset(range(1, 8)))
+# 3-majority and its dual, at most one of three: monotone relations that
+# are no single clause.
+MAJ3 = Relation("MAJ3", 3, frozenset({0b011, 0b101, 0b110, 0b111}))
+AT_MOST_ONE3 = Relation("AT_MOST_ONE3", 3, frozenset({0b000, 0b001, 0b010, 0b100}))
+# Upward-closed (True) and downward-closed (False) languages.
+MONOTONE_LANGUAGES = {
+    True: (OR2, OR3, MAJ3, T),
+    False: (NAND2, NAND3, AT_MOST_ONE3, F),
+}
+
+
+@st.composite
+def monotone_instances(draw):
+    """1-6 formulas of one or two constraints over p0..p3, in an upward- or
+    downward-closed language, so arguments often repeat; some formulas are
+    copies of earlier ones. A claim of 1-3 constraints over p0..p3 and q0,
+    which no premise mentions, and the index of psi."""
+    upward = draw(st.booleans())
+    language = MONOTONE_LANGUAGES[upward]
+    premise_vars = [f"p{i}" for i in range(4)]
+
+    def formula(variables, size):
+        constraints = []
+        for _ in range(draw(st.integers(1, size))):
+            relation = draw(st.sampled_from(language))
+            args = tuple(draw(st.sampled_from(variables)) for _ in range(relation.arity))
+            constraints.append(Constraint(relation, args))
+        return GammaFormula(tuple(constraints))
+
+    delta = []
+    for _ in range(draw(st.integers(1, 6))):
+        copy = delta and draw(st.integers(0, 4)) == 0
+        delta.append(draw(st.sampled_from(delta)) if copy else formula(premise_vars, 2))
+    alpha = formula(premise_vars + ["q0"], 3)
+    return upward, delta, alpha, draw(st.integers(0, len(delta) - 1))
+
+
 class TestMonotoneArgrel:
     def test_positive_language_dispatch(self):
         rng = random.Random(909)
@@ -491,6 +531,66 @@ class TestMonotoneArgrel:
         delta = [or2("a", "b")]
         with pytest.raises(PreconditionError, match="downward-closed"):
             argrel_negative(delta, or2("a", "b"), 0)
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(monotone_instances())
+    def test_covers_match_generic(self, instance):
+        upward, delta, alpha, psi = instance
+        want = argrel(delta, alpha, psi, engine="generic")
+        assert argrel(delta, alpha, psi) == want
+        public = argrel_positive if upward else argrel_negative
+        assert public(delta, alpha, psi) == want
+        assert public(delta, alpha, psi, engine="generic") == want
+
+    def test_no_compile_and_no_oracle(self, monkeypatch):
+        # psi = 0 is relevant to the first claim of each direction only.
+        cases = {
+            True: (
+                [
+                    or2("a", "b"),
+                    gamma(Constraint(MAJ3, ("a", "c", "c"))),
+                    gamma(Constraint(T, ("d",))),
+                ],
+                [(gamma(Constraint(OR3, ("a", "b", "q"))), True), (or2("c", "d"), False)],
+            ),
+            False: (
+                [
+                    gamma(Constraint(NAND2, ("a", "b"))),
+                    gamma(Constraint(AT_MOST_ONE3, ("a", "c", "c"))),
+                    gamma(Constraint(F, ("d",))),
+                ],
+                [
+                    (gamma(Constraint(NAND3, ("a", "b", "q"))), True),
+                    (gamma(Constraint(NAND2, ("c", "d"))), False),
+                ],
+            ),
+        }
+        calls = []
+
+        def counting(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"monotone relevance called {name}")
+
+            return call
+
+        for module, name in (
+            (argumentation, "_Premises"),
+            (argumentation, "_KB"),
+            (argumentation, "entails"),
+            (argumentation, "is_consistent"),
+            (argumentation, "models_mask"),
+            (logic, "_Premises"),
+            (logic, "models_mask"),
+        ):
+            monkeypatch.setattr(module, name, counting(f"{module.__name__}.{name}"))
+        for upward, (delta, claims) in cases.items():
+            public = argrel_positive if upward else argrel_negative
+            for alpha, want in claims:
+                assert argrel(delta, alpha, 0) is want
+                for engine in ("auto", "generic"):
+                    assert public(delta, alpha, 0, engine=engine) is want
+        assert calls == []
 
 
 KB_RELATIONS = (NEQ, IMPL, OR2, EQ2, AND_NOT, NAE3, ONE_IN_THREE, T, F)

@@ -4,6 +4,7 @@ import functools
 import operator
 import random
 import zlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,8 @@ from argcl import (
     arg_exists,
     argcheck,
     argrel,
+    argrel_negative,
+    argrel_positive,
     cnf_of,
     entails,
     enumerate_minimal_supports,
@@ -32,7 +35,8 @@ from argcl import (
 
 from argcl.argumentation import _shrink_consistent
 from argcl.formulas import DEFAULT_MAX_MODELS, satisfies
-from argcl.logic import _Premises, _affine_rows, _fragment
+from argcl import logic
+from argcl.logic import _Premises, _affine_rows, _fragment, _literal_template
 from argcl.relations import RELATION_CACHE_SIZE, truth_table
 from conftest import (
     CATALOG,
@@ -51,6 +55,7 @@ from conftest import (
 )
 
 EVEN3 = Relation("EVEN3", 3, frozenset({0b000, 0b011, 0b101, 0b110}))
+NAND2 = Relation("NAND2", 2, frozenset({0b00, 0b01, 0b10}))
 
 
 def gamma(*constraints):
@@ -253,23 +258,47 @@ class TestEntailment:
             assert entails(delta, alpha, engine="generic") == want
 
 
+# A consistent Horn base whose claim lies in its fragment: the one-compile
+# route would answer it, so the engine must be checked before routing.
+HORN_QUERY = (
+    [gamma(Constraint(T, ("a",))), gamma(Constraint(IMPL, ("a", "b")))],
+    gamma(Constraint(T, ("b",))),
+)
+# Upward- and downward-closed bases: monotone relevance compiles nothing
+# and calls no oracle that could reject the engine for it.
+UPWARD_QUERY = (
+    [gamma(Constraint(OR2, ("a", "b"))), gamma(Constraint(T, ("a",)))],
+    gamma(Constraint(OR2, ("a", "c"))),
+)
+DOWNWARD_QUERY = (
+    [gamma(Constraint(NAND2, ("a", "b"))), gamma(Constraint(F, ("a",)))],
+    gamma(Constraint(NAND2, ("a", "c"))),
+)
+
+
 @pytest.mark.parametrize(
     "query",
     [
-        arg_exists,
-        find_minimal_support,
-        enumerate_minimal_supports,
-        lambda delta, alpha, engine: argrel(delta, alpha, 0, engine=engine),
+        lambda engine: arg_exists(*HORN_QUERY, engine=engine),
+        lambda engine: find_minimal_support(*HORN_QUERY, engine=engine),
+        lambda engine: enumerate_minimal_supports(*HORN_QUERY, engine=engine),
+        lambda engine: argrel(*HORN_QUERY, 0, engine=engine),
+        lambda engine: argrel_positive(*UPWARD_QUERY, 0, engine=engine),
+        lambda engine: argrel_negative(*DOWNWARD_QUERY, 0, engine=engine),
     ],
-    ids=["arg_exists", "find_minimal_support", "enumerate_minimal_supports", "argrel"],
+    ids=[
+        "arg_exists",
+        "find_minimal_support",
+        "enumerate_minimal_supports",
+        "argrel",
+        "argrel_positive",
+        "argrel_negative",
+    ],
 )
 @pytest.mark.parametrize("engine", ["fast", "Generic"])
 def test_queries_reject_unknown_engine(query, engine):
-    # A consistent Horn base whose claim lies in its fragment: the one-compile
-    # route would answer it, so the engine must be checked before routing.
-    delta = [gamma(Constraint(T, ("a",))), gamma(Constraint(IMPL, ("a", "b")))]
     with pytest.raises(ValueError, match="unknown engine"):
-        query(delta, gamma(Constraint(T, ("b",))), engine=engine)
+        query(engine)
 
 
 # Languages chosen so auto dispatch lands on each dedicated engine:
@@ -300,7 +329,6 @@ def test_fragment_engines_match_naive(name, language):
         assert entails(delta, alpha) == naive_entails(delta, alpha)
 
 
-NAND2 = Relation("NAND2", 2, frozenset({0b00, 0b01, 0b10}))
 HORN3 = Relation("HORN3", 3, frozenset(range(8)) - {0b110})
 ODD3 = Relation("ODD3", 3, frozenset({0b001, 0b010, 0b100, 0b111}))
 
@@ -483,6 +511,7 @@ def test_relation_caches_are_bounded():
         truth_table,
         relation_properties,
         cnf_of,
+        _literal_template,
         positive_cnf_of,
         negative_cnf_of,
         _affine_rows,
@@ -495,6 +524,136 @@ def test_relation_caches_are_bounded():
         truth_table(relation)
         relation_properties(relation)
         cnf_of(relation)
+        _literal_template(relation)
         [positive_cnf_of, negative_cnf_of, _affine_rows][i % 3](relation)
     for cache in caches:
         assert cache.cache_info().currsize <= RELATION_CACHE_SIZE == 256
+
+
+# The polymorphism that closes each Schaefer fragment, on tuple bitmasks.
+FRAGMENT_CLOSURES = {
+    "horn": lambda a, b, c: a & b,
+    "dual_horn": lambda a, b, c: a | b,
+    "bijunctive": lambda a, b, c: (a & b) | (b & c) | (a & c),
+    "affine": lambda a, b, c: a ^ b ^ c,
+}
+
+
+def fragment_relation(fragment: str, arity: int, seed: frozenset[int]) -> Relation:
+    """The closure of seed under the fragment's polymorphism; one tuple of
+    it instead when the closure is full, which no Relation may be."""
+    op = FRAGMENT_CLOSURES[fragment]
+    tuples = set(seed)
+    while True:
+        grown = {op(a, b, c) for a in tuples for b in tuples for c in tuples} - tuples
+        if not grown:
+            break
+        tuples |= grown
+    if len(tuples) == 1 << arity:
+        tuples = {min(seed)}
+    code = sum(1 << t for t in tuples)
+    return Relation(f"{fragment.upper()}{arity}_{code}", arity, frozenset(tuples))
+
+
+@st.composite
+def template_instances(draw):
+    """Blocks of constraints in one fragment, over relations of arity 1-4
+    and three variables, so that most constraints repeat an argument, with
+    one tautology-making constraint (IMPL(x, x), or EQ2(x, x) on the affine
+    fragment); and a claim over those variables and two the premises lack."""
+    fragment = draw(st.sampled_from(sorted(FRAGMENT_CLOSURES)))
+    premise_vars = ["a", "b", "c"]
+    claim_vars = premise_vars + ["q0", "q1"]
+
+    def constraint(variables):
+        arity = draw(st.integers(1, 4))
+        seed = draw(st.frozensets(st.integers(0, (1 << arity) - 1), min_size=1))
+        relation = fragment_relation(fragment, arity, seed)
+        assert getattr(relation_properties(relation), fragment)
+        return Constraint(relation, tuple(draw(st.sampled_from(variables)) for _ in range(arity)))
+
+    blocks = [
+        [constraint(premise_vars) for _ in range(draw(st.integers(1, 3)))]
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    tautology = EQ2 if fragment == "affine" else IMPL
+    x = draw(st.sampled_from(premise_vars))
+    draw(st.sampled_from(blocks)).append(Constraint(tautology, (x, x)))
+    alpha = GammaFormula(tuple(constraint(claim_vars) for _ in range(draw(st.integers(1, 3)))))
+    return fragment, blocks, alpha
+
+
+def reference_compile(fragment, blocks):
+    """The variable index and each block's clauses (sorted literal tuples)
+    or GF(2) rows, instantiated straight from cnf_of and _affine_rows."""
+    index: dict[str, int] = {}
+    per_block = []
+    for block in blocks:
+        made = []
+        for c in block:
+            ids = [index.setdefault(a, len(index)) for a in c.args]
+            if fragment == "affine":
+                k = len(ids)
+                for cmask, rhs in _affine_rows(c.relation):
+                    gmask = 0
+                    for j, v in enumerate(ids):
+                        if cmask >> (k - 1 - j) & 1:
+                            gmask ^= 1 << v
+                    made.append((gmask, rhs))
+                continue
+            for clause in cnf_of(c.relation):
+                lits = {2 * ids[i - 1] for i in clause.pos}
+                lits |= {2 * ids[i - 1] + 1 for i in clause.neg}
+                if not any(lit ^ 1 in lits for lit in lits):
+                    made.append(tuple(sorted(lits)))
+        per_block.append(made)
+    return index, per_block
+
+
+def reference_refutations(index, alpha):
+    """Each non-tautological claim clause of cnf_of, negated on the
+    premise variables, as a sorted literal list."""
+    out = []
+    for c in alpha.constraints:
+        for clause in cnf_of(c.relation):
+            pos = {c.args[i - 1] for i in clause.pos}
+            neg = {c.args[i - 1] for i in clause.neg}
+            if pos & neg:
+                continue
+            lits = [2 * index[v] + 1 for v in pos if v in index]
+            lits += [2 * index[v] for v in neg if v in index]
+            out.append(sorted(lits))
+    return out
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(template_instances())
+def test_template_compile_matches_cnf_of(instance):
+    """The one-pass compile from literal templates gives the variable
+    index, each block's clause multiset (or rows, in order) and the claim's
+    refutations that instantiating cnf_of's clauses gives."""
+    fragment, blocks, alpha = instance
+    built = {}
+    engine = logic._ENGINES[fragment]
+
+    def recording(n_lits, items, owners):
+        built.update(n_lits=n_lits, items=items, owners=owners)
+        return engine(n_lits, items, owners)
+
+    with mock.patch.dict(logic._ENGINES, {fragment: recording}):
+        premises = _Premises(fragment, blocks)
+    index, want = reference_compile(fragment, blocks)
+    assert list(premises.index.items()) == list(index.items())
+    assert built["n_lits"] == 2 * len(index)
+    assert built["owners"] == sorted(built["owners"])
+    got = [[] for _ in blocks]
+    for item, owner in zip(built["items"], built["owners"], strict=True):
+        got[owner].append(item)
+    if fragment == "affine":
+        assert got == want
+    else:
+        for clauses, expected in zip(got, want):
+            assert all(len(set(clause)) == len(clause) for clause in clauses)
+            assert sorted(tuple(sorted(clause)) for clause in clauses) == sorted(expected)
+    refutations = [sorted(lits) for lits in premises.refutations(alpha)]
+    assert refutations == reference_refutations(index, alpha)

@@ -38,6 +38,7 @@ from .errors import BudgetExceededError, PreconditionError
 from .formulas import (
     DEFAULT_MAX_MODELS,
     GammaFormula,
+    _constraint_arrays,
     models_mask,
     satisfies,
     variables_of,
@@ -52,6 +53,7 @@ from .logic import (
     negative_cnf_of,
     positive_cnf_of,
 )
+from .kernels import signature_codes
 from .relations import ConstraintLanguage, language_properties, relation_properties
 
 __all__ = [
@@ -73,8 +75,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_KB = 20
 
-# Bases whose signature array (one 64-bit word per 64 formulas per
-# assignment) fits in this many words are compiled into a _KB, and the
+# Bases whose signature array (counted as one 64-bit word per 64 formulas
+# per assignment) fits in this many words are compiled into a _KB, and the
 # generic subset search tests them on satisfaction masks; beyond it both
 # fall back to per-subset consistency and entailment calls.
 _MASK_LIMIT = 1 << 20
@@ -236,14 +238,15 @@ def _maximal(sig: np.ndarray, n: int) -> list[int]:
     """The inclusion-maximal distinct rows of an n-formula signature array,
     as ints in canonical order (`_canonical`).
 
-    When the 2**n subsets of the formulas number at most 8 per row, so a
-    byte per subset takes no more memory than the rows' 64-bit words, one
-    superset-OR transform over their presence bitset finds them all,
-    however many there are (`_maximal_present`). Otherwise the rows are
-    peeled, one pass per maximal row (`_maximal_peel`). Both routes
-    return the same list.
+    A base of at most 64 formulas passes one unsigned code per row, in any
+    unsigned type that holds n bits; a wider one passes rows of 64-bit
+    words, low word first. For n <= 16, or when the 2**n subsets of the
+    formulas number at most 8 per row, one superset-OR transform over the
+    rows' presence bitset finds every maximal row, however many there are
+    (`_maximal_present`). Otherwise the rows are peeled, one pass per
+    maximal row (`_maximal_peel`). Both routes return the same list.
     """
-    if (1 << n) <= 8 * len(sig):
+    if n <= 16 or (1 << n) <= 8 * len(sig):
         return _maximal_present(sig, n)
     return _maximal_peel(sig)
 
@@ -251,6 +254,8 @@ def _maximal(sig: np.ndarray, n: int) -> list[int]:
 def _maximal_peel(sig: np.ndarray) -> list[int]:
     """A row with the most members is maximal among the rows left, so each
     pass takes one and drops every row it contains."""
+    if sig.ndim == 1:
+        sig = sig[:, None]
     tops = []
     while len(sig):
         top = sig[np.argmax(np.bitwise_count(sig).sum(axis=1))]
@@ -259,34 +264,46 @@ def _maximal_peel(sig: np.ndarray) -> list[int]:
     return _canonical(tops)
 
 
-def _maximal_present(sig: np.ndarray, n: int) -> list[int]:
+def _lacking(n: int) -> list[int]:
+    """Bit s of the i-th int marks subset s of n formulas as lacking
+    formula i: bit patterns 0x55, 0x33, 0x0f, then runs of 2**(i-3) 0xff
+    and 0x00 bytes."""
+    size = ((1 << n) + 7) >> 3
+    patterns = [b"\x55" * size, b"\x33" * size, b"\x0f" * size]
+    for i in range(3, n):
+        run = 1 << (i - 3)
+        patterns.append((b"\xff" * run + b"\x00" * run) * (size // run // 2))
+    return [int.from_bytes(p, "little") for p in patterns[:n]]
+
+
+# The patterns repeat every 2**(i+1) bits, so those for 16 formulas, ANDed
+# with a bitset over fewer, serve every n <= 16.
+_LACKING_16 = _lacking(16)
+
+
+def _maximal_present(codes: np.ndarray, n: int) -> list[int]:
     """Bit s of a 2**n-bit int marks subset s as a row. The superset-OR
     (zeta) transform of that bitset (Bjorklund, Husfeldt, Kaski and
     Koivisto, STOC 2007), one shift-and-mask step per formula, marks every
     subset of a row; a row is maximal iff none of its one-formula
     extensions is marked. This costs n * 2**n bit operations, however many
-    maximal rows there are. Rows are one word: the caller's
-    2**n <= 8 * rows <= 8 * _MASK_LIMIT keeps n <= 23.
+    maximal rows there are. `codes` holds one unsigned code per row; the
+    caller's routing keeps n <= 16 or 2**n <= 8 * rows <= 8 * _MASK_LIMIT,
+    so n <= 23.
     """
-    codes = sig[:, 0].view(np.int64) if n else np.zeros(len(sig), dtype=np.int64)
     present = np.zeros(1 << n, dtype=np.bool_)
-    present[codes] = True
+    # Indexing with intp codes took 10 us where uint16 codes took 17 us
+    # (2048 rows, 12 formulas): numpy casts other index types in chunks.
+    present[codes.astype(np.intp)] = True
     rows = int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
-    size = ((1 << n) + 7) >> 3
-    # lacking[i] marks the subsets without formula i: bit patterns 0x55,
-    # 0x33, 0x0f, then runs of 2**(i-3) 0xff and 0x00 bytes.
-    patterns = [b"\x55" * size, b"\x33" * size, b"\x0f" * size]
-    for i in range(3, n):
-        run = 1 << (i - 3)
-        patterns.append((b"\xff" * run + b"\x00" * run) * (size // run // 2))
-    lacking = [int.from_bytes(p, "little") for p in patterns]
+    lacking = _LACKING_16 if n <= 16 else _lacking(n)
     within = rows
     for i in range(n):
         within |= (within >> (1 << i)) & lacking[i]
     extended = 0
     for i in range(n):
         extended |= (within >> (1 << i)) & lacking[i]
-    tops = (rows & ~extended).to_bytes(size, "little")
+    tops = (rows & ~extended).to_bytes(((1 << n) + 7) >> 3, "little")
     return _canonical(
         8 * j + b
         for j in np.flatnonzero(np.frombuffer(tops, dtype=np.uint8)).tolist()
@@ -305,21 +322,28 @@ class _KB:
     entails alpha iff it lies inside no member of `bad`. Both lists are in
     canonical order, most formulas first and ties by ascending bitmask,
     whichever route of `_maximal` found them.
+
+    The variable order is numbered once per compile. Each formula's
+    constraints are combined on its own axes and ORed, at its bit, straight
+    into one narrow code per assignment (`signature_codes`), so no
+    per-formula 2**n mask is built; alpha's models are the one
+    `models_mask` call. A base of at most 64 formulas hands those codes to
+    `_maximal` as they are; a wider one stacks them into 64-bit words.
     """
 
     def __init__(self, delta: Sequence[GammaFormula], alpha: GammaFormula, order):
         self.n = len(delta)
-        sig = np.empty((1 << len(order), (self.n + 63) // 64), dtype=np.uint64)
-        for w in range(sig.shape[1]):
-            # Each word is ORed up in the narrowest unsigned type that holds
-            # its bits: for 12 formulas a pass moves 2 bytes per assignment,
-            # not 8.
-            word = delta[64 * w : 64 * w + 64]
-            acc = np.zeros(len(sig), dtype=np.min_scalar_type((1 << len(word)) - 1))
-            for j, f in enumerate(word):
-                row = models_mask(f.constraints, order)
-                acc |= np.left_shift(row, j, dtype=acc.dtype)
-            sig[:, w] = acc
+        index = {v: i for i, v in enumerate(order)}
+        formulas = [_constraint_arrays(f.constraints, index) for f in delta]
+        # An empty base still has one all-zero code per assignment.
+        words = [
+            signature_codes(len(order), formulas[w : w + 64])
+            for w in range(0, max(self.n, 1), 64)
+        ]
+        if len(words) == 1:
+            sig = words[0]
+        else:
+            sig = np.stack([w.astype(np.uint64) for w in words], axis=1)
         self.mcs = _maximal(sig, self.n)
         self.bad = _maximal(sig[~models_mask(alpha.constraints, order)], self.n)
 

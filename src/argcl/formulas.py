@@ -203,9 +203,9 @@ class ArgInstance:
 
 
 def _constraint_arrays(
-    constraints: Iterable[Constraint], order: tuple[Variable, ...]
+    constraints: Iterable[Constraint], index: Mapping[Variable, int]
 ) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
-    index = {v: i for i, v in enumerate(order)}
+    """Truth tables and variable positions, given each variable's position."""
     tables = []
     positions = []
     for c in constraints:
@@ -223,7 +223,8 @@ def models_mask(constraints: Iterable[Constraint], order: tuple[Variable, ...]) 
     broadcast over its (2,) * n view and ANDed in place, so no
     per-assignment index array is built.
     """
-    tables, positions = _constraint_arrays(constraints, order)
+    index = {v: i for i, v in enumerate(order)}
+    tables, positions = _constraint_arrays(constraints, index)
     return kernels.filter_models(len(order), tables, positions)
 
 

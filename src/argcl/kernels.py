@@ -1,10 +1,15 @@
-"""Array kernels for model filtering and closure tests, in vectorized numpy.
+"""Array kernels for model filtering, formula signatures and closure tests,
+in vectorized numpy.
 
 Model filtering ANDs each constraint's truth table, broadcast over an
 n-axis view of the assignment mask, into that mask in place: 1 byte per
-assignment and no index arrays. On a wide mask, a table that sits on the
-last axes is first materialised over the trailing six axes, so the AND
-runs over 64 contiguous entries at a time instead of one or two.
+assignment and no index arrays. Signature codes combine each formula's
+constraint tables on that formula's own axes and OR the result, weighted
+by the formula's bit, into one narrow unsigned code per assignment, so no
+per-formula mask over all assignments is built. On a wide mask, a table
+that sits on the last axes is first materialised over the trailing six
+axes in both kernels, so the AND or OR runs over 64 contiguous entries at
+a time instead of one or two.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "filter_models",
+    "signature_codes",
     "pair_closure",
     "triple_closure",
     "OP_AND",
@@ -47,6 +53,15 @@ OP_XOR3 = 1
 # and ANDed into the view in place with size 1 on every other axis. No
 # per-assignment index array is built.
 #
+# Signature codes use the same encoding and the same (2,) * n view of an
+# unsigned code array, in the narrowest type that holds one bit per formula
+# (np.min_scalar_type: 2 bytes for 12 formulas). A formula's first table is
+# multiplied by its bit while it is still 2**k entries; its other broadcast
+# tables multiply in as 0/1, so the product holds the bit exactly where
+# every constraint holds, on at most 2**|vars(f)| entries; that product is
+# ORed into the view in place. Each formula costs one pass over the codes
+# and builds no mask over all assignments.
+#
 # numpy runs that AND as one inner loop per contiguous run of the mask over
 # which the table is constant: 2**(n-1-p) entries, p the table's last axis.
 # When that run is 16 entries or fewer and the mask has at least 2**12
@@ -57,7 +72,8 @@ OP_XOR3 = 1
 # the table on the last two axes from 38 to 15 us, and on the first and last
 # axes from 65 to 15 us (2-core Xeon VM). Tables that leave longer runs, and
 # narrower masks, gained nothing from the copy when measured, so they are
-# ANDed as they are.
+# ANDed as they are. Signature codes materialise a formula's product by the
+# same rule (_short_runs) before the OR.
 # ---------------------------------------------------------------------------
 
 _TRAIL_AXES = 6
@@ -85,10 +101,48 @@ def filter_models(
     view = sat.reshape((2,) * n_vars)
     for table, pos in zip(tables, positions):
         t = _broadcast_table(n_vars, table, pos)
-        if n_vars >= _WIDE and max(pos) > n_vars - _TRAIL_AXES:
-            t = t & _TRAIL
-        view &= t
+        view &= t & _TRAIL if _short_runs(n_vars, t) else t
     return sat
+
+
+def signature_codes(
+    n_vars: int,
+    formulas: list[tuple[list[np.ndarray], list[tuple[int, ...]]]],
+) -> np.ndarray:
+    """Per-assignment bitsets of the formulas each assignment satisfies.
+
+    Args:
+        n_vars: number of variables; the result has 2**n_vars entries.
+        formulas: at most 64 formulas, each as the (tables, positions) of
+            its constraints, in the form `filter_models` takes; every
+            formula has at least one constraint.
+
+    Returns:
+        Unsigned array in the narrowest type that holds len(formulas)
+        bits: bit j of entry a is set iff assignment a satisfies every
+        constraint of formula j.
+    """
+    if len(formulas) > 64:
+        raise ValueError(f"{len(formulas)} formulas do not fit one 64-bit code")
+    codes = np.zeros(1 << n_vars, dtype=np.min_scalar_type((1 << len(formulas)) - 1))
+    view = codes.reshape((2,) * n_vars)
+    for bit, (tables, positions) in enumerate(formulas):
+        # The formula's bit weights its first table before that is
+        # broadcast; the other tables multiply in as 0/1, which ANDs them.
+        weight = codes.dtype.type(1 << bit)
+        t = _broadcast_table(n_vars, tables[0] * weight, positions[0])
+        for table, pos in zip(tables[1:], positions[1:]):
+            t = t * _broadcast_table(n_vars, table, pos)
+        view |= t * _TRAIL if _short_runs(n_vars, t) else t
+    return codes
+
+
+def _short_runs(n_vars: int, t: np.ndarray) -> bool:
+    """Does the broadcast table t leave runs of 16 entries or fewer in a
+    wide mask (an axis past n_vars - _TRAIL_AXES of size 2), so that it is
+    materialised over the trailing _TRAIL_AXES axes before it is combined
+    with the mask."""
+    return n_vars >= _WIDE and 2 in t.shape[n_vars - _TRAIL_AXES + 1 :]
 
 
 def _broadcast_table(

@@ -38,7 +38,7 @@ from argcl.argumentation import (
     _maximal_peel,
     _maximal_present,
 )
-from argcl.formulas import satisfies
+from argcl.formulas import models_mask, satisfies, variables_of
 from conftest import (
     AND_NOT,
     EQ2,
@@ -750,37 +750,80 @@ class TestCompiledBase:
         )
         assert not argrel(delta, alpha, 1)
 
-    @pytest.mark.parametrize("size", [8, 63, 64, 65, 70])
-    def test_signatures_match_brute_force(self, size):
+    @pytest.mark.parametrize(
+        "n_vars, size",
+        [pytest.param(8, size, id=str(size)) for size in (8, 63, 64, 65, 70)]
+        + [(n, size) for n in (12, 14, 16) for size in (0, 1, 16, 17)]
+        + [(12, 63), (12, 64), (12, 65)],
+    )
+    def test_signatures_match_brute_force(self, n_vars, size):
         # Formula 63 takes the top bit of the first signature word and 64
         # starts a second word; a wrong bit for either changes mcs or bad
-        # here, before any query loop runs.
-        rng = random.Random(size)
-        variables = [f"v{i}" for i in range(8)]
+        # here, before any query loop runs. From 12 variables the kernel
+        # materialises tables near the last axes, so formulas of 1-4
+        # constraints draw their arguments, repeated and unsorted, from
+        # the last four variables, from axes spread over the whole order,
+        # or from anywhere. 16 formulas fill a 16-bit code and 17 widen it.
+        rng = random.Random(1000 * n_vars + size)
+        variables = [f"v{i:02d}" for i in range(n_vars)]
+        pools = [variables[-4:], variables[:: n_vars // 4] + variables[-1:], variables]
 
         def formula():
-            relation = rng.choice(KB_RELATIONS)
-            args = tuple(rng.choice(variables) for _ in range(relation.arity))
-            return gamma(Constraint(relation, args))
+            constraints = []
+            for _ in range(rng.randint(1, 4) if n_vars > 8 else 1):
+                relation = rng.choice(KB_RELATIONS)
+                pool = rng.choice(pools)
+                args = tuple(rng.choice(pool) for _ in range(relation.arity))
+                constraints.append(Constraint(relation, args))
+            return GammaFormula(tuple(constraints))
 
         delta = [formula() for _ in range(size)]
-        alpha = gamma(Constraint(OR2, ("v0", "v1")))
-        order = _mask_order(delta, alpha, DEFAULT_MAX_MODELS)
-        signatures, outside = set(), set()
-        for values in itertools.product((False, True), repeat=len(order)):
-            point = dict(zip(order, values))
-            sig = sum(
-                1 << i
-                for i, f in enumerate(delta)
-                if all(satisfies(point, c) for c in f.constraints)
-            )
-            signatures.add(sig)
-            if not all(satisfies(point, c) for c in alpha.constraints):
-                outside.add(sig)
+        alpha = gamma(Constraint(OR2, (variables[-1], variables[0])))
+        order = tuple(variables)
+        rows = [satisfaction_row(f, order) for f in delta]
+        codes = np.zeros(1 << n_vars, dtype=object)
+        codes[:] = 0
+        for i, row in enumerate(rows):
+            codes += row.astype(object) << i
+        outside = ~satisfaction_row(alpha, order)
         kb = _KB(delta, alpha, order)
-        assert kb.mcs == brute_maximal(signatures)
-        assert kb.bad == brute_maximal(outside)
-        assert len(kb.mcs) > 1 and kb.bad
+        assert kb.mcs == brute_maximal(codes.tolist())
+        assert kb.bad == brute_maximal(codes[outside].tolist())
+        if size >= 16:
+            assert len(kb.mcs) > 1 and kb.bad
+
+
+    def test_one_mask_per_compile(self, monkeypatch):
+        # The formulas' bits go straight into the signature codes; only
+        # alpha's models come from a mask.
+        masks = []
+
+        def counting(constraints, order):
+            masks.append(constraints)
+            return models_mask(constraints, order)
+
+        monkeypatch.setattr(argumentation, "models_mask", counting)
+        delta = [or2(f"v{i}", f"v{i + 1}") for i in range(12)]
+        alpha = gamma(Constraint(T, ("v0",)))
+        _KB(delta, alpha, tuple(sorted(variables_of(delta) | alpha.variables)))
+        assert masks == [alpha.constraints]
+
+
+def satisfaction_row(formula, order):
+    """Which of the 2**len(order) assignments satisfy the formula: each
+    point of the formula's own variables is checked with `satisfies`, and
+    every assignment reads its point off its own bits."""
+    n = len(order)
+    own = sorted(formula.variables)
+    assignments = np.arange(1 << n)
+    point = np.zeros(1 << n, dtype=np.int64)
+    for v in own:
+        point = point << 1 | (assignments >> (n - 1 - order.index(v))) & 1
+    good = [
+        all(satisfies(dict(zip(own, bits)), c) for c in formula.constraints)
+        for bits in itertools.product((False, True), repeat=len(own))
+    ]
+    return np.array(good, dtype=np.bool_)[point]
 
 
 def brute_maximal(rows):
@@ -791,8 +834,12 @@ def brute_maximal(rows):
     return sorted(tops, key=lambda r: (-bin(r).count("1"), r))
 
 
-def signature_array(rows, n):
-    """Rows as an array of 64-bit words, low word first."""
+def signature_array(rows, n, dtype=None):
+    """Rows as `_KB` hands them to `_maximal`: one code each in `dtype`,
+    by default the narrowest unsigned type that holds n bits, for n <= 64,
+    and 64-bit words, low word first, beyond."""
+    if n <= 64:
+        return np.array(rows, dtype=dtype or np.min_scalar_type((1 << n) - 1))
     words = (n + 63) // 64
     out = np.zeros((len(rows), words), dtype=np.uint64)
     for i, r in enumerate(rows):
@@ -825,12 +872,42 @@ class TestMaximal:
         ],
     )
     def test_routes_agree_where_the_bitset_fits(self, n, rows):
-        sig = signature_array(rows, n)
-        assert (1 << n) <= 8 * len(sig)
         want = brute_maximal(rows)
-        assert _maximal_present(sig, n) == want
-        assert _maximal_peel(sig) == want
+        for dtype in (None, np.uint32, np.uint64):
+            sig = signature_array(rows, n, dtype)
+            assert (1 << n) <= 8 * len(sig)
+            assert _maximal_present(sig, n) == want
+            assert _maximal_peel(sig) == want
+            assert _maximal(sig, n) == want
+
+    @pytest.mark.parametrize("n", [13, 14, 15, 16])
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
+    def test_routes_agree_up_to_sixteen_formulas(self, n, dtype, monkeypatch):
+        # 512 rows under 25 maximal ones of n/2 formulas each: too few rows
+        # for the 8-per-row rule, so only the n <= 16 rule sends them to
+        # the bitset.
+        rng = random.Random(n)
+        tops = [sum(1 << i for i in rng.sample(range(n), n // 2)) for _ in range(25)]
+        rows = tops + [rng.choice(tops) & rng.getrandbits(n) for _ in range(487)]
+        sig = signature_array(rows, n, dtype)
+        assert (1 << n) > 8 * len(sig)
+        want = brute_maximal(rows)
+        assert len(want) == len(set(tops))
+        assert _maximal_present(sig, n) == _maximal_peel(sig) == want
+
+        def peel(sig):
+            raise AssertionError("peeled rows the bitset holds")
+
+        monkeypatch.setattr(argumentation, "_maximal_peel", peel)
         assert _maximal(sig, n) == want
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    def test_empty_base(self, dtype):
+        # With no formulas every row is the empty set.
+        for rows, want in (([0] * 5, [0]), ([], [])):
+            sig = signature_array(rows, 0, dtype)
+            assert _maximal_present(sig, 0) == _maximal_peel(sig) == want
+            assert _maximal(sig, 0) == want
 
     @pytest.mark.parametrize("n", [0, 1, 12, 63, 64, 65])
     def test_no_rows(self, n):
@@ -845,7 +922,7 @@ class TestMaximal:
         rows = [rng.choice(distinct) for _ in range(100)] + distinct[:1] * 5
         sig = signature_array(rows, n)
         assert (1 << n) > 8 * len(sig)
-        assert _maximal(sig, n) == brute_maximal(rows)
+        assert _maximal_peel(sig) == _maximal(sig, n) == brute_maximal(rows)
 
     def test_ties_in_ascending_bitmask_order(self):
         rows = [0b1100, 0b0011, 0b1010, 0b0001]

@@ -15,6 +15,7 @@ from argcl.kernels import (
     OP_XOR3,
     filter_models,
     pair_closure,
+    signature_codes,
     triple_closure,
 )
 
@@ -165,6 +166,65 @@ class TestFilterModels:
         table = np.array([True, False, False, True])
         got = filter_models(2, [table], [(1, 0)])
         assert got.tolist() == naive_filter(2, [table], [(1, 0)])
+
+
+def shifted_naive_codes(n_vars, formulas):
+    """Bit j of entry a set iff naive_filter accepts a for formula j."""
+    codes = [0] * (1 << n_vars)
+    for j, (tables, positions) in enumerate(formulas):
+        for a, ok in enumerate(naive_filter(n_vars, tables, positions)):
+            codes[a] |= ok << j
+    return codes
+
+
+def random_formula(rng, n_vars, max_constraints=4, max_arity=4):
+    """1-max_constraints constraints with unsorted, possibly repeated
+    positions, drawn from the last four axes, from axes spread over the
+    whole order, or from anywhere."""
+    pools = [
+        list(range(max(0, n_vars - 4), n_vars)),
+        sorted({0, n_vars // 3, 2 * n_vars // 3, n_vars - 1}),
+        list(range(n_vars)),
+    ]
+    tables, positions = [], []
+    for _ in range(rng.randint(1, max_constraints)):
+        k = rng.randint(1, max_arity)
+        tables.append(np.array([rng.random() < 0.7 for _ in range(1 << k)]))
+        pool = rng.choice(pools)
+        positions.append(tuple(rng.choice(pool) for _ in range(k)))
+    return tables, positions
+
+
+class TestSignatureCodes:
+    @pytest.mark.parametrize(
+        "n_vars, count",
+        [(8, 1), (8, 20), (10, 9), (12, 16), (13, 17), (14, 8), (15, 4), (16, 3)],
+    )
+    def test_agrees_with_shifted_naive_rows(self, n_vars, count):
+        # From 12 variables, formulas near the last axes are materialised
+        # over the trailing six before they are ORed in.
+        rng = random.Random(500 + 32 * n_vars + count)
+        formulas = [random_formula(rng, n_vars) for _ in range(count)]
+        got = signature_codes(n_vars, formulas)
+        assert got.dtype == np.min_scalar_type((1 << count) - 1)
+        assert got.tolist() == shifted_naive_codes(n_vars, formulas)
+
+    @pytest.mark.parametrize("count", [0, 1, 8, 9, 63, 64])
+    def test_code_width(self, count):
+        # Bit count - 1 is the top bit of the narrowest type for count
+        # formulas; the last formula holds everywhere, so it is always set.
+        rng = random.Random(count)
+        anywhere = ([np.array([True, True])], [(1,)])
+        formulas = [random_formula(rng, 3) for _ in range(count - 1)] + [anywhere]
+        got = signature_codes(3, formulas[:count])
+        assert got.dtype == np.min_scalar_type((1 << count) - 1)
+        assert got.tolist() == shifted_naive_codes(3, formulas[:count])
+        if count:
+            assert (got >> (count - 1) == 1).all()
+
+    def test_rejects_more_than_64_formulas(self):
+        with pytest.raises(ValueError):
+            signature_codes(2, [([np.array([True, True])], [(0,)])] * 65)
 
 
 class TestPairClosure:

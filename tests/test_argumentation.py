@@ -750,27 +750,56 @@ class TestCompiledBase:
         )
         assert not argrel(delta, alpha, 1)
 
-    @pytest.mark.parametrize(
-        "n_vars, size",
-        [pytest.param(8, size, id=str(size)) for size in (8, 63, 64, 65, 70)]
-        + [(n, size) for n in (12, 14, 16) for size in (0, 1, 16, 17)]
-        + [(12, 63), (12, 64), (12, 65)],
-    )
-    def test_signatures_match_brute_force(self, n_vars, size):
+    @pytest.mark.parametrize("size", [8, 63, 64, 65, 70])
+    def test_signatures_match_brute_force(self, size):
         # Formula 63 takes the top bit of the first signature word and 64
         # starts a second word; a wrong bit for either changes mcs or bad
-        # here, before any query loop runs. From 12 variables the kernel
-        # materialises tables near the last axes, so formulas of 1-4
-        # constraints draw their arguments, repeated and unsorted, from
-        # the last four variables, from axes spread over the whole order,
-        # or from anywhere. 16 formulas fill a 16-bit code and 17 widen it.
+        # here, before any query loop runs.
+        rng = random.Random(size)
+        variables = [f"v{i}" for i in range(8)]
+
+        def formula():
+            relation = rng.choice(KB_RELATIONS)
+            args = tuple(rng.choice(variables) for _ in range(relation.arity))
+            return gamma(Constraint(relation, args))
+
+        delta = [formula() for _ in range(size)]
+        alpha = gamma(Constraint(OR2, ("v0", "v1")))
+        order = _mask_order(delta, alpha, DEFAULT_MAX_MODELS)
+        signatures, outside = set(), set()
+        for values in itertools.product((False, True), repeat=len(order)):
+            point = dict(zip(order, values))
+            sig = sum(
+                1 << i
+                for i, f in enumerate(delta)
+                if all(satisfies(point, c) for c in f.constraints)
+            )
+            signatures.add(sig)
+            if not all(satisfies(point, c) for c in alpha.constraints):
+                outside.add(sig)
+        kb = _KB(delta, alpha, order)
+        assert kb.mcs == brute_maximal(signatures)
+        assert kb.bad == brute_maximal(outside)
+        assert len(kb.mcs) > 1 and kb.bad
+
+    @pytest.mark.parametrize(
+        "n_vars, size",
+        [(n, size) for n in (12, 14, 16) for size in (0, 1, 16, 17)]
+        + [(12, 63), (12, 64), (12, 65)],
+    )
+    def test_wide_signatures_match_brute_force(self, n_vars, size):
+        # From 12 variables the kernel materialises tables near the last
+        # axes, so formulas of 1-4 constraints draw their arguments,
+        # repeated and unsorted, from the last four variables, from axes
+        # spread over the whole order, or from anywhere. 16 formulas fill
+        # a 16-bit code and 17 widen it; 64 fill a word and 65 take two.
         rng = random.Random(1000 * n_vars + size)
         variables = [f"v{i:02d}" for i in range(n_vars)]
         pools = [variables[-4:], variables[:: n_vars // 4] + variables[-1:], variables]
 
         def formula():
             constraints = []
-            for _ in range(rng.randint(1, 4) if n_vars > 8 else 1):
+            for _ in range(rng.randint(1, 4)):
                 relation = rng.choice(KB_RELATIONS)
                 pool = rng.choice(pools)
                 args = tuple(rng.choice(pool) for _ in range(relation.arity))
@@ -780,18 +809,16 @@ class TestCompiledBase:
         delta = [formula() for _ in range(size)]
         alpha = gamma(Constraint(OR2, (variables[-1], variables[0])))
         order = tuple(variables)
-        rows = [satisfaction_row(f, order) for f in delta]
         codes = np.zeros(1 << n_vars, dtype=object)
         codes[:] = 0
-        for i, row in enumerate(rows):
-            codes += row.astype(object) << i
+        for i, f in enumerate(delta):
+            codes += satisfaction_row(f, order).astype(object) << i
         outside = ~satisfaction_row(alpha, order)
         kb = _KB(delta, alpha, order)
         assert kb.mcs == brute_maximal(codes.tolist())
         assert kb.bad == brute_maximal(codes[outside].tolist())
         if size >= 16:
             assert len(kb.mcs) > 1 and kb.bad
-
 
     def test_one_mask_per_compile(self, monkeypatch):
         # The formulas' bits go straight into the signature codes; only

@@ -129,12 +129,22 @@ class ComplexityReport:
 
 
 def _dedup(formulas: Iterable[GammaFormula]) -> list[GammaFormula]:
-    seen: set[GammaFormula] = set()
+    """The formulas without repeats (by value), each at its first
+    occurrence. Formulas are bucketed by their first constraint's
+    arguments, a tuple of strings whose hash is cheap, and compared with
+    == only within a bucket, so no Constraint is hashed."""
+    buckets: dict[tuple[str, ...], list[GammaFormula]] = {}
     out = []
     for f in formulas:
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
+        key = f.constraints[0].args
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [f]
+        elif f in bucket:
+            continue
+        else:
+            bucket.append(f)
+        out.append(f)
     return out
 
 

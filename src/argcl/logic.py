@@ -12,9 +12,13 @@ assumption check per clause against that single compile.
 
 The compile, _Premises, instantiates every constraint in one pass from
 its relation's literal template (the prime-implicate clauses as
-(coordinate, sign) pairs, cached per relation like cnf_of itself), builds
-one engine over all of its caller-given blocks, and records the block
-that owns each clause or row. That engine decides consistency, answers
+(coordinate, sign) pairs, cached per relation like cnf_of itself, and
+fetched once per compile for each relation it meets). Unary constraints
+and binary ones on distinct variables take straight-line code; only
+repeated arguments, which can merge literals or make a tautology, and
+wider relations take the general path. It builds one engine over all of
+its caller-given blocks, and records the block that owns each clause or
+row. That engine decides consistency, answers
 each assumption check with any blocks masked out, and reports the core of
 a refutation: the blocks it used. So the argumentation queries compile a
 base once, one block per formula, and read existence, verification and
@@ -384,7 +388,12 @@ class _ImplicationGraph:
 
 
 def _no_complementary_component(succ: list[list[tuple[int, int, int]]]) -> bool:
-    """Iterative Tarjan SCC: False iff a component holds l and l ^ 1."""
+    """Iterative Tarjan SCC: False iff a component holds l and l ^ 1.
+
+    A literal with no successor is a component of its own as soon as it
+    is reached, so it never enters the stack. Each component is checked
+    for a complementary pair as it is popped, and the first one found
+    ends the search."""
     n = len(succ)
     order = [-1] * n
     low = [0] * n
@@ -396,6 +405,10 @@ def _no_complementary_component(succ: list[list[tuple[int, int, int]]]) -> bool:
             continue
         order[root] = low[root] = counter
         counter += 1
+        if not succ[root]:
+            comp[root] = n_comp
+            n_comp += 1
+            continue
         stack.append(root)
         work = [(root, iter(succ[root]))]
         while work:
@@ -404,24 +417,32 @@ def _no_complementary_component(succ: list[list[tuple[int, int, int]]]) -> bool:
                 if order[nxt] < 0:
                     order[nxt] = low[nxt] = counter
                     counter += 1
+                    if not succ[nxt]:
+                        comp[nxt] = n_comp
+                        n_comp += 1
+                        continue
                     stack.append(nxt)
                     work.append((nxt, iter(succ[nxt])))
                     break
-                if comp[nxt] < 0:
-                    low[node] = min(low[node], order[nxt])
+                if comp[nxt] < 0 and order[nxt] < low[node]:
+                    low[node] = order[nxt]
             else:
                 work.pop()
+                reach = low[node]
                 if work:
                     parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == order[node]:
+                    if reach < low[parent]:
+                        low[parent] = reach
+                if reach == order[node]:
                     while True:
                         top = stack.pop()
                         comp[top] = n_comp
+                        if comp[top ^ 1] == n_comp:
+                            return False
                         if top == node:
                             break
                     n_comp += 1
-    return all(comp[lit] != comp[lit + 1] for lit in range(0, n, 2))
+    return True
 
 
 @functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
@@ -528,65 +549,161 @@ _ENGINES = {
 }
 
 
+def _instantiate_clauses(blocks: Iterable[Iterable[Constraint]]):
+    """Every block's clauses, instantiated from literal templates in one
+    pass: (the positive literal 2 * id of each variable, by first
+    occurrence; the clauses as literal tuples, block by block; the block
+    owning each clause).
+
+    Each relation's template is fetched from _literal_template once per
+    call and kept in a local dict, which is cheaper to probe than the
+    lru_cache. Unary constraints and binary ones on two distinct
+    variables, most of any base, are instantiated in straight-line code.
+    The rest keep the general path, where only repeated arguments can
+    merge literals or make a tautology, so the literal set is built only
+    for them.
+    """
+    lit_of: dict[str, int] = {}
+    templates: dict[Relation, tuple[tuple[tuple[int, int], ...], ...]] = {}
+    items: list[tuple[int, ...]] = []
+    owners: list[int] = []
+    append = items.append
+    for i, block in enumerate(blocks):
+        start = len(items)
+        for c in block:
+            relation = c.relation
+            template = templates.get(relation)
+            if template is None:
+                template = templates[relation] = _literal_template(relation)
+            args = c.args
+            arity = len(args)
+            if arity == 1:
+                x = lit_of.get(args[0])
+                if x is None:
+                    x = lit_of[args[0]] = 2 * len(lit_of)
+                # A unary relation is one unit clause.
+                (((_, s),),) = template
+                append((x + s,))
+                continue
+            if arity == 2:
+                a, b = args
+                x = lit_of.get(a)
+                if x is None:
+                    x = lit_of[a] = 2 * len(lit_of)
+                y = lit_of.get(b)
+                if y is None:
+                    y = lit_of[b] = 2 * len(lit_of)
+                if x != y:
+                    for clause in template:
+                        if len(clause) == 2:
+                            (j, s), (_, t) = clause
+                            append((y + s, x + t) if j else (x + s, y + t))
+                        else:
+                            ((j, s),) = clause
+                            append(((y if j else x) + s,))
+                    continue
+                lits = [x, y]
+            else:
+                lits = []
+                for a in args:
+                    x = lit_of.get(a)
+                    if x is None:
+                        x = lit_of[a] = 2 * len(lit_of)
+                    lits.append(x)
+                if len(set(lits)) == len(lits):
+                    for clause in template:
+                        append(tuple([lits[j] + s for j, s in clause]))
+                    continue
+            for clause in template:
+                merged = {lits[j] + s for j, s in clause}
+                if not any(lit ^ 1 in merged for lit in merged):
+                    append(tuple(merged))
+        owners += [i] * (len(items) - start)
+    return lit_of, items, owners
+
+
+def _instantiate_rows(blocks: Iterable[Iterable[Constraint]]):
+    """_instantiate_clauses for the affine fragment: (the bit 1 << id of
+    each variable; every block's GF(2) rows (variable mask, rhs), in
+    order; the block owning each row). A row's mask XORs the bits of the
+    arguments its coefficients name, so a repeated argument cancels."""
+    bit_of: dict[str, int] = {}
+    templates: dict[Relation, tuple[tuple[tuple[int, ...], int], ...]] = {}
+    items: list[tuple[int, int]] = []
+    owners: list[int] = []
+    append = items.append
+    for i, block in enumerate(blocks):
+        start = len(items)
+        for c in block:
+            relation = c.relation
+            template = templates.get(relation)
+            if template is None:
+                # Each row as (the coordinates it names, rhs); coefficient
+                # bit k-1-j belongs to 0-based coordinate j.
+                k = relation.arity
+                template = templates[relation] = tuple(
+                    (tuple(j for j in range(k) if cmask >> (k - 1 - j) & 1), rhs)
+                    for cmask, rhs in _affine_rows(relation)
+                )
+            bits = []
+            for a in c.args:
+                bit = bit_of.get(a)
+                if bit is None:
+                    bit = bit_of[a] = 1 << len(bit_of)
+                bits.append(bit)
+            for coords, rhs in template:
+                gmask = 0
+                for j in coords:
+                    gmask ^= bits[j]
+                append((gmask, rhs))
+        owners += [i] * (len(items) - start)
+    return bit_of, items, owners
+
+
 class _Premises:
     """Premises compiled once for one fragment, as blocks of constraints.
 
     Compiling interns the variables and instantiates every constraint in
-    one pass: each prime-implicate clause of its relation, kept as a
-    literal template of (coordinate, sign) pairs, becomes the literals
-    2v + sign on the argument ids v (on the affine fragment, each GF(2)
-    row becomes a mask of argument bits). The fragment's engine is then
-    built over all of them, with block i owning the clauses of the i-th
-    caller-given block. That one engine decides the premises' consistency
-    (engine.ok); on consistent premises it decides whether they are
-    satisfiable with a literal set while any blocks are masked out
-    (engine.sat), and which blocks one refutation used (engine.core).
+    one pass (`_instantiate_clauses`): each prime-implicate clause of its
+    relation, kept as a literal template of (coordinate, sign) pairs,
+    becomes the literals 2v + sign on the argument ids v. On the affine
+    fragment each GF(2) row becomes a mask of argument bits instead
+    (`_instantiate_rows`). Ids go by first occurrence (`index`). The
+    fragment's engine is then built over all of them, with block i owning
+    the clauses of the i-th caller-given block. That one engine decides
+    the premises' consistency (engine.ok); on consistent premises it
+    decides whether they are satisfiable with a literal set while any
+    blocks are masked out (engine.sat), and which blocks one refutation
+    used (engine.core).
     """
 
     def __init__(self, fragment: str, blocks: Iterable[Iterable[Constraint]]):
-        index: dict[str, int] = {}
-        self.index = index
-        affine = fragment == "affine"
-        items: list = []
-        owners: list[int] = []
-        for i, block in enumerate(blocks):
-            start = len(items)
-            for c in block:
-                if affine:
-                    bits = [1 << index.setdefault(a, len(index)) for a in c.args]
-                    k = len(bits)
-                    for cmask, rhs in _affine_rows(c.relation):
-                        gmask = 0
-                        for j in range(k):
-                            if cmask >> (k - 1 - j) & 1:
-                                gmask ^= bits[j]
-                        items.append((gmask, rhs))
-                    continue
-                # The positive literal of each argument: 2v for id v.
-                lits = [2 * index.setdefault(a, len(index)) for a in c.args]
-                template = _literal_template(c.relation)
-                if len(set(lits)) == len(lits):
-                    items += [tuple([lits[j] + s for j, s in clause]) for clause in template]
-                    continue
-                # Only repeated arguments can merge literals or make a
-                # tautology, so the set is built only for them.
-                for clause in template:
-                    merged = {lits[j] + s for j, s in clause}
-                    if not any(lit ^ 1 in merged for lit in merged):
-                        items.append(tuple(merged))
-            owners += [i] * (len(items) - start)
-        self.engine = _ENGINES[fragment](2 * len(index), items, owners)
+        instantiate = _instantiate_rows if fragment == "affine" else _instantiate_clauses
+        codes, items, owners = instantiate(blocks)
+        self.index = dict(zip(codes, range(len(codes))))
+        self.engine = _ENGINES[fragment](2 * len(codes), items, owners)
 
     def refutations(self, alpha: GammaFormula) -> list[list[int]]:
         """The negation of each non-tautological prime-implicate clause of
-        alpha, as literals on premise variables; the others are free."""
+        alpha, as literals on premise variables; the others are free.
+
+        A constraint on distinct variables has no tautological clause and
+        no literal to merge, so its clauses negate literal by literal."""
         index = self.index
         out = []
         for c in alpha.constraints:
-            for clause in _literal_template(c.relation):
+            args = c.args
+            template = _literal_template(c.relation)
+            if len(set(args)) == len(args):
+                for clause in template:
+                    out.append(
+                        [2 * index[args[j]] + (s ^ 1) for j, s in clause if args[j] in index]
+                    )
+                continue
+            for clause in template:
                 negated: dict[str, int] = {}
                 for j, sign in clause:
-                    if negated.setdefault(c.args[j], sign ^ 1) == sign:
+                    if negated.setdefault(args[j], sign ^ 1) == sign:
                         break
                 else:
                     out.append([2 * index[v] + s for v, s in negated.items() if v in index])

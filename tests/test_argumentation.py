@@ -161,6 +161,54 @@ class TestArgcheck:
         phi = or2("a", "b")
         assert argcheck([phi, phi], or2("b", "a"))
 
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The deduplicated formulas each argcheck engine goes on with:
+        the fragment route's compile input under auto, the consistency
+        check's under generic."""
+        seen = []
+        fragment_premises = argumentation._fragment_premises
+        is_consistent = argumentation.is_consistent
+
+        def spy_premises(formulas, alpha):
+            seen.append(formulas)
+            return fragment_premises(formulas, alpha)
+
+        def spy_consistent(formulas, **kwargs):
+            seen.append(formulas)
+            return is_consistent(formulas, **kwargs)
+
+        monkeypatch.setattr(argumentation, "_fragment_premises", spy_premises)
+        monkeypatch.setattr(argumentation, "is_consistent", spy_consistent)
+        return seen
+
+    @pytest.mark.parametrize("engine", ["auto", "generic"])
+    def test_equal_formulas_collapse_to_the_first(self, checked, engine):
+        """Distinct but equal formula objects, down to a relation rebuilt
+        under the same name and tuples, collapse to the first occurrence,
+        in order."""
+        impl = gamma(Constraint(IMPL, ("a", "b")))
+        unit = gamma(Constraint(T, ("a",)))
+        rebuilt = Relation(IMPL.name, IMPL.arity, frozenset(IMPL.tuples))
+        phi = [impl, unit, gamma(Constraint(rebuilt, ("a", "b"))), gamma(Constraint(T, ("a",)))]
+        assert phi[2] == impl and phi[2] is not impl and phi[3] is not unit
+        assert argcheck(phi, gamma(Constraint(T, ("b",))), engine=engine)
+        assert len(checked) == 1
+        assert [id(f) for f in checked[0]] == [id(impl), id(unit)]
+
+    @pytest.mark.parametrize("engine", ["auto", "generic"])
+    def test_same_named_relations_stay_distinct(self, checked, engine):
+        """Formulas over two relations named R, with different tuples, on
+        the same arguments are two formulas: the claim needs only the
+        first, so the pair is not minimal."""
+        r_or = Relation("R", 2, frozenset(OR2.tuples))
+        r_nand = Relation("R", 2, frozenset({0b00, 0b01, 0b10}))
+        phi = [gamma(Constraint(r_or, ("a", "b"))), gamma(Constraint(r_nand, ("a", "b")))]
+        assert phi[0] != phi[1]
+        assert not argcheck(phi, or2("a", "b"), engine=engine)
+        assert argcheck(phi[:1], or2("a", "b"), engine=engine)
+        assert [len(formulas) for formulas in checked] == [2, 1]
+
     def test_empty_set_checks_tautologies(self):
         assert argcheck([], gamma(Constraint(EQ2, ("x", "x"))))
         assert not argcheck([], or2("a", "b"))

@@ -557,12 +557,14 @@ def fragment_relation(fragment: str, arity: int, seed: frozenset[int]) -> Relati
 
 @st.composite
 def template_instances(draw):
-    """Blocks of constraints in one fragment, over relations of arity 1-4
-    and three variables, so that most constraints repeat an argument, with
-    one tautology-making constraint (IMPL(x, x), or EQ2(x, x) on the affine
-    fragment); and a claim over those variables and two the premises lack."""
+    """Blocks of constraints in one fragment, over relations of arity 1-4,
+    with one tautology-making constraint (IMPL(x, x), or EQ2(x, x) on the
+    affine fragment); and a claim over the premise variables and two the
+    premises lack. The premise variables are three, so that most
+    constraints repeat an argument, or eight, so that most do not and the
+    compile's distinct-argument paths run."""
     fragment = draw(st.sampled_from(sorted(FRAGMENT_CLOSURES)))
-    premise_vars = ["a", "b", "c"]
+    premise_vars = draw(st.sampled_from([["a", "b", "c"], [f"v{i}" for i in range(8)]]))
     claim_vars = premise_vars + ["q0", "q1"]
 
     def constraint(variables):
@@ -657,3 +659,49 @@ def test_template_compile_matches_cnf_of(instance):
             assert sorted(tuple(sorted(clause)) for clause in clauses) == sorted(expected)
     refutations = [sorted(lits) for lits in premises.refutations(alpha)]
     assert refutations == reference_refutations(index, alpha)
+
+
+@st.composite
+def two_cnfs(draw):
+    """Blocks of bijunctive constraints over p0..p5: binary clauses, unit
+    clauses, and constraints that repeat an argument (IMPL(x, x) is a
+    tautology, NAND2(x, x) the unit ~x, NEQ(x, x) a contradiction)."""
+    variables = [f"p{i}" for i in range(6)]
+    relations = (OR2, NAND2, IMPL, NEQ, EQ2, T, F)
+
+    def constraint():
+        relation = draw(st.sampled_from(relations))
+        if relation.arity == 2 and draw(st.integers(0, 5)) == 0:
+            x = draw(st.sampled_from(variables))
+            return Constraint(relation, (x, x))
+        return Constraint(
+            relation, tuple(draw(st.sampled_from(variables)) for _ in range(relation.arity))
+        )
+
+    return [
+        [constraint() for _ in range(draw(st.integers(1, 2)))]
+        for _ in range(draw(st.integers(1, 10)))
+    ]
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(two_cnfs())
+def test_two_sat_consistency_matches_enumeration(blocks):
+    premises = _Premises("bijunctive", blocks)
+    assert isinstance(premises.engine, logic._ImplicationGraph)
+    assert premises.engine.ok is naive_consistent([GammaFormula(tuple(b)) for b in blocks])
+
+
+@pytest.mark.parametrize("contradiction", [False, True])
+def test_two_sat_consistency_on_a_long_cycle(contradiction):
+    """IMPL around 5000 variables makes two components of 5000 literals,
+    the cycle and its contrapositive; NEQ between two of its variables
+    joins them into one component of 10^4 literals, which holds
+    complementary pairs."""
+    n = 5000
+    blocks = [[Constraint(IMPL, (f"x{i}", f"x{(i + 1) % n}"))] for i in range(n)]
+    if contradiction:
+        blocks.append([Constraint(NEQ, ("x0", f"x{n // 2}"))])
+    engine = _Premises("bijunctive", blocks).engine
+    assert len(engine.succ) == 2 * n
+    assert engine.ok is not contradiction

@@ -29,6 +29,7 @@ from .formulas import (
     DEFAULT_MAX_MODELS,
     GammaFormula,
     QuantifiedFormula,
+    _model_order,
     models_mask,
 )
 from .relations import (
@@ -345,12 +346,8 @@ def verify_expresses(
         free = sorted(formula.variables)
     if len(free) != target.arity:
         return False
-    order = tuple(sorted(body.variables))
+    order = _model_order(body.variables, max_models)
     n = len(order)
-    if 1 << n > max_models:
-        raise BudgetExceededError(
-            f"2^{n} assignments exceed the model budget {max_models}"
-        )
     mask = models_mask(body.constraints, order)
     models = np.flatnonzero(mask).astype(np.int64)
     position = {v: i for i, v in enumerate(order)}

@@ -228,6 +228,21 @@ def models_mask(constraints: Iterable[Constraint], order: tuple[Variable, ...]) 
     return kernels.filter_models(len(order), tables, positions)
 
 
+def _model_order(variables: Iterable[Variable], max_models: int) -> tuple[Variable, ...]:
+    """The distinct variables in sorted order, once their 2^n assignments
+    are known to fit the model budget.
+
+    Raises:
+        BudgetExceededError: when 2^n exceeds max_models.
+    """
+    order = tuple(sorted(variables))
+    if 1 << len(order) > max_models:
+        raise BudgetExceededError(
+            f"2^{len(order)} assignments exceed the model budget {max_models}"
+        )
+    return order
+
+
 def _as_constraints(phi: GammaFormula | Iterable[GammaFormula]) -> list[Constraint]:
     if isinstance(phi, GammaFormula):
         return list(phi.constraints)
@@ -270,12 +285,8 @@ def enumerate_models(
         if not used <= scope:
             missing = sorted(used - scope)
             raise ValueError(f"assignment scope misses variables: {missing}")
-    order = tuple(sorted(scope))
+    order = _model_order(scope, max_models)
     n = len(order)
-    if 1 << n > max_models:
-        raise BudgetExceededError(
-            f"2^{n} assignments exceed the model budget {max_models}"
-        )
     mask = models_mask(constraints, order)
     models = []
     for m in np.flatnonzero(mask):

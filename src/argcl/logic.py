@@ -36,12 +36,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import PreconditionError
 from .formulas import (
     Constraint,
     DEFAULT_MAX_MODELS,
     GammaFormula,
     _as_constraints,
+    _model_order,
     models_mask,
 )
 from .relations import RELATION_CACHE_SIZE, Relation, relation_properties
@@ -734,11 +735,7 @@ def _check_engine(engine: str):
 
 
 def _enumeration_sat(constraints: list[Constraint], max_models: int) -> bool:
-    order = tuple(sorted({a for c in constraints for a in c.args}))
-    if 1 << len(order) > max_models:
-        raise BudgetExceededError(
-            f"2^{len(order)} assignments exceed the model budget {max_models}"
-        )
+    order = _model_order({a for c in constraints for a in c.args}, max_models)
     return bool(models_mask(constraints, order).any())
 
 
@@ -802,13 +799,9 @@ def entails(
     relations = {c.relation for c in premises} | {c.relation for c in alpha.constraints}
     fragment = "generic" if engine == "generic" else _fragment(relations)
     if fragment == "generic":
-        order = tuple(
-            sorted({a for c in premises for a in c.args} | set(alpha.variables))
+        order = _model_order(
+            {a for c in premises for a in c.args} | set(alpha.variables), max_models
         )
-        if 1 << len(order) > max_models:
-            raise BudgetExceededError(
-                f"2^{len(order)} assignments exceed the model budget {max_models}"
-            )
         phi_mask = models_mask(premises, order)
         alpha_mask = models_mask(alpha.constraints, order)
         return not bool(np.any(phi_mask & ~alpha_mask))

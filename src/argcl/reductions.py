@@ -289,12 +289,17 @@ def parse_abduction(
 # ---------------------------------------------------------------------------
 
 
-def _clause_masks(cnf: CnfInput) -> list[np.ndarray]:
-    if cnf.n > _MAX_CNF_VARS:
+def _assignments(n: int) -> np.ndarray:
+    """All 2^n assignments as integers, once n fits the oracle budget."""
+    if n > _MAX_CNF_VARS:
         raise BudgetExceededError(
-            f"{cnf.n} variables exceed the oracle budget {_MAX_CNF_VARS}"
+            f"{n} variables exceed the oracle budget {_MAX_CNF_VARS}"
         )
-    assignments = np.arange(1 << cnf.n, dtype=np.int64)
+    return np.arange(1 << n, dtype=np.int64)
+
+
+def _clause_masks(cnf: CnfInput) -> list[np.ndarray]:
+    assignments = _assignments(cnf.n)
     masks = []
     for clause in cnf.clauses:
         sat = np.zeros(1 << cnf.n, dtype=np.bool_)
@@ -370,12 +375,8 @@ def solve_source(problem: str, instance: CnfInput | AbdInstance) -> bool:
             return bool(joint.any())
         if problem == "pos1in3":
             _require_pos1in3(instance)
-            assignments = np.arange(1 << instance.n, dtype=np.int64)
+            assignments = _assignments(instance.n)
             good = np.ones(1 << instance.n, dtype=np.bool_)
-            if instance.n > _MAX_CNF_VARS:
-                raise BudgetExceededError(
-                    f"{instance.n} variables exceed the oracle budget {_MAX_CNF_VARS}"
-                )
             for clause in instance.clauses:
                 count = np.zeros(1 << instance.n, dtype=np.int8)
                 for lit in clause:

@@ -5,7 +5,9 @@ encoded as integer bitmasks with the first coordinate in the most
 significant bit, so the text form "01" means first coordinate 0, second 1.
 Property flags (Horn, dual Horn, bijunctive, affine, validity, monotonicity,
 implication closure) are computed by exhaustive closure tests and drive both
-complexity classification and solver dispatch.
+complexity classification and solver dispatch. Every closure test runs on the
+array kernels (`kernels.pair_closure`, `kernels.triple_closure`), whatever the
+relation's size; a pair test builds |R|^2 int64 entries.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # Every cache keyed on a Relation keeps at most this many entries, so a
 # stream of fresh relations holds memory flat.
 RELATION_CACHE_SIZE = 256
-
-# Closure tests on relations with at most this many tuples run as plain
-# Python loops; larger ones go through the array kernels.
-_SMALL_RELATION = 64
 
 
 def _tuple_str(mask: int, arity: int) -> str:
@@ -172,50 +170,6 @@ class PropertyReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _closed_pair_py(tuples: frozenset[int], full: int, op: int) -> bool:
-    for a in tuples:
-        for b in tuples:
-            if op == kernels.OP_AND:
-                r = a & b
-            elif op == kernels.OP_OR:
-                r = a | b
-            elif op == kernels.OP_IMP:
-                r = (~a & full) | b
-            else:
-                r = a & (~b & full)
-            if r not in tuples:
-                return False
-    return True
-
-
-def _closed_triple_py(tuples: frozenset[int], op: int) -> bool:
-    for a in tuples:
-        for b in tuples:
-            for c in tuples:
-                if op == kernels.OP_MAJ:
-                    r = (a & b) | (a & c) | (b & c)
-                else:
-                    r = a ^ b ^ c
-                if r not in tuples:
-                    return False
-    return True
-
-
-def _closed_pair(relation: Relation, op: int) -> bool:
-    full = (1 << relation.arity) - 1
-    if len(relation.tuples) <= _SMALL_RELATION:
-        return _closed_pair_py(relation.tuples, full, op)
-    members = np.array(sorted(relation.tuples), dtype=np.int64)
-    return kernels.pair_closure(members, truth_table(relation), op, full)
-
-
-def _closed_triple(relation: Relation, op: int) -> bool:
-    if len(relation.tuples) <= _SMALL_RELATION:
-        return _closed_triple_py(relation.tuples, op)
-    members = np.array(sorted(relation.tuples), dtype=np.int64)
-    return kernels.triple_closure(members, truth_table(relation), op)
-
-
 @functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
 def relation_properties(relation: Relation) -> PropertyReport:
     """Compute every property flag of a single relation.
@@ -225,22 +179,28 @@ def relation_properties(relation: Relation) -> PropertyReport:
     under ternary majority, affine under ternary XOR, and the IS0/IS1
     flags are closure under coordinate-wise implication / its negation.
     Positive and negative are upward- and downward-closure.
+
+    The six closure tests all run on the array kernels over one sorted
+    members array and the truth table: each pair test builds |R|^2 int64
+    entries, and each triple test |R|^2 per third tuple.
     """
     tuples = relation.tuples
     k = relation.arity
     full = (1 << k) - 1
+    members = np.array(sorted(tuples), dtype=np.int64)
+    table = truth_table(relation)
 
-    horn = _closed_pair(relation, kernels.OP_AND)
-    dual_horn = _closed_pair(relation, kernels.OP_OR)
-    bijunctive = _closed_triple(relation, kernels.OP_MAJ)
-    affine = _closed_triple(relation, kernels.OP_XOR3)
+    horn = kernels.pair_closure(members, table, kernels.OP_AND, full)
+    dual_horn = kernels.pair_closure(members, table, kernels.OP_OR, full)
+    bijunctive = kernels.triple_closure(members, table, kernels.OP_MAJ)
+    affine = kernels.triple_closure(members, table, kernels.OP_XOR3)
     zero_valid = 0 in tuples
     one_valid = full in tuples
     complementive = all((~t & full) in tuples for t in tuples)
     positive = all((t | (1 << i)) in tuples for t in tuples for i in range(k))
     negative = all((t & ~(1 << i)) in tuples for t in tuples for i in range(k))
-    in_is0 = _closed_pair(relation, kernels.OP_IMP)
-    in_is1 = _closed_pair(relation, kernels.OP_NIMP)
+    in_is0 = kernels.pair_closure(members, table, kernels.OP_IMP, full)
+    in_is1 = kernels.pair_closure(members, table, kernels.OP_NIMP, full)
     return PropertyReport(
         horn=horn,
         dual_horn=dual_horn,

@@ -338,6 +338,12 @@ class TestSolveSource:
         big = CnfInput(21, (frozenset({1}),))
         with pytest.raises(BudgetExceededError):
             solve_source("threesat", big)
+        # Far past the budget, every CNF oracle must raise before it
+        # allocates its 2^n assignment arrays (2^40 entries would not fit).
+        huge = CnfInput(40, (frozenset({1, 2, 3}),))
+        for problem in ("threesat", "pos1in3", "criticalsat"):
+            with pytest.raises(BudgetExceededError):
+                solve_source(problem, huge)
 
     def test_hypothesis_budget(self):
         lang = ConstraintLanguage.of(IMPL)

@@ -67,6 +67,28 @@ def all_relations_of_arity(arity):
         yield Relation(f"R{bits}", arity, tuples)
 
 
+# Coordinate-wise operations whose closure each flag names, with their
+# arity; the bijunctive and affine flags are the ternary ones.
+CLOSURE_OPS = {
+    "horn": (2, lambda a, b: a & b),
+    "dual_horn": (2, lambda a, b: a | b),
+    "bijunctive": (3, lambda a, b, c: (a & b) | (a & c) | (b & c)),
+    "affine": (3, lambda a, b, c: a ^ b ^ c),
+}
+
+
+def closure_of(seed, flag):
+    """The smallest tuple set containing seed and closed under the
+    operation of flag."""
+    n, op = CLOSURE_OPS[flag]
+    closed = set(seed)
+    while True:
+        new = {op(*xs) for xs in itertools.product(closed, repeat=n)} - closed
+        if not new:
+            return frozenset(closed)
+        closed |= new
+
+
 class TestRelationValidation:
     def test_empty_relation_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -187,6 +209,30 @@ class TestRelationProperties:
             tuples = frozenset(rng.sample(population, rng.randint(1, 7)))
             rel = Relation(f"S{i}", 3, tuples)
             assert relation_properties(rel).as_dict() == naive_flags(rel)
+
+    def test_matches_naive_on_closed_and_random_arity_4_to_6(self):
+        # Closures pass every tuple combination through the kernels without
+        # an early exit; random relations of up to 63 tuples cover the
+        # failing side at the same sizes.
+        rng = random.Random(4711)
+        for k in (4, 5, 6):
+            size = 1 << k
+            for flag in CLOSURE_OPS:
+                made = 0
+                while made < 4:
+                    seed = rng.sample(range(size), rng.randint(3, 2 * k))
+                    tuples = closure_of(seed, flag)
+                    if len(tuples) == size:
+                        continue
+                    rel = Relation(f"C{made}", k, tuples)
+                    flags = naive_flags(rel)
+                    assert flags[flag]
+                    assert relation_properties(rel).as_dict() == flags
+                    made += 1
+            for i in range(8):
+                tuples = frozenset(rng.sample(range(size), rng.randint(1, size - 1)))
+                rel = Relation(f"S{i}", k, tuples)
+                assert relation_properties(rel).as_dict() == naive_flags(rel)
 
     def test_implication_flags(self):
         # imp(t,t) is the all-ones tuple and nimp(t,t) the all-zeros one,

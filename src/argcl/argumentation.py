@@ -5,22 +5,30 @@ entails the claim and is subset-minimal with that property. By
 monotonicity a support exists iff some maximal consistent subset (MCS) of
 the base entails the claim.
 
-When the instance lies in a tractable fragment, the "auto" engine
-compiles the formulas once into one fragment engine: verification is read
-off it, and so are existence and one support for a consistent base.
-Outside the fragments they go through is_consistent and entails. The
-auto engine answers relevance on monotone languages by clause
-decomposition, with no compile: point evaluations give the claim clauses
-each formula alone entails, and a cover test over those decides. Every
-other query whose assignment space fits the mask limit compiles the base
-once into per-assignment formula signatures:
-their maximal elements are the MCSes, and the maximal signatures of the
-claim's non-models decide entailment of any subset. Existence, one
-minimal support, all minimal supports (the minimal hitting sets inside
-each MCS) and relevance are read off that compiled base with no subset
-enumeration. Past the mask limit, and always under the "generic"
-engine, one canonical subset search over at most max_kb formulas
-answers instead.
+Verification compiles phi once into one fragment engine when phi and the
+claim lie in one tractable fragment, and otherwise goes through
+is_consistent and entails. Under the "auto" engine, relevance on monotone
+languages is decided by clause decomposition, with no compile: point
+evaluations give the claim clauses each formula alone entails, and a
+cover test over those decides.
+
+Existence, one minimal support, all minimal supports and every other
+relevance query take the first of three routes that answers, picked once
+by `_route`:
+
+1. The whole base (`_Whole`), for existence and one support only, when
+   it is consistent and so its own one MCS: its fragment compile decides
+   when the base and the claim lie in one tractable fragment, and
+   entails calls decide otherwise.
+2. The signature base (`_KB`), when the assignment space fits the mask
+   limit: the base is compiled once into per-assignment formula
+   signatures. Their maximal elements are the MCSes, and the maximal
+   signatures of the claim's non-models decide entailment of any
+   subset, so every query is read off with no subset enumeration.
+3. Canonical subset search (`_Search`) over at most max_kb formulas,
+   past the mask limit and always under the "generic" engine. It is the
+   one place max_kb is checked; all supports and relevance set it up
+   before the signature base is built, so they meet max_kb there too.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import itertools
 import logging
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -217,13 +225,6 @@ def _fragment_premises(
     return _Premises(fragment, [f.constraints for f in formulas])
 
 
-def _check_subset_budget(delta: Sequence[GammaFormula], max_kb: int):
-    if len(delta) > max_kb:
-        raise BudgetExceededError(
-            f"subset search over {len(delta)} formulas exceeds the budget {max_kb}"
-        )
-
-
 def _mask_order(
     delta: Sequence[GammaFormula], alpha: GammaFormula, max_models: int
 ) -> tuple[str, ...] | None:
@@ -357,13 +358,11 @@ class _KB:
         self.mcs = _maximal(sig, self.n)
         self.bad = _maximal(sig[~models_mask(alpha.constraints, order)], self.n)
 
-    @classmethod
-    def compile(cls, delta, alpha, max_models: int) -> _KB | None:
-        order = _mask_order(delta, alpha, max_models)
-        return None if order is None else cls(delta, alpha, order)
-
     def entails(self, s: int) -> bool:
         return all(s & ~b for b in self.bad)
+
+    def exists(self) -> bool:
+        return any(self.entails(m) for m in self.mcs)
 
     def first_support(self) -> Support | None:
         """Shrink the first entailing MCS, ascending, while it entails."""
@@ -423,14 +422,9 @@ class _KB:
         return any(bit & e for m in self.mcs if m & bit for e in self.edges(m))
 
 
-def _subset_search(
-    delta: Sequence[GammaFormula],
-    alpha: GammaFormula,
-    engine: str,
-    max_models: int,
-    max_kb: int,
-):
-    """Yield every minimal support in canonical order.
+class _Search:
+    """Canonical subset search over at most max_kb formulas, the route of
+    the generic engine and of auto past the mask limit.
 
     Subsets are visited by cardinality then lexicographically, skipping
     supersets of a support already found; any other subset that is
@@ -439,36 +433,105 @@ def _subset_search(
     masks when those fit, else by is_consistent/entails calls.
 
     Raises:
-        BudgetExceededError: when len(delta) exceeds max_kb.
+        BudgetExceededError: when len(delta) exceeds max_kb; this is the
+            one place that check is made.
     """
-    _check_subset_budget(delta, max_kb)
-    order = _mask_order(delta, alpha, max_models)
-    if order is not None:
-        rows = [models_mask(f.constraints, order) for f in delta]
-        sat = np.array(rows, dtype=np.bool_).reshape(len(delta), 1 << len(order))
-        outside = ~models_mask(alpha.constraints, order)
 
-        def qualifies(subset):
-            models = sat[list(subset)].all(axis=0)
-            return models.any() and not (models & outside).any()
+    def __init__(self, delta, alpha, engine: str, max_models: int, max_kb: int):
+        if len(delta) > max_kb:
+            raise BudgetExceededError(
+                f"subset search over {len(delta)} formulas exceeds the budget {max_kb}"
+            )
+        self.delta, self.alpha = delta, alpha
+        self.engine, self.max_models = engine, max_models
 
-    else:
+    def supports(self) -> Iterator[Support]:
+        """Yield every minimal support in canonical order."""
+        delta, alpha, engine, max_models = self.delta, self.alpha, self.engine, self.max_models
+        order = _mask_order(delta, alpha, max_models)
+        if order is not None:
+            rows = [models_mask(f.constraints, order) for f in delta]
+            sat = np.array(rows, dtype=np.bool_).reshape(len(delta), 1 << len(order))
+            outside = ~models_mask(alpha.constraints, order)
 
-        def qualifies(subset):
-            chosen = [delta[i] for i in subset]
-            return is_consistent(
-                chosen, engine=engine, max_models=max_models
-            ) and entails(chosen, alpha, engine=engine, max_models=max_models)
+            def qualifies(subset):
+                models = sat[list(subset)].all(axis=0)
+                return models.any() and not (models & outside).any()
 
-    found: list[int] = []
-    for size in range(len(delta) + 1):
-        for subset in itertools.combinations(range(len(delta)), size):
-            bits = sum(1 << i for i in subset)
-            if any(s & ~bits == 0 for s in found):
-                continue
-            if qualifies(subset):
-                found.append(bits)
-                yield Support(subset)
+        else:
+
+            def qualifies(subset):
+                chosen = [delta[i] for i in subset]
+                return is_consistent(
+                    chosen, engine=engine, max_models=max_models
+                ) and entails(chosen, alpha, engine=engine, max_models=max_models)
+
+        found: list[int] = []
+        for size in range(len(delta) + 1):
+            for subset in itertools.combinations(range(len(delta)), size):
+                bits = sum(1 << i for i in subset)
+                if any(s & ~bits == 0 for s in found):
+                    continue
+                if qualifies(subset):
+                    found.append(bits)
+                    yield Support(subset)
+
+    def exists(self) -> bool:
+        return self.first_support() is not None
+
+    def first_support(self) -> Support | None:
+        return next(self.supports(), None)
+
+    def minimal_supports(self) -> list[Support]:
+        return list(self.supports())
+
+    def relevant(self, idx: int) -> bool:
+        return any(idx in s for s in self.supports())
+
+
+class _Whole:
+    """A consistent base, its own one MCS: a support exists iff it
+    entails alpha, and shrinking it gives one. `premises` is its fragment
+    compile, or None when delta and alpha share no fragment and entails
+    calls decide. Only existence and one support reach this route."""
+
+    def __init__(self, delta, alpha, max_models: int, premises: _Premises | None):
+        self.delta, self.alpha = delta, alpha
+        self.max_models, self.premises = max_models, premises
+
+    def exists(self) -> bool:
+        if self.premises is None:
+            return entails(self.delta, self.alpha, max_models=self.max_models)
+        return _entailed(self.premises.engine, self.premises.refutations(self.alpha))
+
+    def first_support(self) -> Support | None:
+        if self.premises is None:
+            return _shrink_consistent(self.delta, self.alpha, self.max_models)
+        return _shrink_compiled(self.premises, self.alpha, len(self.delta))
+
+
+def _route(delta, alpha, engine: str, max_models: int, max_kb: int, whole: bool):
+    """The first route, in the order the module docstring gives, that
+    answers the query.
+
+    whole is True for existence and one support, which a consistent base
+    answers as a whole. Those meet max_kb only on the subset search; all
+    supports and relevance (whole False) set the search up first, so they
+    meet it before the signature base is built.
+    """
+    search = None if whole else _Search(delta, alpha, engine, max_models, max_kb)
+    if engine != "generic":
+        if whole:
+            premises = _fragment_premises(delta, alpha)
+            if premises is not None:
+                if premises.engine.ok:
+                    return _Whole(delta, alpha, max_models, premises)
+            elif is_consistent(delta, engine=engine, max_models=max_models):
+                return _Whole(delta, alpha, max_models, None)
+        order = _mask_order(delta, alpha, max_models)
+        if order is not None:
+            return _KB(delta, alpha, order)
+    return search or _Search(delta, alpha, engine, max_models, max_kb)
 
 
 def arg_exists(
@@ -481,34 +544,15 @@ def arg_exists(
 ) -> bool:
     """Decide whether some consistent subset of delta entails alpha.
 
-    A support exists iff some MCS of delta entails alpha. When delta is
-    consistent it is its own one MCS, and the auto engine answers whether
-    delta entails alpha. If delta and alpha lie in one tractable fragment,
-    delta is compiled once: that compile's engine decides consistency,
-    and the same engine refutes alpha's clauses. Otherwise
-    is_consistent and entails decide. An inconsistent base is compiled
-    into signatures and each MCS is tested. Past the mask limit, and
-    under the generic engine, canonical subset search looks for a first
-    support.
+    A support exists iff some MCS of delta entails alpha; a consistent
+    base is its own one MCS.
 
     Raises:
         BudgetExceededError: the instance exceeds the model budget, or
             the subset search exceeds max_kb.
     """
     _check_engine(engine)
-    delta = list(delta)
-    if engine != "generic":
-        premises = _fragment_premises(delta, alpha)
-        if premises is not None:
-            if premises.engine.ok:
-                return _entailed(premises.engine, premises.refutations(alpha))
-        elif is_consistent(delta, engine=engine, max_models=max_models):
-            return entails(delta, alpha, engine=engine, max_models=max_models)
-        kb = _KB.compile(delta, alpha, max_models)
-        if kb is not None:
-            return any(kb.entails(m) for m in kb.mcs)
-    search = _subset_search(delta, alpha, engine, max_models, max_kb)
-    return next(search, None) is not None
+    return _route(list(delta), alpha, engine, max_models, max_kb, True).exists()
 
 
 def find_minimal_support(
@@ -523,34 +567,18 @@ def find_minimal_support(
 
     The result is deterministic per engine. The auto engine takes the
     whole base when it is consistent, and otherwise the first entailing
-    MCS of the compiled base in canonical MCS order (most formulas first,
-    ties broken by the ascending bitmask of their indices), and removes
-    indices in ascending order whenever entailment survives. When delta
-    and alpha lie in one tractable fragment, delta is compiled once into
-    one engine with one block per formula. That engine decides
-    consistency and runs the shrink: an index outside the cores of
-    alpha's refutations goes with no check, and any other is tried with
-    the dropped blocks masked out. Past the mask limit, and under the
-    generic engine, it is the first support in canonical subset order.
-    The returned support always passes argcheck.
+    MCS in canonical MCS order (most formulas first, ties broken by the
+    ascending bitmask of their indices), and removes indices in ascending
+    order whenever entailment survives. On the subset search (past the
+    mask limit, and under the generic engine) it is the first support in
+    canonical subset order. The returned support always passes argcheck.
 
     Raises:
         BudgetExceededError: the instance exceeds the model budget, or
             the subset search exceeds max_kb.
     """
     _check_engine(engine)
-    delta = list(delta)
-    if engine != "generic":
-        premises = _fragment_premises(delta, alpha)
-        if premises is not None:
-            if premises.engine.ok:
-                return _shrink_compiled(premises, alpha, len(delta))
-        elif is_consistent(delta, engine=engine, max_models=max_models):
-            return _shrink_consistent(delta, alpha, max_models)
-        kb = _KB.compile(delta, alpha, max_models)
-        if kb is not None:
-            return kb.first_support()
-    return next(_subset_search(delta, alpha, engine, max_models, max_kb), None)
+    return _route(list(delta), alpha, engine, max_models, max_kb, True).first_support()
 
 
 def _shrink_consistent(
@@ -610,23 +638,13 @@ def enumerate_minimal_supports(
 ) -> list[Support]:
     """List every minimal support in canonical order.
 
-    Canonical order is by cardinality, then lexicographic. The auto
-    engine compiles the base and, inside each MCS, builds the minimal
-    sets that meet the MCS minus every maximal signature of alpha's
-    non-models. Past the mask limit, and under the generic engine,
-    canonical subset search lists the supports.
+    Canonical order is by cardinality, then lexicographic.
 
     Raises:
         BudgetExceededError: when len(delta) exceeds max_kb.
     """
     _check_engine(engine)
-    delta = list(delta)
-    _check_subset_budget(delta, max_kb)
-    if engine != "generic":
-        kb = _KB.compile(delta, alpha, max_models)
-        if kb is not None:
-            return kb.minimal_supports()
-    return list(_subset_search(delta, alpha, engine, max_models, max_kb))
+    return _route(list(delta), alpha, engine, max_models, max_kb, False).minimal_supports()
 
 
 def _psi_index(delta: Sequence[GammaFormula], psi: int | GammaFormula) -> int:
@@ -691,7 +709,11 @@ def _argrel_monotone(
     claim iff its members' covers hold every clause.
     """
     clauses = _monotone_clauses(alpha, upward)
-    covers = [_cover(f, clauses, upward) for f in delta]
+    claim = frozenset().union(*clauses)
+    # A formula off the claim clauses' variables covers none of them.
+    covers = [
+        0 if claim.isdisjoint(f.variables) else _cover(f, clauses, upward) for f in delta
+    ]
     full = (1 << len(clauses)) - 1
     for i in range(len(clauses)):
         held = covers[idx]
@@ -703,6 +725,14 @@ def _argrel_monotone(
     return False
 
 
+def _closed(delta: list[GammaFormula], alpha: GammaFormula, upward: bool) -> bool:
+    """Is every relation of the instance upward-closed (upward) or
+    downward-closed."""
+    flag = "positive" if upward else "negative"
+    relations = {c.relation for f in (*delta, alpha) for c in f.constraints}
+    return all(getattr(relation_properties(r), flag) for r in relations)
+
+
 def _argrel_closed(
     delta: Sequence[GammaFormula],
     alpha: GammaFormula,
@@ -710,13 +740,10 @@ def _argrel_closed(
     upward: bool,
     engine: str,
 ) -> bool:
-    """_argrel_monotone after checking the engine and that every relation
-    of the instance is upward-closed (upward) or downward-closed."""
+    """_argrel_monotone after checking the engine and `_closed`."""
     _check_engine(engine)
     delta = list(delta)
-    flag = "positive" if upward else "negative"
-    relations = {c.relation for f in (*delta, alpha) for c in f.constraints}
-    if not all(getattr(relation_properties(r), flag) for r in relations):
+    if not _closed(delta, alpha, upward):
         direction = "upward" if upward else "downward"
         raise PreconditionError(f"instance relations are not all {direction}-closed")
     return _argrel_monotone(delta, alpha, _psi_index(delta, psi), upward)
@@ -775,13 +802,9 @@ def argrel(
     """Decide whether psi belongs to some minimal support for alpha.
 
     psi may be given as an index into delta or as a formula (its first
-    occurrence is used). On monotone languages the clause-decomposition
-    algorithm runs. Otherwise the auto engine compiles the base: psi is
-    relevant iff for some MCS M containing psi and some maximal
-    signature b of alpha's non-models, (b & M) plus psi entails alpha;
-    with no such b, alpha is valid and its one minimal support is empty.
-    Past the mask limit, and under the generic engine, the minimal
-    supports are searched in canonical order until one contains psi.
+    occurrence is used). Under the auto engine a monotone (upward- or
+    downward-closed) instance is decided by clause decomposition, as in
+    argrel_positive and argrel_negative, and max_kb does not bind there.
 
     Raises:
         BudgetExceededError: when len(delta) exceeds max_kb outside the
@@ -791,20 +814,11 @@ def argrel(
     delta = list(delta)
     idx = _psi_index(delta, psi)
     if engine != "generic":
-        relations = {c.relation for f in (*delta, alpha) for c in f.constraints}
-        reports = [relation_properties(r) for r in relations]
-        if all(r.positive for r in reports):
-            logger.debug("argrel: clause decomposition (upward-closed)")
-            return _argrel_monotone(delta, alpha, idx, True)
-        if all(r.negative for r in reports):
-            logger.debug("argrel: clause decomposition (downward-closed)")
-            return _argrel_monotone(delta, alpha, idx, False)
-        _check_subset_budget(delta, max_kb)
-        kb = _KB.compile(delta, alpha, max_models)
-        if kb is not None:
-            return kb.relevant(idx)
-    supports = _subset_search(delta, alpha, engine, max_models, max_kb)
-    return any(idx in s for s in supports)
+        for upward in (True, False):
+            if _closed(delta, alpha, upward):
+                logger.debug("argrel: clause decomposition (upward=%s)", upward)
+                return _argrel_monotone(delta, alpha, idx, upward)
+    return _route(delta, alpha, engine, max_models, max_kb, False).relevant(idx)
 
 
 def classify_complexity(language: ConstraintLanguage) -> ComplexityReport:

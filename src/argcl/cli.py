@@ -194,12 +194,12 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_MAX_KB,
         metavar="N",
-        help="knowledge-base size budget (default 20). supports --all, and "
-        "solve rel outside monotone languages, refuse larger bases. solve arg "
-        "and supports without --all check it only when they fall back to "
-        "canonical subset search: under --engine generic, or for an "
-        "inconsistent base with more assignments than --max-models or than "
-        "2**20 / ceil(formulas / 64)",
+        help="knowledge-base size budget (default 20) of canonical subset "
+        "search. supports --all, and solve rel outside monotone languages, set "
+        "that search up first, so they refuse larger bases outright. solve arg "
+        "and supports without --all reach it only under --engine generic, or "
+        "for an inconsistent base with more assignments than --max-models or "
+        "than 2**20 / ceil(formulas / 64)",
     )
     common.add_argument(
         "--engine",

@@ -298,16 +298,20 @@ def _assignments(n: int) -> np.ndarray:
     return np.arange(1 << n, dtype=np.int64)
 
 
-def _clause_masks(cnf: CnfInput) -> list[np.ndarray]:
+def _violations(cnf: CnfInput) -> tuple[np.ndarray, np.ndarray]:
+    """Per assignment, the number of clauses it violates and the index of
+    the last one (-1 for none). An assignment violates a clause iff the
+    clause's variables carry exactly the bits of its negative literals."""
     assignments = _assignments(cnf.n)
-    masks = []
-    for clause in cnf.clauses:
-        sat = np.zeros(1 << cnf.n, dtype=np.bool_)
-        for lit in sorted(clause, key=abs):
-            bit = (assignments >> (cnf.n - abs(lit))) & 1
-            sat |= bit == (1 if lit > 0 else 0)
-        masks.append(sat)
-    return masks
+    count = np.zeros(1 << cnf.n, dtype=np.int32)
+    last = np.full(1 << cnf.n, -1, dtype=np.int32)
+    for i, clause in enumerate(cnf.clauses):
+        bits = {lit: 1 << (cnf.n - abs(lit)) for lit in clause}
+        negative = sum(bit for lit, bit in bits.items() if lit < 0)
+        violated = (assignments & sum(bits.values())) == negative
+        count += violated
+        last[violated] = i
+    return count, last
 
 
 def _require_three_cnf(cnf: CnfInput):
@@ -370,9 +374,8 @@ def solve_source(problem: str, instance: CnfInput | AbdInstance) -> bool:
             raise TypeError(f"{problem} expects a CnfInput")
         if problem == "threesat":
             _require_three_cnf(instance)
-            masks = _clause_masks(instance)
-            joint = functools.reduce(np.logical_and, masks, np.ones(1 << instance.n, np.bool_))
-            return bool(joint.any())
+            count, _ = _violations(instance)
+            return bool((count == 0).any())
         if problem == "pos1in3":
             _require_pos1in3(instance)
             assignments = _assignments(instance.n)
@@ -383,18 +386,12 @@ def solve_source(problem: str, instance: CnfInput | AbdInstance) -> bool:
                     count += ((assignments >> (instance.n - lit)) & 1).astype(np.int8)
                 good &= count == 1
             return bool(good.any())
-        masks = _clause_masks(instance)
-        joint = functools.reduce(np.logical_and, masks, np.ones(1 << instance.n, np.bool_))
-        if joint.any():
+        # Unsatisfiable, and each clause is the only one some assignment
+        # violates, so that dropping it leaves a model.
+        count, last = _violations(instance)
+        if (count == 0).any():
             return False
-        for i in range(len(masks)):
-            rest = masks[:i] + masks[i + 1 :]
-            remaining = functools.reduce(
-                np.logical_and, rest, np.ones(1 << instance.n, np.bool_)
-            )
-            if not remaining.any():
-                return False
-        return True
+        return len(np.unique(last[count == 1])) == len(instance.clauses)
     if problem in ("abd", "abd_p"):
         if not isinstance(instance, AbdInstance):
             raise TypeError(f"{problem} expects an AbdInstance")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from argcl import (
+    DEFAULT_MAX_KB,
     DEFAULT_MAX_MODELS,
     BudgetExceededError,
     ComplexityReport,
@@ -882,6 +883,86 @@ class TestCompiledBase:
         alpha = gamma(Constraint(T, ("v0",)))
         _KB(delta, alpha, tuple(sorted(variables_of(delta) | alpha.variables)))
         assert masks == [alpha.constraints]
+
+
+class TestRoute:
+    """Which route `_route` takes, and where max_kb binds."""
+
+    # The link between consecutive chain variables, per fragment: with
+    # T(x0), and T(one) for the affine link, each base is consistent and
+    # fixes every chain variable.
+    LINKS = {
+        "horn": lambda a, b: Constraint(IMPL, (a, b)),
+        "bijunctive": lambda a, b: Constraint(NEQ, (a, b)),
+        "affine": lambda a, b: Constraint(TestOneCompile.EVEN3, (a, b, "one")),
+    }
+
+    @pytest.mark.parametrize("n_vars", [5, 64])
+    @pytest.mark.parametrize("fragment", sorted(LINKS))
+    def test_consistent_fragment_base_stays_on_its_compile(
+        self, fragment, n_vars, monkeypatch
+    ):
+        """Existence on a consistent base in a fragment with its claim is
+        in P, so it reads that one compile, inside the mask limit and
+        past it, and never reaches the signature base or subset search."""
+        names = [f"x{i:02d}" for i in range(n_vars)]
+        delta = [gamma(Constraint(T, (v,))) for v in ("x00", "one")[: 1 + (fragment == "affine")]]
+        delta += [gamma(self.LINKS[fragment](a, b)) for a, b in zip(names, names[1:])]
+        # horn keeps every x true; the NEQ and EVEN3 links alternate.
+        last = fragment == "horn" or n_vars % 2 == 1
+        yes = gamma(Constraint(T if last else F, (names[-1],)))
+        no = gamma(Constraint(F if last else T, (names[-1],)))
+        fits = _mask_order(delta, yes, DEFAULT_MAX_MODELS) is not None
+        assert fits == (n_vars == 5)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a consistent fragment base left its compile")
+
+        for name in ("_KB", "_Search", "is_consistent", "entails"):
+            monkeypatch.setattr(argumentation, name, forbidden)
+        for alpha, want in ((yes, True), (no, False)):
+            route = argumentation._route(
+                delta, alpha, "auto", DEFAULT_MAX_MODELS, DEFAULT_MAX_KB, True
+            )
+            assert isinstance(route, argumentation._Whole)
+            assert type(route.premises.engine) is logic._ENGINES[fragment]
+            assert route.exists() is want
+            support = route.first_support()
+            assert (support is not None) is want
+            assert arg_exists(delta, alpha) is want
+        assert support is None
+        assert argcheck(find_minimal_support(delta, yes).formulas(delta), yes)
+
+    # 21 formulas over 8 variables: T(a) and F(a) make the base
+    # inconsistent, and 19 NEQ constraints on the even 6-cycle v0..v5
+    # (each edge both ways, each long diagonal both ways, and one to w)
+    # fix no variable, so nothing entails NEQ(a, v0).
+    CYCLE = [(i, (i + 1) % 6) for i in range(6)] + [(i, i + 3) for i in range(3)]
+    BUDGET_BASE = [gamma(Constraint(T, ("a",))), gamma(Constraint(F, ("a",)))] + [
+        gamma(Constraint(NEQ, (f"v{i}", f"v{j}")))
+        for pair in CYCLE
+        for i, j in (pair, pair[::-1])
+    ] + [gamma(Constraint(NEQ, ("v0", "w")))]
+
+    def test_where_max_kb_binds_inside_the_mask_limit(self):
+        """Under auto, existence and one support answer from the signature
+        base past max_kb; all supports and relevance refuse the base
+        first. Under generic all four reach subset search and refuse."""
+        delta = self.BUDGET_BASE
+        alpha = gamma(Constraint(NEQ, ("a", "v0")))
+        assert len(delta) == DEFAULT_MAX_KB + 1 and len(variables_of(delta)) == 8
+        assert _mask_order(delta, alpha, DEFAULT_MAX_MODELS) is not None
+        assert arg_exists(delta, alpha) is False
+        assert find_minimal_support(delta, alpha) is None
+        with pytest.raises(BudgetExceededError):
+            enumerate_minimal_supports(delta, alpha)
+        with pytest.raises(BudgetExceededError):
+            argrel(delta, alpha, 0)
+        for query in (arg_exists, find_minimal_support, enumerate_minimal_supports):
+            with pytest.raises(BudgetExceededError):
+                query(delta, alpha, engine="generic")
+        with pytest.raises(BudgetExceededError):
+            argrel(delta, alpha, 0, engine="generic")
 
 
 def satisfaction_row(formula, order):

@@ -1,6 +1,8 @@
 """Tests for source problems, reduction builders, and instance families."""
 
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
@@ -300,6 +302,55 @@ class TestSolveSource:
         assert solve_source("criticalsat", cnf(1, (1,), (-1,)))
         assert not solve_source("criticalsat", cnf(2, (1,), (2,)))
         assert not solve_source("criticalsat", cnf(1, (1,), (-1,), (1,)))
+
+    def test_cnf_oracles_match_the_definitions(self):
+        # Random CNFs over at most 4 variables against satisfiability
+        # checked assignment by assignment: criticalsat holds iff the CNF
+        # is unsatisfiable and dropping any one clause leaves it
+        # satisfiable.
+        rng = random.Random(19)
+
+        def satisfiable(n, clauses):
+            return any(
+                all(any((lit > 0) == point[abs(lit) - 1] for lit in c) for c in clauses)
+                for point in itertools.product((False, True), repeat=n)
+            )
+
+        critical = 0
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            clauses = [
+                frozenset(
+                    v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
+                )
+                for _ in range(rng.randint(0, 6))
+            ]
+            want = not satisfiable(n, clauses) and all(
+                satisfiable(n, clauses[:i] + clauses[i + 1 :]) for i in range(len(clauses))
+            )
+            critical += want
+            instance = CnfInput(n, tuple(clauses))
+            assert solve_source("threesat", instance) == satisfiable(n, clauses)
+            assert solve_source("criticalsat", instance) == want
+        assert critical >= 5
+
+    def test_cnf_oracle_memory_does_not_grow_with_clauses(self):
+        # 200 random 3-clauses over 16 variables: two 2^16 arrays of
+        # counters serve every clause, where one mask per clause took
+        # 14 MB.
+        rng = random.Random(16)
+        clauses = tuple(
+            frozenset(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 17), 3))
+            for _ in range(200)
+        )
+        tracemalloc.start()
+        try:
+            solve_source("criticalsat", CnfInput(16, clauses))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_abd_and_positive_abd(self):
         lang = ConstraintLanguage.of(IMPL)

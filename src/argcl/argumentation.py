@@ -17,14 +17,18 @@ relevance query take the first of three routes that answers, picked once
 by `_route`:
 
 1. The whole base (`_Whole`), for existence and one support only, when
-   it is consistent and so its own one MCS: its fragment compile decides
-   when the base and the claim lie in one tractable fragment, and
-   entails calls decide otherwise.
+   it is consistent and so its own one MCS. When the base and the claim
+   lie in one tractable fragment, its fragment compile decides
+   consistency and answers. A base in no fragment is taken whole only
+   past the mask limit, where is_consistent decides and entails calls
+   answer; inside the limit route 2 answers it with no enumeration, as a
+   consistent base's one MCS is itself.
 2. The signature base (`_KB`), when the assignment space fits the mask
-   limit: the base is compiled once into per-assignment formula
-   signatures. Their maximal elements are the MCSes, and the maximal
-   signatures of the claim's non-models decide entailment of any
-   subset, so every query is read off with no subset enumeration.
+   limit: the base and the claim are compiled once into per-assignment
+   signatures, the claim as one more bit. Their maximal elements are
+   the MCSes, and the maximal signatures of the claim's non-models
+   decide entailment of any subset, so every query is read off with no
+   subset enumeration.
 3. Canonical subset search (`_Search`) over at most max_kb formulas,
    past the mask limit and always under the "generic" engine. It is the
    one place max_kb is checked; all supports and relevance set it up
@@ -228,9 +232,10 @@ def _fragment_premises(
 def _mask_order(
     delta: Sequence[GammaFormula], alpha: GammaFormula, max_models: int
 ) -> tuple[str, ...] | None:
-    """The joint variable order, or None past max_models or _MASK_LIMIT."""
+    """The joint variable order, or None past max_models or _MASK_LIMIT.
+    The signature words hold one bit per formula and one for alpha."""
     order = tuple(sorted(variables_of(delta) | alpha.variables))
-    words = (len(delta) + 63) // 64
+    words = (len(delta) + 64) // 64
     if (1 << len(order)) > max_models or (1 << len(order)) * words > _MASK_LIMIT:
         return None
     return order
@@ -249,9 +254,9 @@ def _maximal(sig: np.ndarray, n: int) -> list[int]:
     """The inclusion-maximal distinct rows of an n-formula signature array,
     as ints in canonical order (`_canonical`).
 
-    A base of at most 64 formulas passes one unsigned code per row, in any
-    unsigned type that holds n bits; a wider one passes rows of 64-bit
-    words, low word first. For n <= 16, or when the 2**n subsets of the
+    Rows of at most 64 bits are one unsigned code each, in any unsigned
+    type that holds n bits; wider ones are rows of 64-bit words, low word
+    first. For n <= 16, or when the 2**n subsets of the
     formulas number at most 8 per row, one superset-OR transform over the
     rows' presence bitset finds every maximal row, however many there are
     (`_maximal_present`). Otherwise the rows are peeled, one pass per
@@ -293,19 +298,30 @@ _LACKING_16 = _lacking(16)
 
 
 def _maximal_present(codes: np.ndarray, n: int) -> list[int]:
-    """Bit s of a 2**n-bit int marks subset s as a row. The superset-OR
-    (zeta) transform of that bitset (Bjorklund, Husfeldt, Kaski and
-    Koivisto, STOC 2007), one shift-and-mask step per formula, marks every
-    subset of a row; a row is maximal iff none of its one-formula
-    extensions is marked. This costs n * 2**n bit operations, however many
-    maximal rows there are. `codes` holds one unsigned code per row; the
-    caller's routing keeps n <= 16 or 2**n <= 8 * rows <= 8 * _MASK_LIMIT,
-    so n <= 23.
-    """
-    present = np.zeros(1 << n, dtype=np.bool_)
+    """`_maximal_bits` of the presence bitset of `codes`, one unsigned code
+    per row. The caller's routing keeps n <= 16 or 2**n <= 8 * rows <= 8 *
+    _MASK_LIMIT, so n <= 23."""
+    return _maximal_bits(_presence(codes, 1 << n), n)
+
+
+def _presence(codes: np.ndarray, size: int) -> np.ndarray:
+    """Entry s is True iff some code equals s, for codes below size."""
+    present = np.zeros(size, dtype=np.bool_)
     # Indexing with intp codes took 10 us where uint16 codes took 17 us
     # (2048 rows, 12 formulas): numpy casts other index types in chunks.
     present[codes.astype(np.intp)] = True
+    return present
+
+
+def _maximal_bits(present: np.ndarray, n: int) -> list[int]:
+    """Entry s of a 2**n-entry bool array marks subset s as a row. The
+    superset-OR (zeta) transform of that bitset (Bjorklund, Husfeldt,
+    Kaski and Koivisto, STOC 2007), one shift-and-mask step per formula,
+    marks every subset of a row; a row is maximal iff none of its
+    one-formula extensions is marked. This costs n * 2**n bit operations,
+    however many maximal rows there are. Returns the maximal rows in
+    canonical order.
+    """
     rows = int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
     lacking = _LACKING_16 if n <= 16 else _lacking(n)
     within = rows
@@ -332,31 +348,43 @@ class _KB:
     A subset is consistent iff it lies inside some member of `mcs`, and
     entails alpha iff it lies inside no member of `bad`. Both lists are in
     canonical order, most formulas first and ties by ascending bitmask,
-    whichever route of `_maximal` found them.
+    whichever route found them.
 
     The variable order is numbered once per compile. Each formula's
-    constraints are combined on its own axes and ORed, at its bit, straight
-    into one narrow code per assignment (`signature_codes`), so no
-    per-formula 2**n mask is built; alpha's models are the one
-    `models_mask` call. A base of at most 64 formulas hands those codes to
-    `_maximal` as they are; a wider one stacks them into 64-bit words.
+    constraints are combined on its own axes from cached collapsed tables
+    (`_constraint_arrays`) and ORed, at its bit, straight into one narrow
+    code per assignment (`signature_codes`), so no per-formula 2**n mask
+    is built. Alpha is compiled the same way as formula n, so bit n of a
+    code says the assignment is a model of alpha and no mask is built for
+    it either. Past 64 bits the codes are stacked into 64-bit words.
+
+    With n <= 16, one presence bitset of 2**(n+1) bits holds every code:
+    its low half holds the signatures of alpha's non-models, and the OR of
+    its halves holds every signature. Past that, bit n is filtered on
+    (for `bad`) and cleared (for `mcs`) on the codes themselves.
     """
 
     def __init__(self, delta: Sequence[GammaFormula], alpha: GammaFormula, order):
-        self.n = len(delta)
+        n = self.n = len(delta)
         index = {v: i for i, v in enumerate(order)}
-        formulas = [_constraint_arrays(f.constraints, index) for f in delta]
-        # An empty base still has one all-zero code per assignment.
+        formulas = [_constraint_arrays(f.constraints, index) for f in (*delta, alpha)]
         words = [
-            signature_codes(len(order), formulas[w : w + 64])
-            for w in range(0, max(self.n, 1), 64)
+            signature_codes(len(order), formulas[w : w + 64]) for w in range(0, n + 1, 64)
         ]
         if len(words) == 1:
             sig = words[0]
         else:
             sig = np.stack([w.astype(np.uint64) for w in words], axis=1)
-        self.mcs = _maximal(sig, self.n)
-        self.bad = _maximal(sig[~models_mask(alpha.constraints, order)], self.n)
+        if n <= 16:
+            outside, inside = _presence(sig, 2 << n).reshape(2, 1 << n)
+            self.mcs = _maximal_bits(outside | inside, n)
+            self.bad = _maximal_bits(outside, n)
+        else:
+            claim_word = sig if sig.ndim == 1 else sig[:, n // 64]
+            claim = claim_word.dtype.type(1 << n % 64)
+            self.bad = _maximal(sig[(claim_word & claim) == 0], n)
+            claim_word &= ~claim
+            self.mcs = _maximal(sig, n)
 
     def entails(self, s: int) -> bool:
         return all(s & ~b for b in self.bad)
@@ -521,16 +549,16 @@ def _route(delta, alpha, engine: str, max_models: int, max_kb: int, whole: bool)
     """
     search = None if whole else _Search(delta, alpha, engine, max_models, max_kb)
     if engine != "generic":
-        if whole:
-            premises = _fragment_premises(delta, alpha)
-            if premises is not None:
-                if premises.engine.ok:
-                    return _Whole(delta, alpha, max_models, premises)
-            elif is_consistent(delta, engine=engine, max_models=max_models):
-                return _Whole(delta, alpha, max_models, None)
+        premises = _fragment_premises(delta, alpha) if whole else None
+        if premises is not None and premises.engine.ok:
+            return _Whole(delta, alpha, max_models, premises)
         order = _mask_order(delta, alpha, max_models)
         if order is not None:
             return _KB(delta, alpha, order)
+        if whole and premises is None and is_consistent(
+            delta, engine=engine, max_models=max_models
+        ):
+            return _Whole(delta, alpha, max_models, None)
     return search or _Search(delta, alpha, engine, max_models, max_kb)
 
 

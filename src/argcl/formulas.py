@@ -19,6 +19,7 @@ import numpy as np
 from . import kernels
 from .errors import BudgetExceededError, ParseError
 from .relations import (
+    RELATION_CACHE_SIZE,
     ConstraintLanguage,
     Relation,
     parse_relation_line,
@@ -131,10 +132,7 @@ def conjoin(*formulas: GammaFormula) -> GammaFormula:
 
 def variables_of(formulas: Iterable[GammaFormula]) -> frozenset[Variable]:
     """Union of the variable sets of a formula collection."""
-    out: set[Variable] = set()
-    for f in formulas:
-        out.update(f.variables)
-    return frozenset(out)
+    return frozenset(v for f in formulas for c in f.constraints for v in c.args)
 
 
 @dataclass(frozen=True)
@@ -202,15 +200,29 @@ class ArgInstance:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
+def _constraint_template(relation: Relation, pattern: tuple[int, ...]) -> np.ndarray:
+    """The relation's truth table collapsed onto its distinct variables in
+    ascending order (`kernels.collapse`), for arguments whose variables
+    rank as `pattern` among them: R(y, x, y) with x before y has pattern
+    (1, 0, 1). Read-only, as every caller shares it."""
+    table = kernels.collapse(truth_table(relation), pattern)[0]
+    table.setflags(write=False)
+    return table
+
+
 def _constraint_arrays(
     constraints: Iterable[Constraint], index: Mapping[Variable, int]
 ) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
-    """Truth tables and variable positions, given each variable's position."""
+    """Collapsed tables and ascending distinct positions, in the form the
+    kernels take, given each variable's position."""
     tables = []
     positions = []
     for c in constraints:
-        tables.append(truth_table(c.relation))
-        positions.append(tuple(index[a] for a in c.args))
+        pos = [index[a] for a in c.args]
+        axes = sorted(set(pos))
+        tables.append(_constraint_template(c.relation, tuple(map(axes.index, pos))))
+        positions.append(tuple(axes))
     return tables, positions
 
 

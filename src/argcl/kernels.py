@@ -6,10 +6,12 @@ n-axis view of the assignment mask, into that mask in place: 1 byte per
 assignment and no index arrays. Signature codes combine each formula's
 constraint tables on that formula's own axes and OR the result, weighted
 by the formula's bit, into one narrow unsigned code per assignment, so no
-per-formula mask over all assignments is built. On a wide mask, a table
-that sits on the last axes is first materialised over the trailing six
-axes in both kernels, so the AND or OR runs over 64 contiguous entries at
-a time instead of one or two.
+per-formula mask over all assignments is built. Both kernels take each
+table already collapsed onto its distinct variables in ascending order
+(`collapse`), so a broadcast is one reshape. On a wide mask, a table that
+sits on the last axes is first materialised over the trailing six axes in
+both kernels, so the AND or OR runs over 64 contiguous entries at a time
+instead of one or two.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "collapse",
     "filter_models",
     "signature_codes",
     "pair_closure",
@@ -46,12 +49,13 @@ OP_XOR3 = 1
 # (n-1-i), so ascending integers enumerate assignments lexicographically.
 # The flat bool mask (1 byte per assignment) is viewed as an array of shape
 # (2,) * n whose axis i is the variable at position i. A constraint is
-# (table, positions): table is the relation's truth table over 2**k rows,
-# positions maps constraint argument j to a variable index. Its table is
-# reshaped to (2,) * k, its axes put in ascending-position order (repeated
-# arguments collapsed onto their distinct variables first, on 2**k entries),
-# and ANDed into the view in place with size 1 on every other axis. No
-# per-assignment index array is built.
+# (table, positions): positions are the constraint's distinct variable
+# indices in ascending order, and table has one row per assignment to them,
+# the variable at positions[m] in bit (d-1-m) of the row (`collapse` turns a
+# relation's truth table and one variable index per argument into this
+# form). The table is reshaped to size 2 on its own axes and size 1 on
+# every other axis, and ANDed into the view in place. No per-assignment
+# index array is built.
 #
 # Signature codes use the same encoding and the same (2,) * n view of an
 # unsigned code array, in the narrowest type that holds one bit per formula
@@ -90,8 +94,9 @@ def filter_models(
 
     Args:
         n_vars: number of variables; the result has 2**n_vars entries.
-        tables: per-constraint relation truth tables (bool, length 2**k).
-        positions: per-constraint variable indices, one per argument.
+        tables: per-constraint tables (bool, length 2**d), collapsed onto
+            the constraint's d distinct variables (`collapse`).
+        positions: per-constraint distinct variable indices, ascending.
 
     Returns:
         Boolean array: entry a is True iff assignment a satisfies every
@@ -114,8 +119,8 @@ def signature_codes(
     Args:
         n_vars: number of variables; the result has 2**n_vars entries.
         formulas: at most 64 formulas, each as the (tables, positions) of
-            its constraints, in the form `filter_models` takes; every
-            formula has at least one constraint.
+            its constraints, in the collapsed form `filter_models` takes;
+            every formula has at least one constraint.
 
     Returns:
         Unsigned array in the narrowest type that holds len(formulas)
@@ -148,27 +153,32 @@ def _short_runs(n_vars: int, t: np.ndarray) -> bool:
 def _broadcast_table(
     n_vars: int, table: np.ndarray, pos: tuple[int, ...]
 ) -> np.ndarray:
-    """The table as an n_vars-axis array: size 2 on the axes of its
-    distinct variables, in ascending order, and size 1 elsewhere."""
-    k = len(pos)
-    axes = sorted(set(pos))
-    if len(axes) == k:
-        t = table.reshape((2,) * k)
-        if list(pos) != axes:
-            t = t.transpose(sorted(range(k), key=pos.__getitem__))
-    else:
-        # Row r of the collapsed table sets distinct variable m to bit
-        # (d-1-m) of r; argument j reads its variable into table bit (k-1-j).
-        d = len(axes)
-        rows = np.arange(1 << d)
-        idx = 0
-        for j, p in enumerate(pos):
-            idx = idx | ((rows >> (d - 1 - axes.index(p))) & 1) << (k - 1 - j)
-        t = table[idx]
+    """The collapsed table as an n_vars-axis array: size 2 on the axes
+    `pos`, which ascend, and size 1 elsewhere."""
     shape = [1] * n_vars
-    for p in axes:
+    for p in pos:
         shape[p] = 2
-    return t.reshape(shape)
+    return table.reshape(shape)
+
+
+def collapse(table: np.ndarray, pos: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """A truth table over 2**k rows, argument j in row bit (k-1-j) and read
+    from variable index pos[j], as the kernels take it: a table over the
+    constraint's d distinct variables in ascending order, and those indices.
+
+    Row r of the collapsed table sets distinct variable m to bit (d-1-m)
+    of r, and reads the original row in which each argument takes its
+    variable's bit; this one rule sorts unsorted arguments and merges
+    repeated ones.
+    """
+    k = len(pos)
+    axes = tuple(sorted(set(pos)))
+    d = len(axes)
+    rows = np.arange(1 << d)
+    idx = 0
+    for j, p in enumerate(pos):
+        idx = idx | ((rows >> (d - 1 - axes.index(p))) & 1) << (k - 1 - j)
+    return table[idx], axes
 
 
 # ---------------------------------------------------------------------------

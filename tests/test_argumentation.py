@@ -31,7 +31,7 @@ from argcl import (
     relation_properties,
 )
 
-from argcl import argumentation, logic
+from argcl import argumentation, kernels, logic
 from argcl.argumentation import (
     _KB,
     _mask_order,
@@ -869,20 +869,71 @@ class TestCompiledBase:
         if size >= 16:
             assert len(kb.mcs) > 1 and kb.bad
 
-    def test_one_mask_per_compile(self, monkeypatch):
-        # The formulas' bits go straight into the signature codes; only
-        # alpha's models come from a mask.
-        masks = []
+    @pytest.mark.parametrize(
+        "n_vars, size",
+        [(6, 8), (8, 17), (12, 16), (14, 12), (16, 17), (9, 63), (9, 64), (9, 65)],
+    )
+    def test_claim_bit_matches_mask_rows(self, n_vars, size):
+        # Alpha is compiled as bit `size` of the signature codes; here it is
+        # checked against one models_mask row per formula and one for alpha.
+        # Each base leads with repeated arguments, IMPL(x, x) and
+        # NAE3(x, y, x), a formula of three constraints, and T(y), F(y);
+        # alpha also constrains w, which no formula has, as EQ2(w, w), so
+        # its models still depend on the base. 17 formulas are peeled at 8
+        # variables and take the bitset at 16; 63 fill a 64-bit code with
+        # alpha's bit, and 64 and 65 take two words. From 12 variables the
+        # kernel materialises tables near the last axes.
+        rng = random.Random(100 * n_vars + size)
+        variables = [f"v{i:02d}" for i in range(n_vars - 1)]
+        x, y, z = variables[-1], variables[0], variables[len(variables) // 2]
+        pools = [variables[-4:], variables[:: max(1, n_vars // 4)], variables]
 
-        def counting(constraints, order):
-            masks.append(constraints)
-            return models_mask(constraints, order)
+        def formula():
+            constraints = []
+            for _ in range(rng.randint(1, 3)):
+                relation = rng.choice(KB_RELATIONS)
+                pool = rng.choice(pools)
+                args = tuple(rng.choice(pool) for _ in range(relation.arity))
+                constraints.append(Constraint(relation, args))
+            return GammaFormula(tuple(constraints))
 
-        monkeypatch.setattr(argumentation, "models_mask", counting)
+        delta = [
+            gamma(Constraint(IMPL, (x, x))),
+            gamma(Constraint(NAE3, (x, y, x))),
+            gamma(
+                Constraint(OR2, (z, x)),
+                Constraint(NEQ, (y, z)),
+                Constraint(ONE_IN_THREE, (z, y, z)),
+            ),
+            gamma(Constraint(T, (y,))),
+            gamma(Constraint(F, (y,))),
+        ]
+        delta += [formula() for _ in range(size - len(delta))]
+        alpha = gamma(Constraint(EQ2, ("w", "w")), Constraint(OR2, (z, x)))
+        order = (*variables, "w")
+        assert "w" not in variables_of(delta)
+        codes = np.zeros(1 << n_vars, dtype=object)
+        codes[:] = 0
+        for i, f in enumerate(delta):
+            codes += models_mask(f.constraints, order).astype(object) << i
+        outside = ~models_mask(alpha.constraints, order)
+        kb = _KB(delta, alpha, order)
+        assert kb.mcs == brute_maximal(codes.tolist())
+        assert kb.bad == brute_maximal(codes[outside].tolist())
+        assert len(kb.mcs) > 1 and kb.bad
+
+    def test_no_mask_per_compile(self, monkeypatch):
+        # The formulas' bits and alpha's go straight into the signature
+        # codes, so a compile builds no satisfaction mask at all.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the signature base built a mask")
+
+        monkeypatch.setattr(argumentation, "models_mask", forbidden)
+        monkeypatch.setattr(kernels, "filter_models", forbidden)
         delta = [or2(f"v{i}", f"v{i + 1}") for i in range(12)]
         alpha = gamma(Constraint(T, ("v0",)))
-        _KB(delta, alpha, tuple(sorted(variables_of(delta) | alpha.variables)))
-        assert masks == [alpha.constraints]
+        kb = _KB(delta, alpha, tuple(sorted(variables_of(delta) | alpha.variables)))
+        assert kb.mcs == [(1 << 12) - 1] and kb.bad
 
 
 class TestRoute:
@@ -932,6 +983,50 @@ class TestRoute:
             assert arg_exists(delta, alpha) is want
         assert support is None
         assert argcheck(find_minimal_support(delta, yes).formulas(delta), yes)
+
+    def test_base_outside_every_fragment_reads_the_signature_base(self, monkeypatch):
+        """Existence and one support on a consistent base outside every
+        fragment read the signature base inside the mask limit, with no
+        is_consistent or entails call, and take the base whole past it;
+        both agree with the generic engine."""
+        # ONE_IN_THREE(a, b, d) and T(b) fix a and d false; NAE3 and
+        # ONE_IN_THREE lie in no fragment. F(a) has the one minimal support
+        # {1, 3}; nothing fixes c.
+        delta = [
+            gamma(Constraint(NAE3, ("a", "b", "c"))),
+            gamma(Constraint(ONE_IN_THREE, ("a", "b", "d"))),
+            gamma(Constraint(IMPL, ("d", "e"))),
+            gamma(Constraint(T, ("b",))),
+        ]
+        claims = [gamma(Constraint(F, ("a",))), gamma(Constraint(T, ("c",)))]
+        want = [
+            (
+                arg_exists(delta, alpha, engine="generic"),
+                find_minimal_support(delta, alpha, engine="generic"),
+            )
+            for alpha in claims
+        ]
+        assert want == [(True, Support((1, 3))), (False, None)]
+
+        def answers(route_type):
+            for alpha, (exists, support) in zip(claims, want):
+                route = argumentation._route(
+                    delta, alpha, "auto", DEFAULT_MAX_MODELS, DEFAULT_MAX_KB, True
+                )
+                assert type(route) is route_type
+                assert getattr(route, "premises", None) is None
+                assert arg_exists(delta, alpha) is exists
+                assert find_minimal_support(delta, alpha) == support
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a base inside the mask limit was enumerated")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(argumentation, "is_consistent", forbidden)
+            patched.setattr(argumentation, "entails", forbidden)
+            answers(_KB)
+        monkeypatch.setattr(argumentation, "_MASK_LIMIT", 1)
+        answers(argumentation._Whole)
 
     # 21 formulas over 8 variables: T(a) and F(a) make the base
     # inconsistent, and 19 NEQ constraints on the even 6-cycle v0..v5

@@ -13,6 +13,7 @@ from argcl.kernels import (
     OP_NIMP,
     OP_OR,
     OP_XOR3,
+    collapse,
     filter_models,
     pair_closure,
     signature_codes,
@@ -64,6 +65,21 @@ def naive_triple(members, table, op):
     return True
 
 
+def collapsed(tables, positions):
+    """Raw constraints (a table over 2**k rows, one variable index per
+    argument) in the collapsed form the kernels take."""
+    pairs = [collapse(t, p) for t, p in zip(tables, positions)]
+    return [t for t, _ in pairs], [axes for _, axes in pairs]
+
+
+def filter_raw(n_vars, tables, positions):
+    return filter_models(n_vars, *collapsed(tables, positions))
+
+
+def signature_raw(n_vars, formulas):
+    return signature_codes(n_vars, [collapsed(*f) for f in formulas])
+
+
 def random_case(rng, max_vars=6, max_constraints=4, max_arity=4):
     """Positions are drawn independently, so they come unsorted and may
     repeat, as in R(x, x, y)."""
@@ -81,33 +97,33 @@ def random_case(rng, max_vars=6, max_constraints=4, max_arity=4):
 class TestFilterModels:
     def test_frozen_or2(self):
         table = np.array([False, True, True, True])
-        assert filter_models(2, [table], [(0, 1)]).tolist() == [False, True, True, True]
+        assert filter_raw(2, [table], [(0, 1)]).tolist() == [False, True, True, True]
 
     def test_assignment_bit_order(self):
         # Variable p lives in bit (n_vars - 1 - p) of the assignment index.
         on = np.array([False, True])
-        mask = filter_models(3, [on], [(0,)])
+        mask = filter_raw(3, [on], [(0,)])
         assert mask.tolist() == [a >= 4 for a in range(8)]
-        mask = filter_models(3, [on], [(2,)])
+        mask = filter_raw(3, [on], [(2,)])
         assert mask.tolist() == [a % 2 == 1 for a in range(8)]
 
     def test_no_constraints(self):
-        assert filter_models(3, [], []).all()
+        assert filter_raw(3, [], []).all()
 
     def test_no_variables(self):
-        assert filter_models(0, [], []).tolist() == [True]
+        assert filter_raw(0, [], []).tolist() == [True]
 
     def test_repeated_positions(self):
         # R(x, x, y) reads x for both of its first two arguments.
         table = np.array([True, False, False, True, False, True, True, False])
         for pos in [(0, 0, 1), (1, 1, 0), (0, 1, 0), (1, 0, 1), (2, 2, 2)]:
-            got = filter_models(3, [table], [pos])
+            got = filter_raw(3, [table], [pos])
             assert got.tolist() == naive_filter(3, [table], [pos])
 
     def test_unsorted_positions(self):
         table = np.array([False, True, True, False, True, True, False, True])
         for pos in [(2, 0, 1), (1, 2, 0), (2, 1, 0), (3, 0, 2)]:
-            got = filter_models(4, [table], [pos])
+            got = filter_raw(4, [table], [pos])
             assert got.tolist() == naive_filter(4, [table], [pos])
 
     def test_implementations_agree(self):
@@ -115,14 +131,14 @@ class TestFilterModels:
         for _ in range(120):
             n_vars, tables, positions = random_case(rng)
             want = naive_filter(n_vars, tables, positions)
-            assert filter_models(n_vars, tables, positions).tolist() == want
+            assert filter_raw(n_vars, tables, positions).tolist() == want
 
     def test_agrees_up_to_twelve_variables(self):
         rng = random.Random(405)
         for _ in range(30):
             n_vars, tables, positions = random_case(rng, max_vars=12)
             want = naive_filter(n_vars, tables, positions)
-            assert filter_models(n_vars, tables, positions).tolist() == want
+            assert filter_raw(n_vars, tables, positions).tolist() == want
 
     @pytest.mark.parametrize("n_vars", [13, 14, 15, 16])
     def test_agrees_past_the_materialisation_width(self, n_vars):
@@ -144,9 +160,9 @@ class TestFilterModels:
         for pos in placements:
             rows = [rng.random() < 0.6 for _ in range(1 << len(pos))]
             tables.append(np.array(rows, dtype=np.bool_))
-            got = filter_models(n, tables[-1:], [pos])
+            got = filter_raw(n, tables[-1:], [pos])
             assert got.tolist() == naive_filter(n, tables[-1:], [pos])
-        got = filter_models(n, tables, placements)
+        got = filter_raw(n, tables, placements)
         assert got.tolist() == naive_filter(n, tables, placements)
 
     def test_memory_is_one_byte_per_assignment(self):
@@ -155,7 +171,7 @@ class TestFilterModels:
         or2 = np.array([False, True, True, True])
         tracemalloc.start()
         try:
-            mask = filter_models(22, [or2] * 3, [(0, 21), (7, 3), (12, 12)])
+            mask = filter_raw(22, [or2] * 3, [(0, 21), (7, 3), (12, 12)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -164,8 +180,24 @@ class TestFilterModels:
 
     def test_dispatcher_matches_mode(self):
         table = np.array([True, False, False, True])
-        got = filter_models(2, [table], [(1, 0)])
+        got = filter_raw(2, [table], [(1, 0)])
         assert got.tolist() == naive_filter(2, [table], [(1, 0)])
+
+
+class TestCollapse:
+    def test_unsorted_arguments(self):
+        # IMPL(y, x) over (x, y) holds except at x = 0, y = 1.
+        impl = np.array([True, True, False, True])
+        got, axes = collapse(impl, (5, 2))
+        assert axes == (2, 5)
+        assert got.tolist() == [True, False, True, True]
+
+    def test_repeated_argument(self):
+        # NAE3(x, y, x) over (x, y) holds exactly where x != y.
+        nae3 = np.array([False] + [True] * 6 + [False])
+        got, axes = collapse(nae3, (4, 1, 4))
+        assert axes == (1, 4)
+        assert got.tolist() == [False, True, True, False]
 
 
 def shifted_naive_codes(n_vars, formulas):
@@ -205,7 +237,7 @@ class TestSignatureCodes:
         # over the trailing six before they are ORed in.
         rng = random.Random(500 + 32 * n_vars + count)
         formulas = [random_formula(rng, n_vars) for _ in range(count)]
-        got = signature_codes(n_vars, formulas)
+        got = signature_raw(n_vars, formulas)
         assert got.dtype == np.min_scalar_type((1 << count) - 1)
         assert got.tolist() == shifted_naive_codes(n_vars, formulas)
 
@@ -216,7 +248,7 @@ class TestSignatureCodes:
         rng = random.Random(count)
         anywhere = ([np.array([True, True])], [(1,)])
         formulas = [random_formula(rng, 3) for _ in range(count - 1)] + [anywhere]
-        got = signature_codes(3, formulas[:count])
+        got = signature_raw(3, formulas[:count])
         assert got.dtype == np.min_scalar_type((1 << count) - 1)
         assert got.tolist() == shifted_naive_codes(3, formulas[:count])
         if count:
@@ -224,7 +256,7 @@ class TestSignatureCodes:
 
     def test_rejects_more_than_64_formulas(self):
         with pytest.raises(ValueError):
-            signature_codes(2, [([np.array([True, True])], [(0,)])] * 65)
+            signature_raw(2, [([np.array([True, True])], [(0,)])] * 65)
 
 
 class TestPairClosure:

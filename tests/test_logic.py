@@ -34,7 +34,7 @@ from argcl import (
 )
 
 from argcl.argumentation import _shrink_consistent
-from argcl.formulas import DEFAULT_MAX_MODELS, satisfies
+from argcl.formulas import DEFAULT_MAX_MODELS, _constraint_template, satisfies
 from argcl import logic
 from argcl.logic import _Premises, _affine_rows, _fragment, _literal_template
 from argcl.relations import RELATION_CACHE_SIZE, truth_table
@@ -515,6 +515,7 @@ def test_relation_caches_are_bounded():
         positive_cnf_of,
         negative_cnf_of,
         _affine_rows,
+        _constraint_template,
     )
     # Upward-closed, downward-closed and affine shapes, a third each, so
     # that every cache sees more fresh relations than it may keep.
@@ -525,6 +526,7 @@ def test_relation_caches_are_bounded():
         relation_properties(relation)
         cnf_of(relation)
         _literal_template(relation)
+        _constraint_template(relation, (1, 0))
         [positive_cnf_of, negative_cnf_of, _affine_rows][i % 3](relation)
     for cache in caches:
         assert cache.cache_info().currsize <= RELATION_CACHE_SIZE == 256

@@ -233,9 +233,11 @@ def _mask_order(
     delta: Sequence[GammaFormula], alpha: GammaFormula, max_models: int
 ) -> tuple[str, ...] | None:
     """The joint variable order, or None past max_models or _MASK_LIMIT.
-    The signature words hold one bit per formula and one for alpha."""
+    The limit counts the formulas' 64-bit signature words; alpha's bit
+    rides in the last of them, or in one byte of its own when the
+    formulas fill their words (`_KB`)."""
     order = tuple(sorted(variables_of(delta) | alpha.variables))
-    words = (len(delta) + 64) // 64
+    words = (len(delta) + 63) // 64
     if (1 << len(order)) > max_models or (1 << len(order)) * words > _MASK_LIMIT:
         return None
     return order
@@ -254,9 +256,9 @@ def _maximal(sig: np.ndarray, n: int) -> list[int]:
     """The inclusion-maximal distinct rows of an n-formula signature array,
     as ints in canonical order (`_canonical`).
 
-    Rows of at most 64 bits are one unsigned code each, in any unsigned
-    type that holds n bits; wider ones are rows of 64-bit words, low word
-    first. For n <= 16, or when the 2**n subsets of the
+    A base of at most 64 formulas passes one unsigned code per row, in any
+    unsigned type that holds n bits; a wider one passes rows of 64-bit
+    words, low word first. For n <= 16, or when the 2**n subsets of the
     formulas number at most 8 per row, one superset-OR transform over the
     rows' presence bitset finds every maximal row, however many there are
     (`_maximal_present`). Otherwise the rows are peeled, one pass per
@@ -348,7 +350,7 @@ class _KB:
     A subset is consistent iff it lies inside some member of `mcs`, and
     entails alpha iff it lies inside no member of `bad`. Both lists are in
     canonical order, most formulas first and ties by ascending bitmask,
-    whichever route found them.
+    whichever route of `_maximal` found them.
 
     The variable order is numbered once per compile. Each formula's
     constraints are combined on its own axes from cached collapsed tables
@@ -356,12 +358,15 @@ class _KB:
     code per assignment (`signature_codes`), so no per-formula 2**n mask
     is built. Alpha is compiled the same way as formula n, so bit n of a
     code says the assignment is a model of alpha and no mask is built for
-    it either. Past 64 bits the codes are stacked into 64-bit words.
+    it either.
 
     With n <= 16, one presence bitset of 2**(n+1) bits holds every code:
     its low half holds the signatures of alpha's non-models, and the OR of
-    its halves holds every signature. Past that, bit n is filtered on
-    (for `bad`) and cleared (for `mcs`) on the codes themselves.
+    its halves holds every signature. Past that, bit n is read off as the
+    mask of alpha's non-models and then cleared, or, when n is a multiple
+    of 64, alpha's word of its own (one byte per assignment) is dropped;
+    the formulas' codes go to `_maximal`, stacked into 64-bit words past
+    64 formulas.
     """
 
     def __init__(self, delta: Sequence[GammaFormula], alpha: GammaFormula, order):
@@ -371,20 +376,24 @@ class _KB:
         words = [
             signature_codes(len(order), formulas[w : w + 64]) for w in range(0, n + 1, 64)
         ]
+        claim_word = words[-1]
+        if n <= 16:
+            outside, inside = _presence(claim_word, 2 << n).reshape(2, 1 << n)
+            self.mcs = _maximal_bits(outside | inside, n)
+            self.bad = _maximal_bits(outside, n)
+            return
+        claim = claim_word.dtype.type(1 << n % 64)
+        outside = (claim_word & claim) == 0
+        if n % 64:
+            claim_word &= ~claim
+        else:
+            words.pop()
         if len(words) == 1:
             sig = words[0]
         else:
             sig = np.stack([w.astype(np.uint64) for w in words], axis=1)
-        if n <= 16:
-            outside, inside = _presence(sig, 2 << n).reshape(2, 1 << n)
-            self.mcs = _maximal_bits(outside | inside, n)
-            self.bad = _maximal_bits(outside, n)
-        else:
-            claim_word = sig if sig.ndim == 1 else sig[:, n // 64]
-            claim = claim_word.dtype.type(1 << n % 64)
-            self.bad = _maximal(sig[(claim_word & claim) == 0], n)
-            claim_word &= ~claim
-            self.mcs = _maximal(sig, n)
+        self.mcs = _maximal(sig, n)
+        self.bad = _maximal(sig[outside], n)
 
     def entails(self, s: int) -> bool:
         return all(s & ~b for b in self.bad)

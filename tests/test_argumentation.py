@@ -799,6 +799,35 @@ class TestCompiledBase:
         )
         assert not argrel(delta, alpha, 1)
 
+    def test_sixty_four_formulas_at_the_mask_limit(self):
+        # 64 formulas over 20 variables fill one signature word, so alpha's
+        # bit takes a byte of its own and the base still fits the limit;
+        # 65 take two words and do not. T(v00) and F(v00) make the base
+        # inconsistent and NAE3 puts it in no fragment, so only the
+        # signature base answers: subset search refuses 64 > max_kb.
+        names = [f"v{i:02d}" for i in range(20)]
+        chain = [gamma(Constraint(IMPL, pair)) for pair in zip(names[1:], names[2:])]
+        nae = [gamma(Constraint(NAE3, ("v00", "v01", v))) for v in names[2:5]]
+        fillers = [or2(a, b) for a, b in itertools.combinations(names[1:], 2)]
+        delta = [
+            gamma(Constraint(T, ("v00",))),
+            gamma(Constraint(F, ("v00",))),
+            gamma(Constraint(T, ("v01",))),
+            *chain,
+            *nae,
+        ]
+        delta += fillers[: 64 - len(delta)]
+        yes = gamma(Constraint(T, ("v19",)))
+        no = gamma(Constraint(F, ("v19",)))
+        assert len(delta) == 64 > DEFAULT_MAX_KB
+        assert len(variables_of(delta)) == 20
+        assert _mask_order(delta, yes, DEFAULT_MAX_MODELS) is not None
+        assert _mask_order([*delta, delta[-1]], yes, DEFAULT_MAX_MODELS) is None
+        assert arg_exists(delta, yes) is True
+        assert argcheck(find_minimal_support(delta, yes).formulas(delta), yes)
+        assert arg_exists(delta, no) is False
+        assert find_minimal_support(delta, no) is None
+
     @pytest.mark.parametrize("size", [8, 63, 64, 65, 70])
     def test_signatures_match_brute_force(self, size):
         # Formula 63 takes the top bit of the first signature word and 64

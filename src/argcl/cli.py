@@ -3,9 +3,11 @@
 Subcommands wrap the library one to one: props and classify read a
 relation file, solve/supports read an instance file, express builds a
 gadget over a relation file, reduce and oracle consume source-problem
-files. Exit codes: 0 for YES or success, 1 for NO, 2 for usage, parse,
-or precondition problems and unreadable files, 3 for exceeded budgets.
-Any other exception is a bug and propagates with its traceback.
+files. solve, supports, reduce and oracle read their file through one
+helper (`_read_source`) that picks the parser by input type. Exit codes:
+0 for YES or success, 1 for NO, 2 for usage, parse, or precondition
+problems and unreadable files, 3 for exceeded budgets. Any other
+exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .errors import (
 from .expressibility import GadgetTarget, express
 from .formulas import (
     DEFAULT_MAX_MODELS,
+    ArgInstance,
     parse_instance,
     serialize_instance,
 )
@@ -42,6 +45,7 @@ from .reductions import (
     CnfInput,
     REDUCTION_KINDS,
     SOURCE_PROBLEMS,
+    _SOURCE_TYPES,
     parse_abduction,
     parse_dimacs,
     reduce,
@@ -66,8 +70,15 @@ def _read(path: str) -> str:
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _base_dir(path: str) -> str:
-    return os.path.dirname(os.path.abspath(path))
+def _read_source(path: str, source_type: type) -> CnfInput | AbdInstance | ArgInstance:
+    """Parse a file as the given input type: DIMACS for a CnfInput, the
+    abduction grammar for an AbdInstance, the instance grammar for an
+    ArgInstance, with `use` paths resolved beside the file."""
+    text = _read(path)
+    if source_type is CnfInput:
+        return parse_dimacs(text)
+    parse = parse_abduction if source_type is AbdInstance else parse_instance
+    return parse(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def _cmd_props(args: argparse.Namespace) -> int:
@@ -86,9 +97,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = parse_instance(
-        _read(args.instancefile), base_dir=_base_dir(args.instancefile)
-    )
+    instance = _read_source(args.instancefile, ArgInstance)
     delta = list(instance.delta)
     common = {"engine": args.engine, "max_models": args.max_models}
     if args.question == "sat":
@@ -114,9 +123,7 @@ def _format_support(indices: Sequence[int]) -> str:
 
 
 def _cmd_supports(args: argparse.Namespace) -> int:
-    instance = parse_instance(
-        _read(args.instancefile), base_dir=_base_dir(args.instancefile)
-    )
+    instance = _read_source(args.instancefile, ArgInstance)
     delta = list(instance.delta)
     common = {
         "engine": args.engine,
@@ -148,14 +155,7 @@ def _cmd_express(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    text = _read(args.srcfile)
-    src_type = source_type_of(args.kind)
-    if src_type is CnfInput:
-        source = parse_dimacs(text)
-    elif src_type is AbdInstance:
-        source = parse_abduction(text, base_dir=_base_dir(args.srcfile))
-    else:
-        source = parse_instance(text, base_dir=_base_dir(args.srcfile))
+    source = _read_source(args.srcfile, source_type_of(args.kind))
     language, instance = reduce(args.kind, source)
     prefix = args.out or os.path.splitext(args.srcfile)[0] + "_" + args.kind
     rel_path = prefix + ".rel"
@@ -170,11 +170,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    text = _read(args.srcfile)
-    if args.problem in ("threesat", "pos1in3", "criticalsat"):
-        source: CnfInput | AbdInstance = parse_dimacs(text)
-    else:
-        source = parse_abduction(text, base_dir=_base_dir(args.srcfile))
+    source = _read_source(args.srcfile, _SOURCE_TYPES[args.problem])
     answer = solve_source(args.problem, source)
     print("YES" if answer else "NO")
     return 0 if answer else 1

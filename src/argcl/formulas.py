@@ -4,6 +4,10 @@ A formula is a conjunction of constraints R(v1,...,vk); no other connective
 exists in this framework. Assignments are encoded as bitmasks over the
 sorted variable list, with the lexically first variable in the most
 significant bit, so ascending mask order is lexicographic model order.
+
+Instance files and the abduction files of `reductions` read their shared
+directives (relations, named formulas, the kb) through one `_Reader`; each
+parser reads only its own directives and makes its own final checks.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ from .relations import (
     RELATION_CACHE_SIZE,
     ConstraintLanguage,
     Relation,
+    _IDENT_RE,
     parse_relation_line,
     parse_relations,
+    serialize_relations,
     truth_table,
 )
 
@@ -47,9 +53,6 @@ __all__ = [
 Variable = str
 
 DEFAULT_MAX_MODELS = 2**22
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -318,7 +321,8 @@ def satisfies(assignment: Mapping[Variable, bool], constraint: Constraint) -> bo
 
 
 # ---------------------------------------------------------------------------
-# Instance file format:
+# Instance file format; the first four directives are shared with abduction
+# files, and formula names are identifiers:
 #   use <relation-file-path>
 #   relation <NAME> <arity> { <tuples> }     # inline alternative to `use`
 #   formula <name> = <REL>(<v>,...) & ...
@@ -357,6 +361,78 @@ def _parse_constraints(
     return GammaFormula(tuple(constraints))
 
 
+class _Reader:
+    """The directives instance and abduction files share.
+
+    `use` and `relation` lines declare relations, `formula` lines name a
+    conjunction over the relations declared so far, and `kb` lines append
+    named formulas to the knowledge base. Each file kind reads its own
+    directives from `read` at their place in the file.
+    """
+
+    def __init__(self, base_dir: str | None, language: ConstraintLanguage | None):
+        self.base_dir = base_dir
+        self.relations = {r.name: r for r in language or ()}
+        self.formulas: dict[str, GammaFormula] = {}
+        self.kb_names: list[str] = []
+
+    def read(self, text: str, own: tuple[str, ...]) -> Iterator[tuple[str, str, int]]:
+        """Read the shared directives in line order and yield (keyword, rest
+        of line, line number) for those in `own`; any other is a ParseError."""
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            keyword, _, rest = line.partition(" ")
+            rest = rest.strip()
+            if keyword == "use":
+                if not rest:
+                    raise ParseError("use needs a file path", lineno)
+                path = os.path.join(self.base_dir or ".", rest)
+                try:
+                    with open(path, "r", encoding="utf-8") as fh:
+                        used = parse_relations(fh.read())
+                except (OSError, UnicodeDecodeError) as exc:
+                    raise ParseError(f"cannot read {rest}: {exc}", lineno) from None
+                for r in used:
+                    self._declare(r, lineno)
+            elif keyword == "relation":
+                self._declare(parse_relation_line(line, lineno), lineno)
+            elif keyword == "formula":
+                name, eq, body = rest.partition("=")
+                name = name.strip()
+                if not eq or not _IDENT_RE.match(name):
+                    raise ParseError("expected `formula <name> = <constraints>`", lineno)
+                if name in self.formulas:
+                    raise ParseError(f"duplicate formula {name}", lineno)
+                formula = _parse_constraints(body.strip(), self.relations, lineno)
+                self.formulas[name] = formula
+            elif keyword == "kb":
+                for name in rest.split():
+                    if name not in self.formulas:
+                        raise ParseError(f"unknown formula {name}", lineno)
+                    if name in self.kb_names:
+                        raise ParseError(f"formula {name} repeated in kb", lineno)
+                    self.kb_names.append(name)
+            elif keyword in own:
+                yield keyword, rest, lineno
+            else:
+                raise ParseError(f"unknown directive {keyword!r}", lineno)
+
+    def _declare(self, relation: Relation, lineno: int):
+        if relation.name in self.relations:
+            raise ParseError(f"duplicate relation {relation.name}", lineno)
+        self.relations[relation.name] = relation
+
+    def language(self) -> ConstraintLanguage:
+        if not self.relations:
+            raise ParseError("no relations available; add `use` or `relation` lines")
+        return ConstraintLanguage(tuple(self.relations.values()))
+
+    def kb(self) -> list[GammaFormula]:
+        return [self.formulas[name] for name in self.kb_names]
+
+
 def parse_instance(
     text: str,
     *,
@@ -379,80 +455,31 @@ def parse_instance(
             arity mismatches, duplicate names, a missing claim, or a
             `relevant` target outside the kb.
     """
-    relations: dict[str, Relation] = {}
-    if language is not None:
-        relations.update({r.name: r for r in language})
-    formulas: dict[str, GammaFormula] = {}
-    kb_names: list[str] = []
+    reader = _Reader(base_dir, language)
     claim: GammaFormula | None = None
     relevant_name: str | None = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if keyword == "use":
-            if not rest:
-                raise ParseError("use needs a file path", lineno)
-            path = os.path.join(base_dir or ".", rest)
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    used = parse_relations(fh.read())
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ParseError(f"cannot read {rest}: {exc}", lineno) from None
-            for r in used:
-                if r.name in relations:
-                    raise ParseError(f"duplicate relation {r.name}", lineno)
-                relations[r.name] = r
-        elif keyword == "relation":
-            r = parse_relation_line(line, lineno)
-            if r.name in relations:
-                raise ParseError(f"duplicate relation {r.name}", lineno)
-            relations[r.name] = r
-        elif keyword == "formula":
-            name, eq, body = rest.partition("=")
-            name = name.strip()
-            if not eq or not _IDENT_RE.match(name):
-                raise ParseError("expected `formula <name> = <constraints>`", lineno)
-            if name in formulas:
-                raise ParseError(f"duplicate formula {name}", lineno)
-            formulas[name] = _parse_constraints(body.strip(), relations, lineno)
-        elif keyword == "kb":
-            for name in rest.split():
-                if name not in formulas:
-                    raise ParseError(f"unknown formula {name}", lineno)
-                if name in kb_names:
-                    raise ParseError(f"formula {name} repeated in kb", lineno)
-                kb_names.append(name)
-        elif keyword == "claim":
+    for keyword, rest, lineno in reader.read(text, ("claim", "relevant")):
+        if keyword == "claim":
             if claim is not None:
                 raise ParseError("multiple claim lines", lineno)
-            claim = _parse_constraints(rest, relations, lineno)
-        elif keyword == "relevant":
+            claim = _parse_constraints(rest, reader.relations, lineno)
+        else:
             if relevant_name is not None:
                 raise ParseError("multiple relevant lines", lineno)
             if not rest or len(rest.split()) != 1:
                 raise ParseError("relevant needs exactly one formula name", lineno)
             relevant_name = rest
-        else:
-            raise ParseError(f"unknown directive {keyword!r}", lineno)
 
     if claim is None:
         raise ParseError("missing claim")
-    if not relations:
-        raise ParseError("no relations available; add `use` or `relation` lines")
+    declared = reader.language()
     relevant = None
     if relevant_name is not None:
-        if relevant_name not in kb_names:
+        if relevant_name not in reader.kb_names:
             raise ParseError(f"relevant formula {relevant_name} is not in the kb")
-        relevant = kb_names.index(relevant_name)
+        relevant = reader.kb_names.index(relevant_name)
     return ArgInstance(
-        language=ConstraintLanguage(tuple(relations.values())),
-        delta=tuple(formulas[n] for n in kb_names),
-        alpha=claim,
-        relevant=relevant,
+        language=declared, delta=tuple(reader.kb()), alpha=claim, relevant=relevant
     )
 
 
@@ -463,12 +490,10 @@ def serialize_instance(instance: ArgInstance, *, use: str | None = None) -> str:
     `use` line replaces inline relation declarations so the language can
     live in a separate relation file.
     """
-    lines: list[str] = []
     if use is not None:
-        lines.append(f"use {use}")
+        lines = [f"use {use}"]
     else:
-        for r in instance.language:
-            lines.append(f"relation {r.name} {r.arity} {{ {' '.join(r.tuple_strings)} }}")
+        lines = serialize_relations(instance.language).splitlines()
     names = []
     for i, formula in enumerate(instance.delta):
         name = f"f{i}"

@@ -5,13 +5,16 @@ instance, or another argumentation instance) to a constraint language plus
 an argumentation instance with the same answer, so soundness can be checked
 end to end against the oracles. Generalized clauses needed by a
 construction are materialized as freshly named extensional relations.
+
+Source problems and reduction kinds each name their input type in one
+table (`_SOURCE_TYPES`, `_BUILDERS`). CNF sources are DIMACS; abduction
+files go through the instance-file reader (`formulas._Reader`).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,8 +26,7 @@ from .formulas import (
     Constraint,
     GammaFormula,
     Variable,
-    _IDENT_RE,
-    _parse_constraints,
+    _Reader,
     conjoin,
     models_mask,
     variables_of,
@@ -33,9 +35,8 @@ from .relations import (
     MAX_ARITY,
     ConstraintLanguage,
     Relation,
+    _IDENT_RE,
     language_properties,
-    parse_relation_line,
-    parse_relations,
 )
 
 __all__ = [
@@ -66,8 +67,6 @@ __all__ = [
     "BRIDGE4",
     "BRIDGE7",
 ]
-
-SOURCE_PROBLEMS = ("threesat", "pos1in3", "criticalsat", "abd", "abd_p")
 
 # Oracle budgets: CNF sources enumerate 2^n assignments, abduction sources
 # additionally enumerate literal sets over the hypotheses.
@@ -127,6 +126,18 @@ class AbdInstance:
                 raise ValueError(
                     f"theory uses relation {c.relation.name} outside the language"
                 )
+
+
+# The input type each source problem's oracle reads.
+_SOURCE_TYPES = {
+    "threesat": CnfInput,
+    "pos1in3": CnfInput,
+    "criticalsat": CnfInput,
+    "abd": AbdInstance,
+    "abd_p": AbdInstance,
+}
+
+SOURCE_PROBLEMS = tuple(_SOURCE_TYPES)
 
 
 # ---------------------------------------------------------------------------
@@ -193,62 +204,22 @@ def parse_abduction(
 ) -> AbdInstance:
     """Parse an abduction file.
 
-    The grammar matches instance files except that `claim` is forbidden
-    and `hypotheses <v> ...` plus `observation <v>` lines appear instead.
-    The theory is the conjunction of the kb formulas in kb order.
+    The `use`, `relation`, `formula` and `kb` lines are read as in
+    instance files (`formulas._Reader`), formula names included; `claim`
+    is forbidden, and `hypotheses <v> ...` plus `observation <v>` lines
+    appear instead. The theory is the conjunction of the kb formulas in kb
+    order.
 
     Raises:
         ParseError: on syntax errors, an empty kb, a missing observation,
             or an observation that is also a hypothesis.
     """
-    relations: dict[str, Relation] = {}
-    if language is not None:
-        relations.update({r.name: r for r in language})
-    formulas: dict[str, GammaFormula] = {}
-    kb_names: list[str] = []
+    reader = _Reader(base_dir, language)
     hypotheses: list[str] = []
     observation: str | None = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if keyword == "use":
-            if not rest:
-                raise ParseError("use needs a file path", lineno)
-            path = os.path.join(base_dir or ".", rest)
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    used = parse_relations(fh.read())
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ParseError(f"cannot read {rest}: {exc}", lineno) from None
-            for r in used:
-                if r.name in relations:
-                    raise ParseError(f"duplicate relation {r.name}", lineno)
-                relations[r.name] = r
-        elif keyword == "relation":
-            r = parse_relation_line(line, lineno)
-            if r.name in relations:
-                raise ParseError(f"duplicate relation {r.name}", lineno)
-            relations[r.name] = r
-        elif keyword == "formula":
-            name, eq, body = rest.partition("=")
-            name = name.strip()
-            if not eq:
-                raise ParseError("expected `formula <name> = <constraints>`", lineno)
-            if name in formulas:
-                raise ParseError(f"duplicate formula {name}", lineno)
-            formulas[name] = _parse_constraints(body.strip(), relations, lineno)
-        elif keyword == "kb":
-            for name in rest.split():
-                if name not in formulas:
-                    raise ParseError(f"unknown formula {name}", lineno)
-                if name in kb_names:
-                    raise ParseError(f"formula {name} repeated in kb", lineno)
-                kb_names.append(name)
-        elif keyword == "hypotheses":
+    own = ("hypotheses", "observation", "claim")
+    for keyword, rest, lineno in reader.read(text, own):
+        if keyword == "hypotheses":
             for v in rest.split():
                 if not _IDENT_RE.match(v):
                     raise ParseError(f"invalid variable name {v!r}", lineno)
@@ -263,22 +234,18 @@ def parse_abduction(
             if not _IDENT_RE.match(rest):
                 raise ParseError(f"invalid variable name {rest!r}", lineno)
             observation = rest
-        elif keyword == "claim":
-            raise ParseError("abduction files take an observation, not a claim", lineno)
         else:
-            raise ParseError(f"unknown directive {keyword!r}", lineno)
+            raise ParseError("abduction files take an observation, not a claim", lineno)
 
-    if not kb_names:
+    if not reader.kb_names:
         raise ParseError("abduction file needs a nonempty kb as its theory")
     if observation is None:
         raise ParseError("missing observation")
     if observation in hypotheses:
         raise ParseError(f"observation {observation} is listed as a hypothesis")
-    if not relations:
-        raise ParseError("no relations available; add `use` or `relation` lines")
     return AbdInstance(
-        language=ConstraintLanguage(tuple(relations.values())),
-        phi=conjoin(*(formulas[n] for n in kb_names)),
+        language=reader.language(),
+        phi=conjoin(*reader.kb()),
         hypotheses=tuple(hypotheses),
         q=observation,
     )
@@ -369,34 +336,33 @@ def solve_source(problem: str, instance: CnfInput | AbdInstance) -> bool:
         BudgetExceededError: more than 20 CNF variables or 12 hypotheses.
         PreconditionError: clause shape does not fit the problem.
     """
-    if problem in ("threesat", "pos1in3", "criticalsat"):
-        if not isinstance(instance, CnfInput):
-            raise TypeError(f"{problem} expects a CnfInput")
-        if problem == "threesat":
-            _require_three_cnf(instance)
-            count, _ = _violations(instance)
-            return bool((count == 0).any())
-        if problem == "pos1in3":
-            _require_pos1in3(instance)
-            assignments = _assignments(instance.n)
-            good = np.ones(1 << instance.n, dtype=np.bool_)
-            for clause in instance.clauses:
-                count = np.zeros(1 << instance.n, dtype=np.int8)
-                for lit in clause:
-                    count += ((assignments >> (instance.n - lit)) & 1).astype(np.int8)
-                good &= count == 1
-            return bool(good.any())
+    source_type = _SOURCE_TYPES.get(problem)
+    if source_type is None:
+        raise ValueError(f"unknown source problem {problem!r}")
+    if not isinstance(instance, source_type):
+        raise TypeError(f"{problem} expects a {source_type.__name__}")
+    if problem == "threesat":
+        _require_three_cnf(instance)
+        count, _ = _violations(instance)
+        return bool((count == 0).any())
+    if problem == "pos1in3":
+        _require_pos1in3(instance)
+        assignments = _assignments(instance.n)
+        good = np.ones(1 << instance.n, dtype=np.bool_)
+        for clause in instance.clauses:
+            count = np.zeros(1 << instance.n, dtype=np.int8)
+            for lit in clause:
+                count += ((assignments >> (instance.n - lit)) & 1).astype(np.int8)
+            good &= count == 1
+        return bool(good.any())
+    if problem == "criticalsat":
         # Unsatisfiable, and each clause is the only one some assignment
         # violates, so that dropping it leaves a model.
         count, last = _violations(instance)
         if (count == 0).any():
             return False
         return len(np.unique(last[count == 1])) == len(instance.clauses)
-    if problem in ("abd", "abd_p"):
-        if not isinstance(instance, AbdInstance):
-            raise TypeError(f"{problem} expects an AbdInstance")
-        return _abd_answer(instance, positive_only=problem == "abd_p")
-    raise ValueError(f"unknown source problem {problem!r}")
+    return _abd_answer(instance, positive_only=problem == "abd_p")
 
 
 # ---------------------------------------------------------------------------

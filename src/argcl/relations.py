@@ -37,7 +37,7 @@ __all__ = [
 
 MAX_ARITY = 16
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 # Every cache keyed on a Relation keeps at most this many entries, so a
 # stream of fresh relations holds memory flat.
@@ -70,7 +70,7 @@ class Relation:
     tuples: frozenset[int]
 
     def __post_init__(self):
-        if self.name != "=" and not _NAME_RE.match(self.name):
+        if self.name != "=" and not _IDENT_RE.match(self.name):
             raise ValueError(f"invalid relation name {self.name!r}")
         if not 1 <= self.arity <= MAX_ARITY:
             raise ValueError(f"arity must be in 1..{MAX_ARITY}, got {self.arity}")
@@ -298,7 +298,7 @@ def parse_relation_line(line: str, lineno: int | None = None) -> Relation:
     if not m:
         raise ParseError("malformed relation declaration", lineno)
     name = m.group("name")
-    if not _NAME_RE.match(name):
+    if not _IDENT_RE.match(name):
         raise ParseError(f"invalid relation name {name!r}", lineno)
     try:
         arity = int(m.group("arity"))

@@ -964,6 +964,27 @@ class TestCompiledBase:
         kb = _KB(delta, alpha, tuple(sorted(variables_of(delta) | alpha.variables)))
         assert kb.mcs == [(1 << 12) - 1] and kb.bad
 
+    @pytest.mark.parametrize("size", [0, 1, 12, 16])
+    def test_small_bases_skip_maximal(self, size, monkeypatch):
+        # Up to 16 formulas the compile reads mcs and bad off one presence
+        # bitset, so _maximal is reached only past that.
+        def forbidden(*args):
+            raise AssertionError("a small base went through _maximal")
+
+        monkeypatch.setattr(argumentation, "_maximal", forbidden)
+        delta = [or2(f"v{i}", f"v{i + 1}") for i in range(size - 1)]
+        delta += [gamma(Constraint(F, ("v0",)))][:size]
+        alpha = gamma(Constraint(T, ("v0",)))
+        order = tuple(sorted(variables_of(delta) | alpha.variables))
+        kb = _KB(delta, alpha, order)
+        codes = np.zeros(1 << len(order), dtype=object)
+        codes[:] = 0
+        for i, f in enumerate(delta):
+            codes += satisfaction_row(f, order).astype(object) << i
+        outside = ~satisfaction_row(alpha, order)
+        assert kb.mcs == brute_maximal(codes.tolist())
+        assert kb.bad == brute_maximal(codes[outside].tolist())
+
 
 class TestRoute:
     """Which route `_route` takes, and where max_kb binds."""
@@ -1164,8 +1185,8 @@ class TestMaximal:
     @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
     def test_routes_agree_up_to_sixteen_formulas(self, n, dtype, monkeypatch):
         # 512 rows under 25 maximal ones of n/2 formulas each: too few rows
-        # for the 8-per-row rule, so only the n <= 16 rule sends them to
-        # the bitset.
+        # for the 8-per-row rule, so _maximal peels them. `_KB` reads bases
+        # of at most 16 formulas off its own bitset and never asks.
         rng = random.Random(n)
         tops = [sum(1 << i for i in rng.sample(range(n), n // 2)) for _ in range(25)]
         rows = tops + [rng.choice(tops) & rng.getrandbits(n) for _ in range(487)]
@@ -1175,10 +1196,10 @@ class TestMaximal:
         assert len(want) == len(set(tops))
         assert _maximal_present(sig, n) == _maximal_peel(sig) == want
 
-        def peel(sig):
-            raise AssertionError("peeled rows the bitset holds")
+        def present(sig, n):
+            raise AssertionError("built a bitset for too few rows")
 
-        monkeypatch.setattr(argumentation, "_maximal_peel", peel)
+        monkeypatch.setattr(argumentation, "_maximal_present", present)
         assert _maximal(sig, n) == want
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])

@@ -263,6 +263,34 @@ class TestReduce:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestWrongFormat:
+    """A source file in the other format is a parse error, exit 2."""
+
+    ABD = (
+        "relation IMPL 2 { 00 01 11 }\n"
+        "formula r = IMPL(h,q)\n"
+        "kb r\n"
+        "hypotheses h\n"
+        "observation q\n"
+    )
+    CNF = "p cnf 2 1\n1 2 0\n"
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["oracle", "abd"], CNF),
+            (["oracle", "threesat"], ABD),
+            (["reduce", "abdp_arg_neq_ext"], CNF),
+            (["reduce", "threesat_arg_neq"], ABD),
+        ],
+    )
+    def test_exit_2(self, workdir, capsys, argv, text):
+        src = workdir / "source.txt"
+        src.write_text(text)
+        assert main([*argv, str(src)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 1:")
+
+
 class TestOracle:
     def test_threesat(self, workdir, capsys):
         sat = workdir / "sat.cnf"

@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from argcl import (
     parse_abduction,
     parse_dimacs,
     parse_instance,
+    parse_relations,
     reduce,
     serialize_instance,
     small_abduction_family,
@@ -273,6 +276,74 @@ class TestParseAbduction:
         )
         inst = parse_abduction(text)
         assert str(inst.phi) == "IMPL(y,z) & IMPL(x,y)"
+
+
+class TestSharedDirectives:
+    """Instance and abduction files read `use`, `relation`, `formula` and
+    `kb` lines alike, so each broken one fails both the same way."""
+
+    RELATION = "relation T 1 { 1 }\n"
+    BAD_NAME = "line 2: expected `formula <name> = <constraints>`"
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            pytest.param("use\n", "line 1: use needs a file path", id="use-no-path"),
+            pytest.param(
+                "use gone.rel\n", "line 1: cannot read gone.rel", id="use-unreadable"
+            ),
+            pytest.param(
+                RELATION + RELATION, "line 2: duplicate relation T", id="dup-relation"
+            ),
+            pytest.param(
+                RELATION + "formula f = T(x)\nformula f = T(y)\n",
+                "line 3: duplicate formula f",
+                id="dup-formula",
+            ),
+            pytest.param(
+                RELATION + "kb f\n", "line 2: unknown formula f", id="kb-unknown"
+            ),
+            pytest.param(
+                RELATION + "formula f = T(x)\nkb f f\n",
+                "line 3: formula f repeated in kb",
+                id="kb-repeated",
+            ),
+            pytest.param(RELATION + "formula 1x = T(x)\n", BAD_NAME, id="name-1x"),
+            pytest.param(RELATION + "formula a b = T(x)\n", BAD_NAME, id="name-a-b"),
+            pytest.param(RELATION + "formula = T(x)\n", BAD_NAME, id="name-empty"),
+        ],
+    )
+    def test_same_error_in_both_file_kinds(self, lines, message, tmp_path):
+        errors = []
+        for parse, tail in (
+            (parse_instance, "claim T(x)\n"),
+            (parse_abduction, "hypotheses h\nobservation x\n"),
+        ):
+            with pytest.raises(ParseError) as info:
+                parse(lines + tail, base_dir=str(tmp_path))
+            errors.append((str(info.value), info.value.line))
+        assert errors[0] == errors[1]
+        assert errors[0][0].startswith(message)
+
+
+class TestReadmeFormats:
+    """The README's three file-format examples, read by the parsers, so the
+    docs and the readers cannot drift apart."""
+
+    def test_examples_parse(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### File formats", 1)[1].split("\n## ", 1)[0]
+        rel, arg, abd = re.findall(r"```text\n(.*?)```", section, re.S)
+        assert [r.name for r in parse_relations(rel)] == ["NEQ", "OR2"]
+        (tmp_path / "lang.rel").write_text(rel)
+        inst = parse_instance(arg, base_dir=str(tmp_path))
+        assert [str(f) for f in inst.delta] == ["OR2(a,b)", "NEQ(a,b)"]
+        assert str(inst.alpha) == "OR2(b,a)"
+        assert inst.relevant == 1
+        source = parse_abduction(abd)
+        assert str(source.phi) == "IMPL(h,q)"
+        assert (source.hypotheses, source.q) == (("h",), "q")
+        assert solve_source("abd_p", source)
 
 
 class TestSolveSource:

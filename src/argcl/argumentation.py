@@ -16,13 +16,18 @@ Existence, one minimal support, all minimal supports and every other
 relevance query take the first of three routes that answers, picked once
 by `_route`:
 
-1. The whole base (`_Whole`), for existence and one support only, when
-   it is consistent and so its own one MCS. When the base and the claim
-   lie in one tractable fragment, its fragment compile decides
-   consistency and answers. A base in no fragment is taken whole only
-   past the mask limit, where is_consistent decides and entails calls
-   answer; inside the limit route 2 answers it with no enumeration, as a
-   consistent base's one MCS is itself.
+1. The base's MCSes (`_Whole`), for existence and one support only. When
+   the base and the claim lie in one tractable fragment, its one fragment
+   compile finds the MCSes from the engine's conflicts, fewest formulas
+   dropped first (`_corrections`), and the first that entails the claim
+   answers; a consistent base is its own one MCS. This search visits at
+   most one node per formula below the base, and inside the mask limit
+   it stops at the first inconsistent one; then route 2 answers inside
+   the mask limit and route 3 past it. A
+   base in no fragment is taken whole only past the mask limit, when
+   is_consistent finds it consistent, and entails calls answer; inside
+   the limit route 2 answers it with no enumeration, as a consistent
+   base's one MCS is itself.
 2. The signature base (`_KB`), when the assignment space fits the mask
    limit: the base and the claim are compiled once into per-assignment
    signatures, the claim as one more bit. Their maximal elements are
@@ -57,6 +62,7 @@ from .formulas import (
 )
 from .logic import (
     _Premises,
+    _blocks,
     _check_engine,
     _entailed,
     _fragment,
@@ -248,8 +254,9 @@ def _members(bits: int) -> tuple[int, ...]:
 
 
 def _canonical(sets: Iterable[int]) -> list[int]:
-    """Most members first, ties broken by ascending bitmask."""
-    return sorted(sets, key=lambda s: (-s.bit_count(), s))
+    """Most members first, ties broken by ascending bitmask: a stable sort
+    by members, descending, of the ascending list."""
+    return sorted(sorted(sets), key=int.bit_count, reverse=True)
 
 
 def _maximal(sig: np.ndarray, n: int) -> list[int]:
@@ -307,6 +314,9 @@ def _lacking(n: int) -> list[int]:
 # with a bitset over fewer, serve every n <= 16.
 _LACKING_16 = _lacking(16)
 
+# The set bits of each byte value, ascending.
+_BYTE_BITS = [tuple(b for b in range(8) if v >> b & 1) for v in range(256)]
+
 
 def _maximal_present(codes: np.ndarray, n: int) -> list[int]:
     """`_maximal_bits` of the presence bitset of `codes`, one unsigned code
@@ -345,8 +355,7 @@ def _maximal_bits(present: np.ndarray, n: int) -> list[int]:
     return _canonical(
         8 * j + b
         for j in np.flatnonzero(np.frombuffer(tops, dtype=np.uint8)).tolist()
-        for b in range(8)
-        if tops[j] >> b & 1
+        for b in _BYTE_BITS[tops[j]]
     )
 
 
@@ -530,48 +539,151 @@ class _Search:
         return any(idx in s for s in self.supports())
 
 
-class _Whole:
-    """A consistent base, its own one MCS: a support exists iff it
-    entails alpha, and shrinking it gives one. `premises` is its fragment
-    compile, or None when delta and alpha share no fragment and entails
-    calls decide. Only existence and one support reach this route."""
+def _corrections(engine, n: int, fits: bool) -> Iterator[int | None]:
+    """The minimal correction sets H of n formulas compiled one block each
+    into engine: the sets whose complements ~H are the MCSes. They come
+    level by level, fewest formulas first, and each level by descending
+    H, so the MCSes come in canonical order (`_canonical`).
 
-    def __init__(self, delta, alpha, max_models: int, premises: _Premises | None):
+    This is Reiter's hitting-set tree (AIJ 1987), searched breadth first:
+    a node H whose formulas left are inconsistent branches on the blocks
+    of their conflict, to the children H | b. Equal children are merged,
+    and a child that holds a correction set found on an earlier level is
+    pruned. Each consistent node is then a minimal correction set, and
+    each minimal one H* is reached: every node inside it is inconsistent
+    and unpruned, and its conflict meets H* outside the node. A conflict
+    found before that misses a node refutes it with no engine call. A
+    consistent base is the root, with the one correction set 0.
+
+    A None ends the list, and the caller hands over to the next route,
+    when a level would bring the nodes below the root past n. When the
+    base fits the mask limit (`fits`), the next route is the signature
+    base, which answers any base in one compile, so the search also hands
+    over at the first inconsistent node below the root: there it answers
+    only when each MCS leaves out one formula of the root's conflict, at
+    one engine check per MCS. A deeper tree can cost far more checks than
+    it finds MCSes: on the 10- to 14-formula bases of the 3-SAT reduction
+    to NEQ the whole tree takes 20 to 108 checks (median 55) for 9 to 27
+    MCSes. Past the mask limit only subset search is left, which tries up
+    to 2**n subsets, so the search goes on to n.
+    """
+    core = engine.conflict()
+    if core is None:
+        yield 0
+        return
+    found: list[int] = []
+    conflicts = [core]
+    level = {0: core}
+    budget = n
+    while level:
+        children = {h | 1 << b for h, k in level.items() for b in _blocks(k)}
+        # Ascending, so that the last state an engine keeps is that of the
+        # largest H, whose MCS is tried first.
+        fresh = sorted(h for h in children if not any(f & ~h == 0 for f in found))
+        budget -= len(fresh)
+        if budget < 0:
+            yield None
+            return
+        level = {}
+        consistent = []
+        for h in fresh:
+            core = next((k for k in conflicts if not k & h), None)
+            if core is None:
+                core = engine.conflict(h)
+                if core is not None:
+                    conflicts.append(core)
+            if core is None:
+                consistent.append(h)
+            elif fits:
+                yield None
+                return
+            else:
+                level[h] = core
+        consistent.reverse()
+        found += consistent
+        yield from consistent
+
+
+class _Whole:
+    """Existence and one support from the base's MCSes: a support exists
+    iff some MCS entails alpha, and shrinking the first that does, in
+    canonical order, gives the one support `_KB` gives.
+
+    `premises` is the base's fragment compile, when delta and alpha lie
+    in one tractable fragment: its engine finds the MCSes (`_corrections`)
+    and decides entailment within each. When that search hands over, the
+    next route answers instead: `_KB` inside the mask limit, `_Search`
+    past it. premises is None for a base in no fragment that
+    is_consistent found consistent past the mask limit, its own one MCS,
+    where entails calls decide. Only existence and one support reach this
+    route.
+    """
+
+    def __init__(self, delta, alpha, max_models: int, max_kb: int, premises: _Premises | None):
         self.delta, self.alpha = delta, alpha
-        self.max_models, self.premises = max_models, premises
+        self.max_models, self.max_kb, self.premises = max_models, max_kb, premises
+
+    @functools.cached_property
+    def claim(self) -> list[list[int]]:
+        """alpha's refutations on the compile, made when an MCS is tried."""
+        return self.premises.refutations(self.alpha)
+
+    @functools.cached_property
+    def order(self) -> tuple[str, ...] | None:
+        return _mask_order(self.delta, self.alpha, self.max_models)
+
+    def _correction_sets(self) -> Iterator[int | None]:
+        engine = self.premises.engine
+        # fits matters only below an inconsistent root, so a consistent
+        # base needs no variable order.
+        return _corrections(engine, len(self.delta), engine.ok or self.order is not None)
+
+    def _next(self):
+        if self.order is not None:
+            return _KB(self.delta, self.alpha, self.order)
+        return _Search(self.delta, self.alpha, "auto", self.max_models, self.max_kb)
 
     def exists(self) -> bool:
         if self.premises is None:
             return entails(self.delta, self.alpha, max_models=self.max_models)
-        return _entailed(self.premises.engine, self.premises.refutations(self.alpha))
+        for h in self._correction_sets():
+            if h is None:
+                return self._next().exists()
+            if _entailed(self.premises.engine, self.claim, h):
+                return True
+        return False
 
     def first_support(self) -> Support | None:
         if self.premises is None:
             return _shrink_consistent(self.delta, self.alpha, self.max_models)
-        return _shrink_compiled(self.premises, self.alpha, len(self.delta))
+        for h in self._correction_sets():
+            if h is None:
+                return self._next().first_support()
+            support = _shrink_compiled(self.premises.engine, self.claim, len(self.delta), h)
+            if support is not None:
+                return support
+        return None
 
 
 def _route(delta, alpha, engine: str, max_models: int, max_kb: int, whole: bool):
     """The first route, in the order the module docstring gives, that
     answers the query.
 
-    whole is True for existence and one support, which a consistent base
-    answers as a whole. Those meet max_kb only on the subset search; all
-    supports and relevance (whole False) set the search up first, so they
-    meet it before the signature base is built.
+    whole is True for existence and one support, which the base's MCSes
+    answer. Those meet max_kb only on the subset search; all supports and
+    relevance (whole False) set the search up first, so they meet it
+    before the signature base is built.
     """
     search = None if whole else _Search(delta, alpha, engine, max_models, max_kb)
     if engine != "generic":
         premises = _fragment_premises(delta, alpha) if whole else None
-        if premises is not None and premises.engine.ok:
-            return _Whole(delta, alpha, max_models, premises)
+        if premises is not None:
+            return _Whole(delta, alpha, max_models, max_kb, premises)
         order = _mask_order(delta, alpha, max_models)
         if order is not None:
             return _KB(delta, alpha, order)
-        if whole and premises is None and is_consistent(
-            delta, engine=engine, max_models=max_models
-        ):
-            return _Whole(delta, alpha, max_models, None)
+        if whole and is_consistent(delta, engine=engine, max_models=max_models):
+            return _Whole(delta, alpha, max_models, max_kb, None)
     return search or _Search(delta, alpha, engine, max_models, max_kb)
 
 
@@ -610,9 +722,11 @@ def find_minimal_support(
     whole base when it is consistent, and otherwise the first entailing
     MCS in canonical MCS order (most formulas first, ties broken by the
     ascending bitmask of their indices), and removes indices in ascending
-    order whenever entailment survives. On the subset search (past the
-    mask limit, and under the generic engine) it is the first support in
-    canonical subset order. The returned support always passes argcheck.
+    order whenever entailment survives. On the subset search (under the
+    generic engine, and past the mask limit for a base outside every
+    fragment or one whose MCS search hands over) it is the first support
+    in canonical subset order. The returned support always passes
+    argcheck.
 
     Raises:
         BudgetExceededError: the instance exceeds the model budget, or
@@ -637,9 +751,10 @@ def _shrink_consistent(
     return Support(tuple(i for i in range(len(delta)) if i not in dropped))
 
 
-def _shrink_compiled(premises: _Premises, alpha: GammaFormula, n: int) -> Support | None:
-    """_shrink_consistent on n consistent formulas compiled one block
-    each, from their one engine.
+def _shrink_compiled(engine, claim: list[list[int]], n: int, dropped: int) -> Support | None:
+    """_shrink_consistent on the consistent formulas outside `dropped` of
+    n formulas compiled one block each, from their one engine; claim
+    holds alpha's refutations.
 
     Each refutation of alpha keeps a core inside the formulas left. An
     index in no core is dropped with no check, as every refutation goes
@@ -648,12 +763,9 @@ def _shrink_compiled(premises: _Premises, alpha: GammaFormula, n: int) -> Suppor
     tried with it masked out too, and their cores are renewed when it
     goes. The support is the one the plain ascending loop keeps.
     """
-    engine = premises.engine
-    claim = premises.refutations(alpha)
-    cores = [engine.core(lits) for lits in claim]
+    cores = [engine.core(lits, dropped) for lits in claim]
     if None in cores:
         return None
-    dropped = 0
     for idx in range(n):
         trial = dropped | 1 << idx
         renewed = {}

@@ -195,7 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "that search up first, so they refuse larger bases outright. solve arg "
         "and supports without --all reach it only under --engine generic, or "
         "for an inconsistent base with more assignments than --max-models or "
-        "than 2**20 / ceil(formulas / 64)",
+        "than 2**20 / ceil(formulas / 64) that lies outside every tractable "
+        "fragment or whose MCS search passes one node per formula",
     )
     common.add_argument(
         "--engine",

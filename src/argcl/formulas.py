@@ -218,11 +218,28 @@ def _constraint_arrays(
     constraints: Iterable[Constraint], index: Mapping[Variable, int]
 ) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
     """Collapsed tables and ascending distinct positions, in the form the
-    kernels take, given each variable's position."""
+    kernels take, given each variable's position. Unary constraints and
+    binary ones on two distinct variables, most of any base, take
+    straight-line code: their rank pattern is (0,), (0, 1) or (1, 0)."""
     tables = []
     positions = []
     for c in constraints:
-        pos = [index[a] for a in c.args]
+        args = c.args
+        if len(args) == 1:
+            tables.append(_constraint_template(c.relation, (0,)))
+            positions.append((index[args[0]],))
+            continue
+        if len(args) == 2:
+            x, y = index[args[0]], index[args[1]]
+            if x < y:
+                tables.append(_constraint_template(c.relation, (0, 1)))
+                positions.append((x, y))
+                continue
+            if y < x:
+                tables.append(_constraint_template(c.relation, (1, 0)))
+                positions.append((y, x))
+                continue
+        pos = [index[a] for a in args]
         axes = sorted(set(pos))
         tables.append(_constraint_template(c.relation, tuple(map(axes.index, pos))))
         positions.append(tuple(axes))

@@ -20,14 +20,18 @@ wider relations take the general path. It builds one engine over all of
 its caller-given blocks, and records the block that owns each clause or
 row. That engine decides consistency, answers
 each assumption check with any blocks masked out, and reports the core of
-a refutation: the blocks it used. So the argumentation queries compile a
-base once, one block per formula, and read existence, verification and
-one minimal support off that one engine: a subset question masks the
-blocks left out, and a formula outside every core needs no check at all.
+a refutation: the blocks it used. With blocks masked out of inconsistent
+premises it also says whether the blocks left are consistent, and names
+the blocks of one conflict when they are not. So the argumentation
+queries compile a base once, one block per formula, and read existence,
+verification and one minimal support off that one engine: a subset
+question masks the blocks left out, a formula outside every core needs
+no check at all, and the conflicts lead to the maximal consistent subsets.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import logging
@@ -192,8 +196,10 @@ def negative_cnf_of(relation: Relation) -> tuple[Clause, ...]:
 # Each engine is built once over every block of its premises, recording the
 # block that owns each clause or row, and then answers any number of literal
 # sets with any blocks masked out. Block masks are ints, block i at bit i.
-# sat and core are defined for consistent premises (ok), whose every subset
-# is consistent too.
+# ok says whether all the premises are consistent; conflict(masked) says
+# whether the blocks left are, giving None if so and otherwise the blocks of
+# one conflict among them. sat and core are defined where the blocks left
+# are consistent, as every subset of a consistent set is too.
 # ---------------------------------------------------------------------------
 
 # The count of a satisfied clause: no run of decrements brings it to 1.
@@ -220,7 +226,9 @@ class _UnitPropagation:
 
     A masked block's clauses count as satisfied. The fixpoint is reused
     unless a masked block forced one of its literals; it is then rebuilt
-    without them. The state of the last mask is kept for the next query.
+    without them. Inconsistent premises have no fixpoint to reuse, only
+    the core of their conflict, so every mask rebuilds. The state of the
+    last mask is kept for the next query.
     """
 
     def __init__(self, n_lits: int, clauses: list[tuple[int, ...]], owners: list[int]):
@@ -233,42 +241,45 @@ class _UnitPropagation:
         self.occurs = occurs
         self.counts = [len(lits) for lits in clauses]
         self.left = self.counts.copy()
-        self.reason = self._fixpoint(self.left)
-        self.ok = self.reason is not None
-        self.fed = 0
+        self.reason, conflict = self._fixpoint(self.left)
+        self.ok = conflict is None
+        self.first = (self.reason, self.left, conflict)
+        self.fed = 0 if self.ok else -1
         for c in self.reason or ():
             if c is not None:
                 self.fed |= 1 << owners[c]
-        self.last = (0, self.reason, self.left)
+        self.last = (0, *self.first)
 
-    @functools.cached_property
-    def members(self) -> dict[int, list[int]]:
-        """The clauses of each block, built when a mask first needs them."""
-        members: dict[int, list[int]] = {}
-        for c, block in enumerate(self.owners):
-            members.setdefault(block, []).append(c)
-        return members
-
-    def _fixpoint(self, left: list[int]) -> list[int | None] | None:
+    def _fixpoint(self, left: list[int]):
         """Propagate the unit clauses of fresh counts, updating them in
-        place; the reasons at the fixpoint, or None on a conflict."""
+        place: (the reasons at the fixpoint, None), or on a conflict
+        (None, the blocks of its derivation)."""
         units = [c for c, n in enumerate(left) if n == 1]
         reason: list[int | None] = [None] * len(self.occurs)
         queue = [self.clauses[c][0] for c in units]
-        return reason if self._propagate(reason, left, queue, units) is None else None
+        conflict = self._propagate(reason, left, queue, units)
+        if conflict is None:
+            return reason, None
+        return None, self._trace(reason, *conflict)
 
     def _state(self, masked: int):
+        """(reasons, counts, conflict) with the masked blocks' clauses
+        satisfied, as `_fixpoint` leaves them."""
         if not masked:
-            return self.reason, self.left
+            return self.first
         if masked != self.last[0]:
             fresh = masked & self.fed
             left = (self.counts if fresh else self.left).copy()
+            owners = self.owners
             for b in _blocks(masked):
-                for c in self.members.get(b, ()):
-                    left[c] = _SATISFIED
-            reason = self._fixpoint(left) if fresh else self.reason
-            self.last = (masked, reason, left)
-        return self.last[1], self.last[2]
+                # A block's clauses are contiguous, as the compile gives
+                # them block by block.
+                lo = bisect.bisect_left(owners, b)
+                hi = bisect.bisect_right(owners, b, lo)
+                left[lo:hi] = [_SATISFIED] * (hi - lo)
+            reason, conflict = self._fixpoint(left) if fresh else (self.reason, None)
+            self.last = (masked, reason, left, conflict)
+        return self.last[1:]
 
     def _propagate(self, reason, left, queue: list[int], whys: list[int]):
         """Set the queued literals true, each with its reason, and
@@ -298,24 +309,9 @@ class _UnitPropagation:
                     return [other ^ 1 for other in clauses[c]], 1 << owners[c]
         return None
 
-    def _refute(self, lits: list[int], masked: int):
-        reason, left = self._state(masked)
-        queue = [lit for lit in lits if reason[lit] is None]
-        if not queue:
-            return None
-        reason = reason.copy()
-        conflict = self._propagate(reason, left.copy(), queue, [-1] * len(queue))
-        return None if conflict is None else (reason, *conflict)
-
-    def sat(self, lits: list[int], masked: int = 0) -> bool:
-        return self._refute(lits, masked) is None
-
-    def core(self, lits: list[int], masked: int = 0) -> int | None:
-        """The blocks one refutation of lits used, or None if satisfiable."""
-        found = self._refute(lits, masked)
-        if found is None:
-            return None
-        reason, stack, blocks = found
+    def _trace(self, reason, stack: list[int], blocks: int) -> int:
+        """blocks with those of every clause that derived the true
+        literals on the stack, followed back through their reasons."""
         clauses, owners = self.clauses, self.owners
         seen = set(stack)
         while stack:
@@ -329,6 +325,26 @@ class _UnitPropagation:
                     stack.append(other ^ 1)
         return blocks
 
+    def _refute(self, lits: list[int], masked: int):
+        reason, left, _ = self._state(masked)
+        queue = [lit for lit in lits if reason[lit] is None]
+        if not queue:
+            return None
+        reason = reason.copy()
+        conflict = self._propagate(reason, left.copy(), queue, [-1] * len(queue))
+        return None if conflict is None else (reason, *conflict)
+
+    def conflict(self, masked: int = 0) -> int | None:
+        return self._state(masked)[2]
+
+    def sat(self, lits: list[int], masked: int = 0) -> bool:
+        return self._refute(lits, masked) is None
+
+    def core(self, lits: list[int], masked: int = 0) -> int | None:
+        """The blocks one refutation of lits used, or None if satisfiable."""
+        found = self._refute(lits, masked)
+        return None if found is None else self._trace(*found)
+
 
 class _ImplicationGraph:
     """Implication-graph 2-SAT (Aspvall, Plass and Tarjan).
@@ -340,7 +356,9 @@ class _ImplicationGraph:
     are premises on the other variables, satisfied by any model. An edge
     (target, block, source) stands for one clause; the search skips a
     masked block's edges, and its parent pointers lead from a
-    complementary pair back to L through the core's edges.
+    complementary pair back to L through the core's edges. A conflict is
+    a literal l in a component with its complement: the cores that refute
+    l and l ^ 1 together derive both.
     """
 
     def __init__(self, n_lits: int, clauses: list[tuple[int, ...]], owners: list[int]):
@@ -353,7 +371,8 @@ class _ImplicationGraph:
                 a, b = lits
                 self.succ[a ^ 1].append((b, block, a ^ 1))
                 self.succ[b ^ 1].append((a, block, b ^ 1))
-        self.ok = _no_complementary_component(self.succ)
+        self.first = _complementary_literal(self.succ)
+        self.ok = self.first is None
 
     def _refute(self, lits: list[int], masked: int):
         succ = self.succ
@@ -369,6 +388,12 @@ class _ImplicationGraph:
                     parent[nxt] = edge
                     stack.append(nxt)
         return None
+
+    def conflict(self, masked: int = 0) -> int | None:
+        lit = _complementary_literal(self.succ, masked) if masked else self.first
+        if lit is None:
+            return None
+        return self.core([lit], masked) | self.core([lit ^ 1], masked)
 
     def sat(self, lits: list[int], masked: int = 0) -> bool:
         return self._refute(lits, masked) is None
@@ -388,8 +413,12 @@ class _ImplicationGraph:
         return blocks
 
 
-def _no_complementary_component(succ: list[list[tuple[int, int, int]]]) -> bool:
-    """Iterative Tarjan SCC: False iff a component holds l and l ^ 1.
+def _complementary_literal(
+    succ: list[list[tuple[int, int, int]]], masked: int = 0
+) -> int | None:
+    """Iterative Tarjan SCC over the edges of blocks outside `masked`: a
+    literal whose component holds its complement, or None if no component
+    holds a complementary pair.
 
     A literal with no successor is a component of its own as soon as it
     is reached, so it never enters the stack. Each component is checked
@@ -414,7 +443,9 @@ def _no_complementary_component(succ: list[list[tuple[int, int, int]]]) -> bool:
         work = [(root, iter(succ[root]))]
         while work:
             node, edges = work[-1]
-            for nxt, _, _ in edges:
+            for nxt, block, _ in edges:
+                if masked and masked >> block & 1:
+                    continue
                 if order[nxt] < 0:
                     order[nxt] = low[nxt] = counter
                     counter += 1
@@ -439,11 +470,11 @@ def _no_complementary_component(succ: list[list[tuple[int, int, int]]]) -> bool:
                         top = stack.pop()
                         comp[top] = n_comp
                         if comp[top ^ 1] == n_comp:
-                            return False
+                            return top
                         if top == node:
                             break
                     n_comp += 1
-    return True
+    return None
 
 
 @functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
@@ -515,28 +546,35 @@ class _Gf2Elimination:
     The premises' rows are brought to echelon form once; each literal set
     reduces its unit rows against a copy of the pivots. With blocks
     masked, the rows left are eliminated afresh; the echelon form of the
-    last mask is kept for the next query.
+    last mask is kept for the next query. A row that reduces to 0 = 1
+    carries the blocks of its conflict.
     """
 
     def __init__(self, n_lits: int, rows: list[tuple[int, int]], owners: list[int]):
         self.rows = [(mask, rhs, 1 << block) for (mask, rhs), block in zip(rows, owners)]
-        self.pivots: dict[int, tuple[int, int, int]] = {}
-        self.ok = _eliminate(self.pivots, self.rows) is None
-        self.last = (0, self.pivots)
+        pivots: dict[int, tuple[int, int, int]] = {}
+        self.first = (pivots, _eliminate(pivots, self.rows))
+        self.ok = self.first[1] is None
+        self.last = (0, *self.first)
 
-    def _state(self, masked: int) -> dict[int, tuple[int, int, int]]:
+    def _state(self, masked: int):
+        """(the echelon form of the rows left, the blocks of a conflict
+        among them or None)."""
         if not masked:
-            return self.pivots
+            return self.first
         if masked != self.last[0]:
             pivots: dict[int, tuple[int, int, int]] = {}
-            _eliminate(pivots, (row for row in self.rows if not row[2] & masked))
-            self.last = (masked, pivots)
-        return self.last[1]
+            conflict = _eliminate(pivots, (row for row in self.rows if not row[2] & masked))
+            self.last = (masked, pivots, conflict)
+        return self.last[1:]
+
+    def conflict(self, masked: int = 0) -> int | None:
+        return self._state(masked)[1]
 
     def core(self, lits: list[int], masked: int = 0) -> int | None:
         """The blocks one refutation of lits used, or None if satisfiable."""
         units = [(1 << (lit >> 1), ~lit & 1, 0) for lit in lits]
-        return _eliminate(dict(self._state(masked)), units)
+        return _eliminate(dict(self._state(masked)[0]), units)
 
     def sat(self, lits: list[int], masked: int = 0) -> bool:
         return self.core(lits, masked) is None
@@ -672,10 +710,11 @@ class _Premises:
     (`_instantiate_rows`). Ids go by first occurrence (`index`). The
     fragment's engine is then built over all of them, with block i owning
     the clauses of the i-th caller-given block. That one engine decides
-    the premises' consistency (engine.ok); on consistent premises it
-    decides whether they are satisfiable with a literal set while any
-    blocks are masked out (engine.sat), and which blocks one refutation
-    used (engine.core).
+    the premises' consistency (engine.ok), and with any blocks masked out
+    whether the blocks left are consistent and, when they are not, which
+    blocks one conflict among them used (engine.conflict). Where they are
+    consistent it decides whether they are satisfiable with a literal set
+    (engine.sat), and which blocks one refutation used (engine.core).
     """
 
     def __init__(self, fragment: str, blocks: Iterable[Iterable[Constraint]]):
@@ -711,9 +750,10 @@ class _Premises:
         return out
 
 
-def _entailed(engine, refutations: list[list[int]]) -> bool:
-    """Consistent premises entail alpha iff every refutation is unsatisfiable."""
-    return not any(engine.sat(lits) for lits in refutations)
+def _entailed(engine, refutations: list[list[int]], masked: int = 0) -> bool:
+    """Consistent premises, the blocks left unmasked, entail alpha iff
+    every refutation is unsatisfiable."""
+    return not any(engine.sat(lits, masked) for lits in refutations)
 
 
 # ---------------------------------------------------------------------------

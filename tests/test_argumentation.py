@@ -28,6 +28,7 @@ from argcl import (
     classify_complexity,
     enumerate_minimal_supports,
     find_minimal_support,
+    is_consistent,
     relation_properties,
 )
 
@@ -376,6 +377,44 @@ class TestOneCompile:
             compiles.clear()
             assert find_minimal_support(delta, alpha) == want
             assert compiles == [fragment]
+
+    @classmethod
+    def inconsistent(cls, fragment):
+        """The fragment's case with the complement of its first formula, a
+        unit, appended. The MCSes are the base and the base with that unit
+        swapped, and the base comes first in canonical order, so the
+        answers stay those of the consistent case."""
+        delta, yes, no = cls.CASES[fragment]
+        (first,) = delta[0].constraints
+        flipped = gamma(Constraint(F if first.relation is T else T, first.args))
+        return delta + [flipped], yes, no
+
+    @pytest.mark.parametrize("fragment", sorted(CASES))
+    def test_inconsistent_base(self, compiles, monkeypatch, fragment):
+        """An inconsistent base in one fragment with its claim finds its
+        MCSes on its one compile: existence and one support build neither
+        the signature base nor a subset search."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an inconsistent fragment base left its compile")
+
+        monkeypatch.setattr(argumentation, "_KB", forbidden)
+        monkeypatch.setattr(argumentation, "_Search", forbidden)
+        delta, (yes, support), no = self.inconsistent(fragment)
+        for alpha, exists, want in ((yes, True, Support(support)), (no, False, None)):
+            compiles.clear()
+            assert arg_exists(delta, alpha) is exists
+            assert compiles == [fragment]
+            compiles.clear()
+            assert find_minimal_support(delta, alpha) == want
+            assert compiles == [fragment]
+
+    @pytest.mark.parametrize("fragment", sorted(CASES))
+    def test_inconsistent_base_agrees_with_generic(self, fragment):
+        delta, (yes, support), no = self.inconsistent(fragment)
+        assert not is_consistent(delta, engine="generic")
+        for alpha, want in ((yes, Support(support)), (no, None)):
+            assert find_minimal_support(delta, alpha, engine="generic") == want
 
 
 class TestEnumerateMinimalSupports:
@@ -1078,6 +1117,163 @@ class TestRoute:
         monkeypatch.setattr(argumentation, "_MASK_LIMIT", 1)
         answers(argumentation._Whole)
 
+    @staticmethod
+    def state_note_base(n, overlapping=False):
+        """T(v00), F(v00) and IMPL formulas on fresh pairs, n in all: two
+        MCSes over 2n - 3 variables. With `overlapping`, IMPL(v00, w) and
+        F(w) come third and fourth, a second conflict that shares T(v00)
+        with the first: three MCSes, one of them two formulas short."""
+        base = [gamma(Constraint(T, ("v00",))), gamma(Constraint(F, ("v00",)))]
+        if overlapping:
+            base += [gamma(Constraint(IMPL, ("v00", "w"))), gamma(Constraint(F, ("w",)))]
+        fresh = [gamma(Constraint(IMPL, (f"a{i}", f"b{i}"))) for i in range(n - len(base))]
+        return base + fresh
+
+    @pytest.mark.parametrize("overlapping", [False, True])
+    def test_inconsistent_fragment_base_past_the_mask_limit(self, monkeypatch, overlapping):
+        """An inconsistent Horn base past the mask limit by its own
+        variable count (18 formulas, 30 or 33 variables) is answered from
+        its engine's MCSes, with no subset search; past the limit the
+        search goes on below an inconsistent node, as the base with two
+        overlapping conflicts needs. At 8 formulas, inside the limit, the
+        same answers agree with the generic engine.
+        """
+        supported = 4 if overlapping else 2
+        claims = (
+            (gamma(Constraint(F, ("a0",))), False, None),
+            (
+                gamma(Constraint(IMPL, ("a0", "b0")), Constraint(T, ("v00",))),
+                True,
+                Support((0, supported)),
+            ),
+        )
+        small = self.state_note_base(8, overlapping)
+        for alpha, exists, support in claims:
+            assert arg_exists(small, alpha, engine="generic") is exists
+            assert find_minimal_support(small, alpha, engine="generic") == support
+            assert arg_exists(small, alpha) is exists
+            assert find_minimal_support(small, alpha) == support
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an inconsistent fragment base reached subset search")
+
+        delta = self.state_note_base(18, overlapping)
+        assert len(variables_of(delta)) == (30 if overlapping else 33)
+        assert _mask_order(delta, claims[0][0], DEFAULT_MAX_MODELS) is None
+        monkeypatch.setattr(argumentation, "_Search", forbidden)
+        for alpha, exists, support in claims:
+            assert arg_exists(delta, alpha) is exists
+            assert find_minimal_support(delta, alpha) == support
+
+    @pytest.mark.parametrize(
+        "pairs, fillers, capped",
+        [(1, 0, False), (2, 2, False), (2, 0, True), (3, 8, False), (3, 0, True)],
+    )
+    def test_contradicting_pairs(self, pairs, fillers, capped, monkeypatch):
+        """k pairs T(x), F(x) and some IMPL formulas on fresh variables
+        have 2**k MCSes of equal size. Past the mask limit the engine lists
+        their complements in canonical order, unless the 2 + 4 + ... + 2**k
+        nodes below the root pass the number of formulas. Inside the limit
+        it hands over at the first inconsistent node below the root, so it
+        lists them only for one pair. Whichever route answers, inside the
+        limit and past a limit lowered to 1, the answers are the signature
+        base's, and on up to 8 formulas the generic engine's."""
+        names = [f"x{i}" for i in range(pairs)]
+        delta = [gamma(Constraint(unit, (v,))) for v in names for unit in (T, F)]
+        delta += [gamma(Constraint(IMPL, (f"a{i}", f"b{i}"))) for i in range(fillers)]
+        claims = [
+            gamma(*(Constraint(F, (v,)) for v in names)),
+            gamma(Constraint(T, ("x0",))),
+            gamma(Constraint(T, ("y",))),
+        ]
+        engine = argumentation._fragment_premises(delta, claims[0]).engine
+        full = (1 << len(delta)) - 1
+        rest = full & ~((1 << 2 * pairs) - 1)
+        mcses = [
+            rest | sum(1 << (2 * i + pick) for i, pick in enumerate(picks))
+            for picks in itertools.product((0, 1), repeat=pairs)
+        ]
+        listed = [full & ~m for m in argumentation._canonical(mcses)]
+        past = list(argumentation._corrections(engine, len(delta), False))
+        assert past == ([None] if capped else listed)
+        inside = list(argumentation._corrections(engine, len(delta), True))
+        assert inside == (listed if pairs == 1 else [None])
+        kbs = [_KB(delta, a, _mask_order(delta, a, DEFAULT_MAX_MODELS)) for a in claims]
+        for fits in (True, False):
+            with monkeypatch.context() as patched:
+                if not fits:
+                    patched.setattr(argumentation, "_MASK_LIMIT", 1)
+                for alpha, kb in zip(claims, kbs):
+                    assert arg_exists(delta, alpha) is kb.exists()
+                    assert find_minimal_support(delta, alpha) == kb.first_support()
+        if len(delta) <= 8:
+            for alpha, kb in zip(claims, kbs):
+                assert kb.exists() is arg_exists(delta, alpha, engine="generic")
+        assert kbs[0].first_support() == Support(range(1, 2 * pairs, 2))
+
+    # One language per fragment; T and F come with each.
+    FRAGMENT_LANGUAGES = (
+        (IMPL, TestOneCompile.NAND2),
+        (IMPL, OR2),
+        (IMPL, OR2, TestOneCompile.NAND2, NEQ, EQ2),
+        (NEQ, EQ2, TestOneCompile.EVEN3),
+    )
+
+    def test_engine_mcses_match_the_signature_base(self, monkeypatch):
+        """On random inconsistent bases in one fragment with the claim
+        (1-3 contradicting pairs T(x), F(x) and up to six formulas more,
+        which on every other base one plant satisfies), existence and one
+        support under auto equal the signature base's, called directly,
+        and existence the generic engine's. Past a mask limit lowered to
+        1 the search hands over only past its node cap, so it answers
+        more bases; those are checked there too. Subset search, which
+        takes the others past the limit, is tested elsewhere."""
+        rng = random.Random(2323)
+        answered = {True: 0, False: 0}
+        seen = set()
+        for trial in range(200):
+            language = ConstraintLanguage(self.FRAGMENT_LANGUAGES[trial % 4] + (T, F))
+            variables = [f"x{i}" for i in range(rng.randint(3, 6))]
+            plant = {v: rng.random() < 0.5 for v in variables}
+            delta = [
+                gamma(Constraint(unit, (v,)))
+                for v in rng.sample(variables, rng.randint(1, 3))
+                for unit in (T, F)
+            ]
+            while len(delta) < 8 and rng.random() < 0.8:
+                f = random_formula(rng, language, variables, 2)
+                if trial % 2 or all(satisfies(plant, c) for c in f.constraints):
+                    delta.append(f)
+            rng.shuffle(delta)
+            if rng.random() < 0.5:
+                sources = rng.sample(delta, rng.randint(1, 3))
+                alpha = gamma(*(rng.choice(f.constraints) for f in sources))
+            else:
+                alpha = random_formula(rng, language, variables + ["q"], 2)
+            kb = _KB(delta, alpha, _mask_order(delta, alpha, DEFAULT_MAX_MODELS))
+            exists = arg_exists(delta, alpha, engine="generic")
+            assert kb.exists() is exists
+            compiled = argumentation._fragment_premises(delta, alpha)
+            assert compiled is not None and not compiled.engine.ok
+            for fits in (True, False):
+                done = None not in argumentation._corrections(compiled.engine, len(delta), fits)
+                answered[fits] += done
+                if not (fits or done):
+                    continue
+                with monkeypatch.context() as patched:
+                    if not fits:
+                        patched.setattr(argumentation, "_MASK_LIMIT", 1)
+                    assert arg_exists(delta, alpha) is exists
+                    support = find_minimal_support(delta, alpha)
+                assert support == kb.first_support()
+                assert (support is not None) is exists
+                if support is not None:
+                    assert argcheck(support.formulas(delta), alpha, engine="generic")
+                if done:
+                    seen.add((type(compiled.engine).__name__, exists))
+        assert 20 <= answered[True] < answered[False] <= 160
+        assert len(seen) == 6
+
     # 21 formulas over 8 variables: T(a) and F(a) make the base
     # inconsistent, and 19 NEQ constraints on the even 6-cycle v0..v5
     # (each edge both ways, each long diagonal both ways, and one to w)
@@ -1090,8 +1286,8 @@ class TestRoute:
     ] + [gamma(Constraint(NEQ, ("v0", "w")))]
 
     def test_where_max_kb_binds_inside_the_mask_limit(self):
-        """Under auto, existence and one support answer from the signature
-        base past max_kb; all supports and relevance refuse the base
+        """Under auto, existence and one support answer from the engine's
+        MCSes past max_kb; all supports and relevance refuse the base
         first. Under generic all four reach subset search and refuse."""
         delta = self.BUDGET_BASE
         alpha = gamma(Constraint(NEQ, ("a", "v0")))

@@ -137,6 +137,19 @@ class TestModelEnumeration:
         mask = models_mask([Constraint(IMPL, ("a", "b"))], ("a", "b"))
         assert mask.tolist() == [True, True, False, True]
 
+    def test_models_mask_argument_shapes(self):
+        # IMPL(b, a) fails only at a=0, b=1; IMPL(a, a) holds everywhere;
+        # T(b) holds where b=1, whatever its position in the order.
+        order = ("a", "b")
+        assert models_mask([Constraint(IMPL, ("b", "a"))], order).tolist() == [
+            True,
+            False,
+            True,
+            True,
+        ]
+        assert models_mask([Constraint(IMPL, ("a", "a"))], order).all()
+        assert models_mask([Constraint(T, ("b",))], order).tolist() == [False, True] * 2
+
     def test_lexicographic_order(self):
         phi = gamma(Constraint(OR2, ("a", "b")))
         models = enumerate_models(phi)

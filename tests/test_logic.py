@@ -482,6 +482,51 @@ def test_cores_are_sound(language, data):
                 assert entails(delta[:i] + delta[i + 1 :], alpha, engine="generic")
 
 
+@pytest.mark.parametrize("language", sorted(SCHAEFER_LANGUAGES))
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_conflicts_are_sound_under_masks(language, data):
+    """On an inconsistent base (0-8 unplanted formulas over p0..p7, and
+    T(x) and F(x) at drawn places), with no blocks, some drawn blocks or
+    any one block masked: the engine's conflict is None iff the formulas
+    left are consistent under enumeration, and a conflict misses the mask
+    and is inconsistent on its own formulas. Where the formulas left are
+    consistent, sat on a drawn literal agrees with enumeration too."""
+    variables = [f"p{i}" for i in range(8)]
+    relations = SCHAEFER_LANGUAGES[language]
+
+    def formula():
+        constraints = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            relation = data.draw(st.sampled_from(relations))
+            args = tuple(data.draw(st.sampled_from(variables)) for _ in range(relation.arity))
+            constraints.append(Constraint(relation, args))
+        return GammaFormula(tuple(constraints))
+
+    delta = [formula() for _ in range(data.draw(st.integers(0, 8)))]
+    x = data.draw(st.sampled_from(variables))
+    for unit in (T, F):
+        delta.insert(data.draw(st.integers(0, len(delta))), gamma(Constraint(unit, (x,))))
+    fragment = _fragment({c.relation for f in delta for c in f.constraints})
+    premises = _Premises(fragment, [f.constraints for f in delta])
+    engine = premises.engine
+    assert not engine.ok
+    names = list(premises.index)
+    lit = data.draw(st.integers(0, 2 * len(names) - 1))
+    unit = gamma(Constraint(F if lit & 1 else T, (names[lit >> 1],)))
+    masked = data.draw(st.integers(0, (1 << len(delta)) - 1))
+    for mask in (0, masked, *(1 << i for i in range(len(delta)))):
+        kept = [f for i, f in enumerate(delta) if not mask >> i & 1]
+        conflict = engine.conflict(mask)
+        assert (conflict is None) is is_consistent(kept, engine="generic")
+        if conflict is None:
+            assert engine.sat([lit], mask) is is_consistent(kept + [unit], engine="generic")
+        else:
+            assert not conflict & mask
+            used = [f for i, f in enumerate(delta) if conflict >> i & 1]
+            assert not is_consistent(used, engine="generic")
+
+
 # Three blocks that the claim (last) needs together, through two
 # derivations that meet in a conflict, and a fourth block on other
 # variables.

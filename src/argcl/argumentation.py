@@ -30,10 +30,14 @@ by `_route`:
    base's one MCS is itself.
 2. The signature base (`_KB`), when the assignment space fits the mask
    limit: the base and the claim are compiled once into per-assignment
-   signatures, the claim as one more bit. Their maximal elements are
-   the MCSes, and the maximal signatures of the claim's non-models
-   decide entailment of any subset, so every query is read off with no
-   subset enumeration.
+   signatures, the claim as one more bit, so every query is read off
+   with no subset enumeration. Up to 16 formulas, superset-OR transforms
+   of the signatures' presence bitset mark every consistent subset and
+   every subset that does not entail the claim, and the minimal supports
+   are read off those two bitsets by one-formula deletions. Past 16, the
+   maximal signatures are the MCSes, those of the claim's non-models
+   decide entailment, and the supports are the minimal hitting sets
+   inside each MCS.
 3. Canonical subset search (`_Search`) over at most max_kb formulas,
    past the mask limit and always under the "generic" engine. It is the
    one place max_kb is checked; all supports and relevance set it up
@@ -319,10 +323,13 @@ _BYTE_BITS = [tuple(b for b in range(8) if v >> b & 1) for v in range(256)]
 
 
 def _maximal_present(codes: np.ndarray, n: int) -> list[int]:
-    """`_maximal_bits` of the presence bitset of `codes`, one unsigned code
-    per row. The caller's routing keeps 2**n <= 8 * rows <= 8 * _MASK_LIMIT,
-    so n <= 23."""
-    return _maximal_bits(_presence(codes, 1 << n), n)
+    """The maximal codes among `codes`, one unsigned code per row, in
+    canonical order, read off their presence bitset (`_zeta`, `_step`).
+    The caller's routing keeps 2**n <= 8 * rows <= 8 * _MASK_LIMIT, so
+    n <= 23."""
+    rows = _packed(_presence(codes, 1 << n))
+    lacking = _lacking(n)
+    return _canonical(_bits(rows & ~_step(_zeta(rows, lacking), lacking, False)))
 
 
 def _presence(codes: np.ndarray, size: int) -> np.ndarray:
@@ -334,41 +341,62 @@ def _presence(codes: np.ndarray, size: int) -> np.ndarray:
     return present
 
 
-def _maximal_bits(present: np.ndarray, n: int) -> list[int]:
-    """Entry s of a 2**n-entry bool array marks subset s as a row. The
-    superset-OR (zeta) transform of that bitset (Bjorklund, Husfeldt,
-    Kaski and Koivisto, STOC 2007), one shift-and-mask step per formula,
-    marks every subset of a row; a row is maximal iff none of its
-    one-formula extensions is marked. This costs n * 2**n bit operations,
-    however many maximal rows there are. Returns the maximal rows in
-    canonical order.
-    """
-    rows = int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
-    lacking = _LACKING_16 if n <= 16 else _lacking(n)
-    within = rows
-    for i in range(n):
-        within |= (within >> (1 << i)) & lacking[i]
-    extended = 0
-    for i in range(n):
-        extended |= (within >> (1 << i)) & lacking[i]
-    tops = (rows & ~extended).to_bytes(((1 << n) + 7) >> 3, "little")
-    return _canonical(
-        8 * j + b
-        for j in np.flatnonzero(np.frombuffer(tops, dtype=np.uint8)).tolist()
-        for b in _BYTE_BITS[tops[j]]
-    )
+def _packed(present: np.ndarray) -> int:
+    """A bool array as an int bitset, entry s at bit s."""
+    return int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
+
+
+def _bits(bitset: int) -> list[int]:
+    """The set bits of an int bitset, ascending."""
+    data = bitset.to_bytes((bitset.bit_length() + 7) >> 3, "little")
+    nonzero = np.flatnonzero(np.frombuffer(data, dtype=np.uint8)).tolist()
+    return [8 * j + b for j in nonzero for b in _BYTE_BITS[data[j]]]
+
+
+def _zeta(rows: int, lacking: list[int]) -> int:
+    """The superset-OR (zeta) transform of a bitset over the subsets of
+    len(lacking) formulas (Bjorklund, Husfeldt, Kaski and Koivisto, STOC
+    2007): bit s of the result is set iff s lies inside some row. One
+    shift-and-mask step per formula, n * 2**n bit operations."""
+    for i, pattern in enumerate(lacking):
+        rows |= (rows >> (1 << i)) & pattern
+    return rows
+
+
+def _step(bits: int, lacking: list[int], up: bool) -> int:
+    """The subsets of len(lacking) formulas that add one formula to (up),
+    or lack one formula of, some set in `bits`. A row is maximal iff it
+    lacks one formula of no subset of a row (`_zeta`), and a support is
+    minimal iff it adds one formula to no support."""
+    step = 0
+    for i, pattern in enumerate(lacking):
+        step |= (bits & pattern) << (1 << i) if up else (bits >> (1 << i)) & pattern
+    return step
+
+
+def _transversals(edges: list[int]) -> list[int]:
+    """The minimal hitting sets of edges, by Berge's method."""
+    transversals = [0]
+    for e in edges:
+        hit = [t for t in transversals if t & e]
+        grown = {t | 1 << i for t in transversals if not t & e for i in _members(e)}
+        transversals = hit + [
+            g
+            for g in grown
+            if not any(h & ~g == 0 for h in hit)
+            and not any(o != g and o & ~g == 0 for o in grown)
+        ]
+    return transversals
 
 
 class _KB:
     """A knowledge base compiled against one claim.
 
     Bit i of an assignment's signature says that it satisfies delta[i].
-    The maximal signatures `mcs` are the maximal consistent subsets of
-    delta, and `bad` holds the maximal signatures of alpha's non-models.
-    A subset is consistent iff it lies inside some member of `mcs`, and
-    entails alpha iff it lies inside no member of `bad`. Both lists are in
-    canonical order, most formulas first and ties by ascending bitmask,
-    whichever route of `_maximal` found them.
+    A subset is consistent iff it lies inside some signature, and entails
+    alpha iff it lies inside no signature of alpha's non-models. The
+    maximal signatures `mcs` are the maximal consistent subsets of delta,
+    in canonical order (`_canonical`).
 
     The variable order is numbered once per compile. Each formula's
     constraints are combined on its own axes from cached collapsed tables
@@ -379,11 +407,26 @@ class _KB:
     it either.
 
     With n <= 16, one presence bitset of 2**(n+1) bits holds every code:
-    its low half holds the signatures of alpha's non-models, and the OR of
-    its halves holds every signature. Past that, alpha is compiled as a
-    word of its own (one byte per assignment) that gives the mask of its
-    non-models, and the formulas' codes go to `_maximal`, stacked into
-    64-bit words past 64 formulas.
+    its low half, `outside`, marks the signatures of alpha's non-models,
+    and the OR of its halves, `rows`, every signature. Every query is read
+    off two superset-OR transforms (`_zeta`), each made at most once and
+    only when a query needs it: `consistent` of rows, and `unentailing`
+    of outside, whose bit s says that s does not entail alpha. The
+    supports are `consistent & ~unentailing`, and the minimal ones
+    (`minimal`) are the supports s with no support s - {i}: a support t
+    inside s leaves s - {i} a support for each i in s - t, as entailment
+    holds upward and consistency downward, so one-formula deletions test
+    minimality. A support exists iff some row entails alpha, as a support
+    lies inside the row of any of its models and that row entails alpha
+    too, so `unentailing` alone decides existence.
+
+    Past 16 formulas, alpha is compiled as a word of its own (one byte
+    per assignment) that gives the mask of its non-models, and the
+    formulas' codes go to `_maximal`, stacked into 64-bit words past 64
+    formulas, for `mcs` and `bad`, the maximal signatures of alpha's
+    non-models. A subset entails alpha iff it lies inside no member of
+    `bad`, and the supports are the minimal hitting sets of each MCS's
+    `edges`.
     """
 
     def __init__(self, delta: Sequence[GammaFormula], alpha: GammaFormula, order):
@@ -392,9 +435,9 @@ class _KB:
         formulas = [_constraint_arrays(f.constraints, index) for f in (*delta, alpha)]
         if n <= 16:
             codes = signature_codes(len(order), formulas)
-            outside, inside = _presence(codes, 2 << n).reshape(2, 1 << n)
-            self.mcs = _maximal_bits(outside | inside, n)
-            self.bad = _maximal_bits(outside, n)
+            present = _packed(_presence(codes, 2 << n))
+            self.outside = present & ((1 << (1 << n)) - 1)
+            self.rows = self.outside | present >> (1 << n)
             return
         # Alpha's one-byte word, popped so the formula words stop at n.
         outside = signature_codes(len(order), [formulas.pop()]) == 0
@@ -405,13 +448,40 @@ class _KB:
             sig = words[0]
         else:
             sig = np.stack([w.astype(np.uint64) for w in words], axis=1)
+        # Set here, these shadow the cached property below.
         self.mcs = _maximal(sig, n)
         self.bad = _maximal(sig[outside], n)
 
+    @functools.cached_property
+    def consistent(self) -> int:
+        """Bit s is set iff subset s is consistent (n <= 16)."""
+        return _zeta(self.rows, _LACKING_16[: self.n])
+
+    @functools.cached_property
+    def unentailing(self) -> int:
+        """Bit s is set iff subset s does not entail alpha (n <= 16)."""
+        return _zeta(self.outside, _LACKING_16[: self.n])
+
+    @functools.cached_property
+    def minimal(self) -> int:
+        """Bit s is set iff subset s is a minimal support (n <= 16)."""
+        supports = self.consistent & ~self.unentailing
+        return supports & ~_step(supports, _LACKING_16[: self.n], True)
+
+    @functools.cached_property
+    def mcs(self) -> list[int]:
+        """The maximal rows (n <= 16)."""
+        below = _step(self.consistent, _LACKING_16[: self.n], False)
+        return _canonical(_bits(self.rows & ~below))
+
     def entails(self, s: int) -> bool:
+        if self.n <= 16:
+            return not self.unentailing >> s & 1
         return all(s & ~b for b in self.bad)
 
     def exists(self) -> bool:
+        if self.n <= 16:
+            return self.rows & ~self.unentailing != 0
         return any(self.entails(m) for m in self.mcs)
 
     def first_support(self) -> Support | None:
@@ -440,34 +510,28 @@ class _KB:
         return edges
 
     def minimal_supports(self) -> list[Support]:
-        """The minimal hitting sets of each MCS's edges, by Berge's method."""
-        found: set[int] = set()
-        for m in self.mcs:
-            transversals = [0]
-            for e in self.edges(m):
-                hit = [t for t in transversals if t & e]
-                grown = {
-                    t | 1 << i for t in transversals if not t & e for i in _members(e)
-                }
-                transversals = hit + [
-                    g
-                    for g in grown
-                    if not any(h & ~g == 0 for h in hit)
-                    and not any(o != g and o & ~g == 0 for o in grown)
-                ]
-            found.update(transversals)
+        """The set bits of `minimal` up to 16 formulas, past that the
+        minimal hitting sets of each MCS's edges; by cardinality, then
+        lexicographic."""
+        if self.n <= 16:
+            found = _bits(self.minimal)
+        else:
+            found = {t for m in self.mcs for t in _transversals(self.edges(m))}
         ordered = sorted(found, key=lambda t: (t.bit_count(), _members(t)))
         return [Support(_members(t)) for t in ordered]
 
     def relevant(self, idx: int) -> bool:
         """Does some minimal support contain delta[idx].
 
-        One does iff for some MCS M containing idx and some b in `bad`,
-        (b & M) | idx entails alpha. Taking b with M & ~b a minimal edge E
+        Up to 16 formulas, `minimal` answers at once. Past that, one does
+        iff for some MCS M containing idx and some b in `bad`, (b & M) |
+        idx entails alpha. Taking b with M & ~b a minimal edge E
         containing idx is enough: as no other minimal edge lies inside E,
         (M & ~E) | idx meets them all. So idx is relevant iff it lies in a
         minimal edge of an MCS that contains it.
         """
+        if self.n <= 16:
+            return self.minimal & ~_LACKING_16[idx] != 0
         bit = 1 << idx
         return any(bit & e for m in self.mcs if m & bit for e in self.edges(m))
 
@@ -561,7 +625,9 @@ def _corrections(engine, n: int, fits: bool) -> Iterator[int | None]:
     base, which answers any base in one compile, so the search also hands
     over at the first inconsistent node below the root: there it answers
     only when each MCS leaves out one formula of the root's conflict, at
-    one engine check per MCS. A deeper tree can cost far more checks than
+    one engine check per MCS. Those checks need only say whether a node
+    is consistent (`consistent`), which on the implication graph is its
+    Tarjan pass with no core. A deeper tree can cost far more checks than
     it finds MCSes: on the 10- to 14-formula bases of the 3-SAT reduction
     to NEQ the whole tree takes 20 to 108 checks (median 55) for 9 to 27
     MCSes. Past the mask limit only subset search is left, which tries up
@@ -570,6 +636,13 @@ def _corrections(engine, n: int, fits: bool) -> Iterator[int | None]:
     core = engine.conflict()
     if core is None:
         yield 0
+        return
+    if fits:
+        # Ascending, so that the last state an engine keeps is that of the
+        # largest H, whose MCS is tried first.
+        children = [1 << b for b in _blocks(core)]
+        handed = not all(engine.consistent(h) for h in children)
+        yield from [None] if handed else reversed(children)
         return
     found: list[int] = []
     conflicts = [core]
@@ -594,9 +667,6 @@ def _corrections(engine, n: int, fits: bool) -> Iterator[int | None]:
                     conflicts.append(core)
             if core is None:
                 consistent.append(h)
-            elif fits:
-                yield None
-                return
             else:
                 level[h] = core
         consistent.reverse()

@@ -196,10 +196,11 @@ def negative_cnf_of(relation: Relation) -> tuple[Clause, ...]:
 # Each engine is built once over every block of its premises, recording the
 # block that owns each clause or row, and then answers any number of literal
 # sets with any blocks masked out. Block masks are ints, block i at bit i.
-# ok says whether all the premises are consistent; conflict(masked) says
-# whether the blocks left are, giving None if so and otherwise the blocks of
-# one conflict among them. sat and core are defined where the blocks left
-# are consistent, as every subset of a consistent set is too.
+# ok says whether all the premises are consistent; consistent(masked) says
+# whether the blocks left are, and conflict(masked) gives None if so and
+# otherwise the blocks of one conflict among them. sat and core are
+# defined where the blocks left are consistent, as every subset of a
+# consistent set is too.
 # ---------------------------------------------------------------------------
 
 # The count of a satisfied clause: no run of decrements brings it to 1.
@@ -337,6 +338,9 @@ class _UnitPropagation:
     def conflict(self, masked: int = 0) -> int | None:
         return self._state(masked)[2]
 
+    def consistent(self, masked: int = 0) -> bool:
+        return self._state(masked)[2] is None
+
     def sat(self, lits: list[int], masked: int = 0) -> bool:
         return self._refute(lits, masked) is None
 
@@ -394,6 +398,10 @@ class _ImplicationGraph:
         if lit is None:
             return None
         return self.core([lit], masked) | self.core([lit ^ 1], masked)
+
+    def consistent(self, masked: int = 0) -> bool:
+        """The Tarjan pass alone, with no core."""
+        return (_complementary_literal(self.succ, masked) if masked else self.first) is None
 
     def sat(self, lits: list[int], masked: int = 0) -> bool:
         return self._refute(lits, masked) is None
@@ -570,6 +578,9 @@ class _Gf2Elimination:
 
     def conflict(self, masked: int = 0) -> int | None:
         return self._state(masked)[1]
+
+    def consistent(self, masked: int = 0) -> bool:
+        return self._state(masked)[1] is None
 
     def core(self, lits: list[int], masked: int = 0) -> int | None:
         """The blocks one refutation of lits used, or None if satisfiable."""

@@ -712,6 +712,41 @@ def all_queries(delta, alpha, psi, **kwargs):
     )
 
 
+@st.composite
+def bitset_instances(draw):
+    """0-16 formulas over at most 5 variables, about one in six a repeat
+    of an earlier one and others valid or unsatisfiable, with a claim that
+    may be valid or unsatisfiable too."""
+    variables = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+
+    def formula():
+        v = draw(st.sampled_from(variables))
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            return gamma(Constraint(EQ2, (v, v)))
+        if kind == 1:
+            return gamma(Constraint(T, (v,)), Constraint(F, (v,)))
+        constraints = []
+        for _ in range(draw(st.integers(1, 2))):
+            relation = draw(st.sampled_from(KB_RELATIONS))
+            args = tuple(draw(st.sampled_from(variables)) for _ in range(relation.arity))
+            constraints.append(Constraint(relation, args))
+        return GammaFormula(tuple(constraints))
+
+    delta = []
+    for _ in range(draw(st.integers(0, 16))):
+        repeat = delta and draw(st.integers(0, 5)) == 0
+        delta.append(draw(st.sampled_from(delta)) if repeat else formula())
+    return delta, formula()
+
+
+def kb_answers(kb, n):
+    """Every query of a compiled base, relevance for each of the first n
+    formulas."""
+    relevant = [kb.relevant(i) for i in range(n)]
+    return kb.exists(), kb.first_support(), kb.minimal_supports(), relevant
+
+
 class TestCompiledBase:
     """The auto engine's compiled signature base against the generic
     engine's canonical subset search and against known answers."""
@@ -766,6 +801,8 @@ class TestCompiledBase:
         assert enumerate_minimal_supports([], tautology, engine=engine) == [Support(())]
         assert find_minimal_support([], or2("a", "b"), engine=engine) is None
         assert enumerate_minimal_supports([], or2("a", "b"), engine=engine) == []
+        contradiction = gamma(Constraint(NEQ, ("x", "x")))
+        assert enumerate_minimal_supports([], contradiction, engine=engine) == []
 
     @pytest.mark.parametrize("engine", ["auto", "generic"])
     def test_duplicate_formulas_in_an_inconsistent_base(self, engine):
@@ -896,8 +933,7 @@ class TestCompiledBase:
                 outside.add(sig)
         kb = _KB(delta, alpha, order)
         assert kb.mcs == brute_maximal(signatures)
-        assert kb.bad == brute_maximal(outside)
-        assert len(kb.mcs) > 1 and kb.bad
+        assert len(kb.mcs) > 1 and non_models_match(kb, outside)
 
     @pytest.mark.parametrize(
         "n_vars, size",
@@ -933,9 +969,9 @@ class TestCompiledBase:
         outside = ~satisfaction_row(alpha, order)
         kb = _KB(delta, alpha, order)
         assert kb.mcs == brute_maximal(codes.tolist())
-        assert kb.bad == brute_maximal(codes[outside].tolist())
+        bad = non_models_match(kb, codes[outside].tolist())
         if size >= 16:
-            assert len(kb.mcs) > 1 and kb.bad
+            assert len(kb.mcs) > 1 and bad
 
     @pytest.mark.parametrize(
         "n_vars, size",
@@ -987,8 +1023,7 @@ class TestCompiledBase:
         outside = ~models_mask(alpha.constraints, order)
         kb = _KB(delta, alpha, order)
         assert kb.mcs == brute_maximal(codes.tolist())
-        assert kb.bad == brute_maximal(codes[outside].tolist())
-        assert len(kb.mcs) > 1 and kb.bad
+        assert len(kb.mcs) > 1 and non_models_match(kb, codes[outside].tolist())
 
     def test_no_mask_per_compile(self, monkeypatch):
         # The formulas' bits and alpha's go straight into the signature
@@ -1001,12 +1036,13 @@ class TestCompiledBase:
         delta = [or2(f"v{i}", f"v{i + 1}") for i in range(12)]
         alpha = gamma(Constraint(T, ("v0",)))
         kb = _KB(delta, alpha, tuple(sorted(variables_of(delta) | alpha.variables)))
-        assert kb.mcs == [(1 << 12) - 1] and kb.bad
+        assert kb.mcs == [(1 << 12) - 1] and kb.unentailing
 
     @pytest.mark.parametrize("size", [0, 1, 12, 16])
     def test_small_bases_skip_maximal(self, size, monkeypatch):
-        # Up to 16 formulas the compile reads mcs and bad off one presence
-        # bitset, so _maximal is reached only past that.
+        # Up to 16 formulas the compile reads mcs and the unentailing
+        # subsets off one presence bitset, so _maximal is reached only past
+        # that.
         def forbidden(*args):
             raise AssertionError("a small base went through _maximal")
 
@@ -1022,7 +1058,79 @@ class TestCompiledBase:
             codes += satisfaction_row(f, order).astype(object) << i
         outside = ~satisfaction_row(alpha, order)
         assert kb.mcs == brute_maximal(codes.tolist())
-        assert kb.bad == brute_maximal(codes[outside].tolist())
+        non_models_match(kb, codes[outside].tolist())
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(bitset_instances())
+    def test_bitset_queries_match_generic_and_wide(self, instance):
+        """Up to 16 formulas every query is read off the bitsets. They
+        agree with the generic engine's subset search (its one support is
+        its first, so only membership is compared) and, answer for answer,
+        with the wide path on the same codes: the base padded to 17
+        formulas with valid ones, which lie in no minimal support and
+        change no other answer."""
+        delta, alpha = instance
+        order = _mask_order(delta, alpha, DEFAULT_MAX_MODELS)
+        kb = _KB(delta, alpha, order)
+        exists, support, supports, relevant = kb_answers(kb, len(delta))
+        want = enumerate_minimal_supports(delta, alpha, engine="generic")
+        assert supports == want
+        assert exists is bool(want)
+        assert support in want if want else support is None
+        assert relevant == [any(i in s for s in want) for i in range(len(delta))]
+        pad = gamma(Constraint(EQ2, (order[0], order[0])))
+        wide = _KB(delta + [pad] * (17 - len(delta)), alpha, order)
+        pads = [False] * (17 - len(delta))
+        assert kb_answers(wide, 17) == (exists, support, supports, relevant + pads)
+
+    BERGE_BASE = [
+        gamma(Constraint(T, ("x",))),
+        gamma(Constraint(F, ("x",))),
+        gamma(Constraint(IMPL, ("x", "y"))),
+        gamma(Constraint(NEQ, ("x", "y"))),
+        gamma(Constraint(OR2, ("x", "y"))),
+        gamma(Constraint(T, ("y",))),
+    ]
+
+    @pytest.mark.parametrize("size", [6, 12, 16])
+    def test_small_bases_skip_edges_and_berge(self, size, monkeypatch):
+        """Up to 16 formulas no query reaches the per-MCS edges or Berge's
+        method; the answers are the generic engine's. The base repeats six
+        formulas that alone have three MCSes and six minimal supports of
+        T(y)."""
+
+        def forbidden(*args):
+            raise AssertionError("a small base went through edges or Berge")
+
+        delta = (self.BERGE_BASE * 3)[:size]
+        alpha = gamma(Constraint(T, ("y",)))
+        want = enumerate_minimal_supports(delta, alpha, engine="generic")
+        assert len(want) >= 6
+        monkeypatch.setattr(_KB, "edges", forbidden)
+        monkeypatch.setattr(argumentation, "_transversals", forbidden)
+        monkeypatch.setattr(argumentation, "_maximal", forbidden)
+        kb = _KB(delta, alpha, _mask_order(delta, alpha, DEFAULT_MAX_MODELS))
+        exists, support, supports, relevant = kb_answers(kb, size)
+        assert (exists, supports) == (True, want)
+        assert support in want
+        assert relevant == [any(i in s for s in want) for i in range(size)]
+        assert enumerate_minimal_supports(delta, alpha) == want
+
+    def test_sixteen_and_seventeen_formulas_agree(self, monkeypatch):
+        """A 17th formula, valid, moves the base past the bitsets to the
+        per-MCS edges and Berge's method and changes no answer."""
+        delta = (self.BERGE_BASE * 3)[:16]
+        wider = delta + [gamma(Constraint(EQ2, ("y", "y")))]
+        calls = []
+        berge = argumentation._transversals
+        monkeypatch.setattr(
+            argumentation, "_transversals", lambda edges: calls.append(1) or berge(edges)
+        )
+        for alpha in (gamma(Constraint(T, ("y",))), gamma(Constraint(F, ("y",)))):
+            for psi in (0, 2, 4, 15):
+                assert all_queries(delta, alpha, psi) == all_queries(wider, alpha, psi)
+            assert not argrel(wider, alpha, 16)
+        assert calls
 
 
 class TestRoute:
@@ -1329,6 +1437,24 @@ def brute_maximal(rows):
     rows = set(rows)
     tops = [r for r in rows if not any(o != r and o & r == r for o in rows)]
     return sorted(tops, key=lambda r: (-bin(r).count("1"), r))
+
+
+def non_models_match(kb, outside):
+    """Assert that a compiled base holds the non-model signatures
+    `outside` as the brute-force maximal ones do: past 16 formulas as
+    `bad`, up to 16 as the `unentailing` bitset, whose bit s is set iff
+    s lies inside one of them. Returns those maximal signatures."""
+    bad = brute_maximal(outside)
+    if kb.n > 16:
+        assert kb.bad == bad
+        return bad
+    subsets = np.arange(1 << kb.n)
+    inside = np.zeros(1 << kb.n, dtype=np.bool_)
+    for b in bad:
+        inside |= subsets & ~b == 0
+    packed = np.packbits(inside, bitorder="little").tobytes()
+    assert kb.unentailing == int.from_bytes(packed, "little")
+    return bad
 
 
 def signature_array(rows, n, dtype=None):

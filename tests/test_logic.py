@@ -488,8 +488,9 @@ def test_cores_are_sound(language, data):
 def test_conflicts_are_sound_under_masks(language, data):
     """On an inconsistent base (0-8 unplanted formulas over p0..p7, and
     T(x) and F(x) at drawn places), with no blocks, some drawn blocks or
-    any one block masked: the engine's conflict is None iff the formulas
-    left are consistent under enumeration, and a conflict misses the mask
+    any one block masked: the engine's conflict is None, and consistent
+    True, iff the formulas left are consistent under enumeration, and a
+    conflict misses the mask
     and is inconsistent on its own formulas. Where the formulas left are
     consistent, sat on a drawn literal agrees with enumeration too."""
     variables = [f"p{i}" for i in range(8)]
@@ -517,8 +518,9 @@ def test_conflicts_are_sound_under_masks(language, data):
     masked = data.draw(st.integers(0, (1 << len(delta)) - 1))
     for mask in (0, masked, *(1 << i for i in range(len(delta)))):
         kept = [f for i, f in enumerate(delta) if not mask >> i & 1]
+        consistent = engine.consistent(mask)
         conflict = engine.conflict(mask)
-        assert (conflict is None) is is_consistent(kept, engine="generic")
+        assert (conflict is None) is consistent is is_consistent(kept, engine="generic")
         if conflict is None:
             assert engine.sat([lit], mask) is is_consistent(kept + [unit], engine="generic")
         else:

@@ -31,13 +31,14 @@ by `_route`:
 2. The signature base (`_KB`), when the assignment space fits the mask
    limit: the base and the claim are compiled once into per-assignment
    signatures, the claim as one more bit, so every query is read off
-   with no subset enumeration. Up to 16 formulas, superset-OR transforms
-   of the signatures' presence bitset mark every consistent subset and
-   every subset that does not entail the claim, and the minimal supports
-   are read off those two bitsets by one-formula deletions. Past 16, the
-   maximal signatures are the MCSes, those of the claim's non-models
-   decide entailment, and the supports are the minimal hitting sets
-   inside each MCS.
+   with no subset enumeration. Up to 16 formulas, and past that while
+   the base's subsets number at most 8 per assignment, superset-OR
+   transforms of the signatures' presence bitset mark every consistent
+   subset and every subset that does not entail the claim, and the
+   minimal supports are read off those two bitsets by one-formula
+   deletions. Otherwise the signatures are peeled: the maximal ones are
+   the MCSes, those of the claim's non-models decide entailment, and the
+   supports are the minimal hitting sets inside each MCS.
 3. Canonical subset search (`_Search`) over at most max_kb formulas,
    past the mask limit and always under the "generic" engine. It is the
    one place max_kb is checked; all supports and relevance set it up
@@ -244,8 +245,9 @@ def _mask_order(
 ) -> tuple[str, ...] | None:
     """The joint variable order, or None past max_models or _MASK_LIMIT.
     The limit counts the formulas' 64-bit signature words; alpha's bit
-    rides in their code up to 16 formulas and in one byte of its own past
-    that (`_KB`), at most 1 MB more at 2**20 assignments."""
+    rides in their code whenever `_KB` takes the subset bitset, and in
+    one byte of its own otherwise, at most 1 MB more at 2**20
+    assignments."""
     order = tuple(sorted(variables_of(delta) | alpha.variables))
     words = (len(delta) + 63) // 64
     if (1 << len(order)) > max_models or (1 << len(order)) * words > _MASK_LIMIT:
@@ -263,35 +265,12 @@ def _canonical(sets: Iterable[int]) -> list[int]:
     return sorted(sorted(sets), key=int.bit_count, reverse=True)
 
 
-def _maximal(sig: np.ndarray, n: int) -> list[int]:
-    """The inclusion-maximal distinct rows of an n-formula signature array,
-    as ints in canonical order (`_canonical`).
-
-    A base of at most 64 formulas passes one unsigned code per row, in any
-    unsigned type that holds n bits; a wider one passes rows of 64-bit
-    words, low word first. When the 2**n subsets of the formulas number
-    at most 8 per row, one superset-OR transform over the rows' presence
-    bitset finds every maximal row, however many there are
-    (`_maximal_present`). Otherwise the rows are peeled, one pass per
-    maximal row (`_maximal_peel`). Both routes return the same list.
-    `_KB` reads bases of at most 16 formulas off its own bitset, so only
-    larger ones come here.
-
-    Each route wins by 10-40x on some input past 16 formulas (2-core VM,
-    numpy 2.4, min of 3; half-size random maximal rows, the other rows
-    random subsets of them): the bitset on many maximal rows, 1.3 ms
-    against 13 ms peeled at n = 17 with 256 of 16384 rows, and 60 ms
-    against 2.4 s at n = 22 with 2048 of 2**19; the peel on few, 2.0 ms
-    against 37 ms at n = 22 with 87 of 4096 rows.
-    """
-    if (1 << n) <= 8 * len(sig):
-        return _maximal_present(sig, n)
-    return _maximal_peel(sig)
-
-
-def _maximal_peel(sig: np.ndarray) -> list[int]:
-    """A row with the most members is maximal among the rows left, so each
-    pass takes one and drops every row it contains."""
+def _maximal(sig: np.ndarray) -> list[int]:
+    """The inclusion-maximal distinct rows of a signature array, as ints
+    in canonical order (`_canonical`). A base of at most 64 formulas
+    passes one unsigned code per row, a wider one rows of 64-bit words,
+    low word first. A row with the most members is maximal among the
+    rows left, so each pass takes one and drops every row it contains."""
     if sig.ndim == 1:
         sig = sig[:, None]
     tops = []
@@ -320,16 +299,6 @@ _LACKING_16 = _lacking(16)
 
 # The set bits of each byte value, ascending.
 _BYTE_BITS = [tuple(b for b in range(8) if v >> b & 1) for v in range(256)]
-
-
-def _maximal_present(codes: np.ndarray, n: int) -> list[int]:
-    """The maximal codes among `codes`, one unsigned code per row, in
-    canonical order, read off their presence bitset (`_zeta`, `_step`).
-    The caller's routing keeps 2**n <= 8 * rows <= 8 * _MASK_LIMIT, so
-    n <= 23."""
-    rows = _packed(_presence(codes, 1 << n))
-    lacking = _lacking(n)
-    return _canonical(_bits(rows & ~_step(_zeta(rows, lacking), lacking, False)))
 
 
 def _presence(codes: np.ndarray, size: int) -> np.ndarray:
@@ -402,28 +371,33 @@ class _KB:
     constraints are combined on its own axes from cached collapsed tables
     (`_constraint_arrays`) and ORed, at its bit, straight into one narrow
     code per assignment (`signature_codes`), so no per-formula 2**n mask
-    is built. Alpha is compiled the same way as formula n, so bit n of a
-    code says the assignment is a model of alpha and no mask is built for
-    it either.
+    is built.
 
-    With n <= 16, one presence bitset of 2**(n+1) bits holds every code:
-    its low half, `outside`, marks the signatures of alpha's non-models,
-    and the OR of its halves, `rows`, every signature. Every query is read
-    off two superset-OR transforms (`_zeta`), each made at most once and
-    only when a query needs it: `consistent` of rows, and `unentailing`
-    of outside, whose bit s says that s does not entail alpha. The
-    supports are `consistent & ~unentailing`, and the minimal ones
-    (`minimal`) are the supports s with no support s - {i}: a support t
-    inside s leaves s - {i} a support for each i in s - t, as entailment
-    holds upward and consistency downward, so one-formula deletions test
-    minimality. A support exists iff some row entails alpha, as a support
-    lies inside the row of any of its models and that row entails alpha
-    too, so `unentailing` alone decides existence.
+    The compile takes the subset bitset (`bitset`) up to 16 formulas, and
+    past that while the 2**n subsets number at most 8 per assignment (n
+    at most len(order) + 3, so at most 23 inside the mask limit); its
+    transforms cost n * 2**n bit operations whatever the base. There
+    alpha is compiled the same way as formula n, so bit n of a code says
+    the assignment is a model of alpha and no mask is built for it
+    either. One presence bitset of 2**(n+1) bits holds every code: its
+    low half, `outside`, marks the signatures of alpha's non-models, and
+    the OR of its halves, `rows`, every signature. Every query is read
+    off two superset-OR transforms (`_zeta`) over the shift patterns
+    `lacking`, each made at most once and only when a query needs it:
+    `consistent` of rows, and `unentailing` of outside, whose bit s says
+    that s does not entail alpha. The supports are `consistent &
+    ~unentailing`, and the minimal ones (`minimal`) are the supports s
+    with no support s - {i}: a support t inside s leaves s - {i} a
+    support for each i in s - t, as entailment holds upward and
+    consistency downward, so one-formula deletions test minimality. A
+    support exists iff some row entails alpha, as a support lies inside
+    the row of any of its models and that row entails alpha too, so
+    `unentailing` alone decides existence.
 
-    Past 16 formulas, alpha is compiled as a word of its own (one byte
-    per assignment) that gives the mask of its non-models, and the
-    formulas' codes go to `_maximal`, stacked into 64-bit words past 64
-    formulas, for `mcs` and `bad`, the maximal signatures of alpha's
+    Otherwise alpha is compiled as a word of its own (one byte per
+    assignment) that gives the mask of its non-models, and the formulas'
+    codes, stacked into 64-bit words past 64 formulas, are peeled
+    (`_maximal`) for `mcs` and `bad`, the maximal signatures of alpha's
     non-models. A subset entails alpha iff it lies inside no member of
     `bad`, and the supports are the minimal hitting sets of each MCS's
     `edges`.
@@ -433,7 +407,10 @@ class _KB:
         n = self.n = len(delta)
         index = {v: i for i, v in enumerate(order)}
         formulas = [_constraint_arrays(f.constraints, index) for f in (*delta, alpha)]
-        if n <= 16:
+        # 2**n <= 8 * 2**len(order): at most 8 subsets per assignment.
+        self.bitset = n <= 16 or n <= len(order) + 3
+        if self.bitset:
+            self.lacking = _LACKING_16[:n] if n <= 16 else _lacking(n)
             codes = signature_codes(len(order), formulas)
             present = _packed(_presence(codes, 2 << n))
             self.outside = present & ((1 << (1 << n)) - 1)
@@ -449,38 +426,38 @@ class _KB:
         else:
             sig = np.stack([w.astype(np.uint64) for w in words], axis=1)
         # Set here, these shadow the cached property below.
-        self.mcs = _maximal(sig, n)
-        self.bad = _maximal(sig[outside], n)
+        self.mcs = _maximal(sig)
+        self.bad = _maximal(sig[outside])
 
     @functools.cached_property
     def consistent(self) -> int:
-        """Bit s is set iff subset s is consistent (n <= 16)."""
-        return _zeta(self.rows, _LACKING_16[: self.n])
+        """Bit s is set iff subset s is consistent (`bitset` only)."""
+        return _zeta(self.rows, self.lacking)
 
     @functools.cached_property
     def unentailing(self) -> int:
-        """Bit s is set iff subset s does not entail alpha (n <= 16)."""
-        return _zeta(self.outside, _LACKING_16[: self.n])
+        """Bit s is set iff subset s does not entail alpha (`bitset` only)."""
+        return _zeta(self.outside, self.lacking)
 
     @functools.cached_property
     def minimal(self) -> int:
-        """Bit s is set iff subset s is a minimal support (n <= 16)."""
+        """Bit s is set iff subset s is a minimal support (`bitset` only)."""
         supports = self.consistent & ~self.unentailing
-        return supports & ~_step(supports, _LACKING_16[: self.n], True)
+        return supports & ~_step(supports, self.lacking, True)
 
     @functools.cached_property
     def mcs(self) -> list[int]:
-        """The maximal rows (n <= 16)."""
-        below = _step(self.consistent, _LACKING_16[: self.n], False)
+        """The maximal rows (`bitset` only)."""
+        below = _step(self.consistent, self.lacking, False)
         return _canonical(_bits(self.rows & ~below))
 
     def entails(self, s: int) -> bool:
-        if self.n <= 16:
+        if self.bitset:
             return not self.unentailing >> s & 1
         return all(s & ~b for b in self.bad)
 
     def exists(self) -> bool:
-        if self.n <= 16:
+        if self.bitset:
             return self.rows & ~self.unentailing != 0
         return any(self.entails(m) for m in self.mcs)
 
@@ -510,28 +487,28 @@ class _KB:
         return edges
 
     def minimal_supports(self) -> list[Support]:
-        """The set bits of `minimal` up to 16 formulas, past that the
-        minimal hitting sets of each MCS's edges; by cardinality, then
+        """The set bits of `minimal` on the bitset, otherwise the minimal
+        hitting sets of each MCS's edges; by cardinality, then
         lexicographic."""
-        if self.n <= 16:
+        if self.bitset:
             found = _bits(self.minimal)
         else:
             found = {t for m in self.mcs for t in _transversals(self.edges(m))}
-        ordered = sorted(found, key=lambda t: (t.bit_count(), _members(t)))
-        return [Support(_members(t)) for t in ordered]
+        members = sorted(map(_members, found), key=lambda m: (len(m), m))
+        return [Support(m) for m in members]
 
     def relevant(self, idx: int) -> bool:
         """Does some minimal support contain delta[idx].
 
-        Up to 16 formulas, `minimal` answers at once. Past that, one does
-        iff for some MCS M containing idx and some b in `bad`, (b & M) |
-        idx entails alpha. Taking b with M & ~b a minimal edge E
-        containing idx is enough: as no other minimal edge lies inside E,
-        (M & ~E) | idx meets them all. So idx is relevant iff it lies in a
-        minimal edge of an MCS that contains it.
+        On the bitset, `minimal` answers at once. Otherwise one does iff
+        for some MCS M containing idx and some b in `bad`, (b & M) | idx
+        entails alpha. Taking b with M & ~b a minimal edge E containing
+        idx is enough: as no other minimal edge lies inside E, (M & ~E) |
+        idx meets them all. So idx is relevant iff it lies in a minimal
+        edge of an MCS that contains it.
         """
-        if self.n <= 16:
-            return self.minimal & ~_LACKING_16[idx] != 0
+        if self.bitset:
+            return self.minimal & ~self.lacking[idx] != 0
         bit = 1 << idx
         return any(bit & e for m in self.mcs if m & bit for e in self.edges(m))
 
@@ -623,26 +600,20 @@ def _corrections(engine, n: int, fits: bool) -> Iterator[int | None]:
     when a level would bring the nodes below the root past n. When the
     base fits the mask limit (`fits`), the next route is the signature
     base, which answers any base in one compile, so the search also hands
-    over at the first inconsistent node below the root: there it answers
-    only when each MCS leaves out one formula of the root's conflict, at
-    one engine check per MCS. Those checks need only say whether a node
-    is consistent (`consistent`), which on the implication graph is its
-    Tarjan pass with no core. A deeper tree can cost far more checks than
-    it finds MCSes: on the 10- to 14-formula bases of the 3-SAT reduction
-    to NEQ the whole tree takes 20 to 108 checks (median 55) for 9 to 27
-    MCSes. Past the mask limit only subset search is left, which tries up
-    to 2**n subsets, so the search goes on to n.
+    over at the first inconsistent node below the root, and no node joins
+    the next level: it answers only when each MCS leaves out one formula
+    of the root's conflict, at one engine check per MCS. Those checks
+    need only say whether a node is consistent (`consistent`), which on
+    the implication graph is its Tarjan pass with no core. A deeper tree
+    can cost far more checks than it finds MCSes: on the 10- to
+    14-formula bases of the 3-SAT reduction to NEQ the whole tree takes
+    20 to 108 checks (median 55) for 9 to 27 MCSes. Past the mask limit
+    only subset search is left, which tries up to 2**n subsets, so the
+    search goes on to n.
     """
     core = engine.conflict()
     if core is None:
         yield 0
-        return
-    if fits:
-        # Ascending, so that the last state an engine keeps is that of the
-        # largest H, whose MCS is tried first.
-        children = [1 << b for b in _blocks(core)]
-        handed = not all(engine.consistent(h) for h in children)
-        yield from [None] if handed else reversed(children)
         return
     found: list[int] = []
     conflicts = [core]
@@ -660,6 +631,12 @@ def _corrections(engine, n: int, fits: bool) -> Iterator[int | None]:
         level = {}
         consistent = []
         for h in fresh:
+            if fits:
+                if not engine.consistent(h):
+                    yield None
+                    return
+                consistent.append(h)
+                continue
             core = next((k for k in conflicts if not k & h), None)
             if core is None:
                 core = engine.conflict(h)

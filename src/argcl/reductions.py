@@ -566,11 +566,24 @@ def _abdp_arg_andnot_ext(abd: AbdInstance) -> tuple[ConstraintLanguage, ArgInsta
 def _critsat_core(
     cnf: CnfInput, variant: str
 ) -> tuple[ConstraintLanguage, ArgInstance]:
+    """Critical satisfiability as argument verification.
+
+    Every clause is widened by the variant's tail: "clause or (f implies
+    t)" for `impl`, with claim f -> t; "clause or u" for `u`, with claim
+    u; "(clause or u) and not v" for `u_notv`, with claim u & !v. The set
+    is always consistent, it entails the claim exactly when the CNF is
+    unsatisfiable, and no member is redundant exactly when every clause's
+    removal restores satisfiability.
+    """
     if not cnf.clauses:
         raise PreconditionError("the construction needs at least one clause")
+    tail, claim_rel = {
+        "impl": (("f", "t"), IMPL),
+        "u": (("u",), T),
+        "u_notv": (("u", "v"), AN),
+    }[variant]
     generated: dict[str, Relation] = {}
     delta: list[GammaFormula] = []
-    tail = {"impl": ("f", "t"), "u": ("u",), "u_notv": ("u", "v")}[variant]
     for clause in cnf.clauses:
         lits = _sorted_literals(clause)
         signs = "".join("P" if lit > 0 else "N" for lit in lits)
@@ -578,49 +591,25 @@ def _critsat_core(
         generated[rel.name] = rel
         args = tuple(f"x{abs(lit)}" for lit in lits) + tail
         delta.append(GammaFormula((Constraint(rel, args),)))
-    if variant == "impl":
-        claim_rel: Relation = IMPL
-    elif variant == "u":
-        claim_rel = T
-    else:
-        claim_rel = AN
     lang = _merge_relations(generated.values(), [claim_rel])
     alpha = GammaFormula((Constraint(claim_rel, tail),))
     return lang, ArgInstance(lang, tuple(delta), alpha)
 
 
-def _critsat_argcheck_impl(cnf: CnfInput) -> tuple[ConstraintLanguage, ArgInstance]:
-    """Critical satisfiability as argument verification.
-
-    Every clause is widened to "clause or (f implies t)"; the set is
-    always consistent, it entails f -> t exactly when the CNF is
-    unsatisfiable, and no member is redundant exactly when every
-    clause's removal restores satisfiability.
-    """
-    return _critsat_core(cnf, "impl")
-
-
-def _critsat_argcheck_t(cnf: CnfInput) -> tuple[ConstraintLanguage, ArgInstance]:
-    """Critical satisfiability as argument verification with claim u."""
-    return _critsat_core(cnf, "u")
-
-
-def _critsat_argcheck_andnot(cnf: CnfInput) -> tuple[ConstraintLanguage, ArgInstance]:
-    """Critical satisfiability as argument verification with claim u & !v."""
-    return _critsat_core(cnf, "u_notv")
-
-
 def _threesat_argrel(
     cnf: CnfInput, flavor: str
 ) -> tuple[ConstraintLanguage, ArgInstance]:
+    """3-CNF satisfiability as relevance over equality: x = y for `eq`,
+    (x = y) & t for `eqt` and (x = y) & !t for `eqf`.
+
+    A chain c_0 ... c_k can only close into c_0 = s through links
+    contributed by per-variable formulas; the final link c_k = s is the
+    queried member and sits in a minimal support exactly when some
+    assignment satisfies every clause.
+    """
     _require_three_cnf(cnf)
     k = len(cnf.clauses)
-    if flavor == "eq":
-        rel, tail = EQ2, ()
-    elif flavor == "eqt":
-        rel, tail = EQT, ("t",)
-    else:
-        rel, tail = EQF, ("t",)
+    rel, tail = {"eq": (EQ2, ()), "eqt": (EQT, ("t",)), "eqf": (EQF, ("t",))}[flavor]
 
     def eq(a: str, b: str) -> Constraint:
         return Constraint(rel, (a, b) + tail)
@@ -642,27 +631,6 @@ def _threesat_argrel(
     alpha = GammaFormula((eq("c0", "s"),))
     lang = ConstraintLanguage((rel,))
     return lang, ArgInstance(lang, tuple(delta), alpha, relevant=2 * cnf.n)
-
-
-def _threesat_argrel_eq(cnf: CnfInput) -> tuple[ConstraintLanguage, ArgInstance]:
-    """3-CNF satisfiability as relevance over equality.
-
-    A chain c_0 ... c_k can only close into c_0 = s through links
-    contributed by per-variable formulas; the final link c_k = s is the
-    queried member and sits in a minimal support exactly when some
-    assignment satisfies every clause.
-    """
-    return _threesat_argrel(cnf, "eq")
-
-
-def _threesat_argrel_eqt(cnf: CnfInput) -> tuple[ConstraintLanguage, ArgInstance]:
-    """The equality-chain construction with (x = y) & t constraints."""
-    return _threesat_argrel(cnf, "eqt")
-
-
-def _threesat_argrel_eqf(cnf: CnfInput) -> tuple[ConstraintLanguage, ArgInstance]:
-    """The equality-chain construction with (x = y) & !t constraints."""
-    return _threesat_argrel(cnf, "eqf")
 
 
 def _arg_argrel(source: ArgInstance) -> tuple[ConstraintLanguage, ArgInstance]:
@@ -845,12 +813,12 @@ _BUILDERS = {
     "pos1in3_arg_andnot": (_pos1in3_arg_andnot, CnfInput),
     "abdp_arg_neq_ext": (_abdp_arg_neq_ext, AbdInstance),
     "abdp_arg_andnot_ext": (_abdp_arg_andnot_ext, AbdInstance),
-    "critsat_argcheck_impl": (_critsat_argcheck_impl, CnfInput),
-    "critsat_argcheck_t": (_critsat_argcheck_t, CnfInput),
-    "critsat_argcheck_andnot": (_critsat_argcheck_andnot, CnfInput),
-    "threesat_argrel_eq": (_threesat_argrel_eq, CnfInput),
-    "threesat_argrel_eqt": (_threesat_argrel_eqt, CnfInput),
-    "threesat_argrel_eqf": (_threesat_argrel_eqf, CnfInput),
+    "critsat_argcheck_impl": (functools.partial(_critsat_core, variant="impl"), CnfInput),
+    "critsat_argcheck_t": (functools.partial(_critsat_core, variant="u"), CnfInput),
+    "critsat_argcheck_andnot": (functools.partial(_critsat_core, variant="u_notv"), CnfInput),
+    "threesat_argrel_eq": (functools.partial(_threesat_argrel, flavor="eq"), CnfInput),
+    "threesat_argrel_eqt": (functools.partial(_threesat_argrel, flavor="eqt"), CnfInput),
+    "threesat_argrel_eqf": (functools.partial(_threesat_argrel, flavor="eqf"), CnfInput),
     "arg_argrel": (_arg_argrel, ArgInstance),
     "abd_argrel_bothvalid": (_abd_argrel_bothvalid, AbdInstance),
     "abd_argrel_onevalid": (_abd_argrel_onevalid, AbdInstance),

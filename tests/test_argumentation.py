@@ -33,13 +33,7 @@ from argcl import (
 )
 
 from argcl import argumentation, kernels, logic
-from argcl.argumentation import (
-    _KB,
-    _mask_order,
-    _maximal,
-    _maximal_peel,
-    _maximal_present,
-)
+from argcl.argumentation import _KB, _mask_order, _maximal
 from argcl.formulas import models_mask, satisfies, variables_of
 from conftest import (
     AND_NOT,
@@ -1117,8 +1111,9 @@ class TestCompiledBase:
         assert enumerate_minimal_supports(delta, alpha) == want
 
     def test_sixteen_and_seventeen_formulas_agree(self, monkeypatch):
-        """A 17th formula, valid, moves the base past the bitsets to the
-        per-MCS edges and Berge's method and changes no answer."""
+        """A 17th formula, valid, moves the base over two variables past
+        the subset bitset to the per-MCS edges and Berge's method and
+        changes no answer."""
         delta = (self.BERGE_BASE * 3)[:16]
         wider = delta + [gamma(Constraint(EQ2, ("y", "y")))]
         calls = []
@@ -1131,6 +1126,56 @@ class TestCompiledBase:
                 assert all_queries(delta, alpha, psi) == all_queries(wider, alpha, psi)
             assert not argrel(wider, alpha, 16)
         assert calls
+
+    @pytest.mark.parametrize(
+        "size, spare, bitset",
+        [(17, 3, True), (20, 3, True), (17, 4, False), (20, 4, False)],
+    )
+    def test_bitset_rule_past_sixteen_formulas(self, size, spare, bitset, monkeypatch):
+        """Past 16 formulas the compile takes the subset bitset while the
+        2**n subsets number at most 8 per assignment, over n - 3
+        variables, and peels over n - 4. Each side matches a brute-force
+        subset oracle (`subset_oracle`); the bitset never reaches
+        `_maximal`, the edges or Berge's method, and the peel builds no
+        transform. The formulas draw random relations over six hub
+        variables, and each other variable enters one formula through
+        the valid EQ2(v, v), so every variable is used and the distinct
+        signatures stay few enough for the oracle."""
+        rng = random.Random(size * 10 + spare)
+        variables = [f"v{i:02d}" for i in range(size - spare)]
+        hub = variables[:6]
+
+        def draw(relations):
+            relation = rng.choice(relations)
+            return Constraint(relation, tuple(rng.choice(hub) for _ in range(relation.arity)))
+
+        delta = [gamma(draw(KB_RELATIONS)) for _ in range(size)]
+        for i, v in enumerate(variables[len(hub) :]):
+            delta[i] = gamma(*delta[i].constraints, Constraint(EQ2, (v, v)))
+        alpha = gamma(draw((OR2, IMPL, NEQ)))
+        order = _mask_order(delta, alpha, DEFAULT_MAX_MODELS)
+        assert order == tuple(variables)
+        codes = np.zeros(1 << len(order), dtype=np.int64)
+        for i, f in enumerate(delta):
+            codes |= satisfaction_row(f, order).astype(np.int64) << i
+        mcs, want = subset_oracle(codes, ~satisfaction_row(alpha, order), size)
+        assert len(want[2]) > 1 and True in want[3] and False in want[3]
+
+        def forbidden(*args):
+            raise AssertionError("the wrong mode for the bitset rule")
+
+        if bitset:
+            monkeypatch.setattr(argumentation, "_maximal", forbidden)
+            monkeypatch.setattr(argumentation, "_transversals", forbidden)
+            monkeypatch.setattr(_KB, "edges", forbidden)
+        else:
+            monkeypatch.setattr(argumentation, "_zeta", forbidden)
+        kb = _KB(delta, alpha, order)
+        assert kb.bitset is bitset
+        assert kb.mcs == mcs
+        assert kb_answers(kb, size) == want
+        assert ("unentailing" in vars(kb)) is bitset
+        assert enumerate_minimal_supports(delta, alpha) == want[2]
 
 
 class TestRoute:
@@ -1439,13 +1484,55 @@ def brute_maximal(rows):
     return sorted(tops, key=lambda r: (-bin(r).count("1"), r))
 
 
+def subset_oracle(codes, outside, n):
+    """Brute-force answers for an n-formula base from its assignments'
+    signature codes, `outside` marking the claim's non-models: a subset
+    is consistent iff it lies inside a maximal signature, and entails
+    the claim iff it lies inside no maximal non-model signature, checked
+    on all 2**n subsets the way `non_models_match` does. The minimal
+    supports are taken smallest first, each dropping its supersets.
+    Returns the canonical MCSes and what `kb_answers` gives: existence,
+    the shrink of the first entailing MCS, the minimal supports and each
+    formula's relevance."""
+    subsets = np.arange(1 << n)
+
+    def inside(rows):
+        hit = np.zeros(1 << n, dtype=np.bool_)
+        for r in brute_maximal(rows):
+            hit |= subsets & ~r == 0
+        return hit
+
+    entailing = ~inside(codes[outside].tolist())
+    left = np.flatnonzero(inside(codes.tolist()) & entailing)
+    left = left[np.argsort(np.bitwise_count(left), kind="stable")]
+    minimal = []
+    while len(left):
+        minimal.append(int(left[0]))
+        left = left[left & left[0] != left[0]]
+    supports = sorted(
+        (tuple(i for i in range(n) if m >> i & 1) for m in minimal),
+        key=lambda m: (len(m), m),
+    )
+    mcs = brute_maximal(codes.tolist())
+    first = None
+    for m in mcs:
+        if entailing[m]:
+            for i in range(n):
+                if m >> i & 1 and entailing[m & ~(1 << i)]:
+                    m &= ~(1 << i)
+            first = Support(tuple(i for i in range(n) if m >> i & 1))
+            break
+    relevant = [any(i in s for s in supports) for i in range(n)]
+    return mcs, (bool(supports), first, [Support(s) for s in supports], relevant)
+
+
 def non_models_match(kb, outside):
     """Assert that a compiled base holds the non-model signatures
-    `outside` as the brute-force maximal ones do: past 16 formulas as
-    `bad`, up to 16 as the `unentailing` bitset, whose bit s is set iff
-    s lies inside one of them. Returns those maximal signatures."""
+    `outside` as the brute-force maximal ones do: as the `unentailing`
+    bitset on the subset bitset, whose bit s is set iff s lies inside one
+    of them, and as `bad` otherwise. Returns those maximal signatures."""
     bad = brute_maximal(outside)
-    if kb.n > 16:
+    if not kb.bitset:
         assert kb.bad == bad
         return bad
     subsets = np.arange(1 << kb.n)
@@ -1479,8 +1566,8 @@ def sampled_rows(n, distinct, count, seed):
 
 
 class TestMaximal:
-    """Both routes of _maximal against a brute-force maximal set, in the
-    canonical order the callers rely on."""
+    """_maximal's peel against a brute-force maximal set, in the canonical
+    order the callers rely on."""
 
     @pytest.mark.parametrize(
         "n, rows",
@@ -1497,45 +1584,28 @@ class TestMaximal:
     def test_routes_agree_where_the_bitset_fits(self, n, rows):
         want = brute_maximal(rows)
         for dtype in (None, np.uint32, np.uint64):
-            sig = signature_array(rows, n, dtype)
-            assert (1 << n) <= 8 * len(sig)
-            assert _maximal_present(sig, n) == want
-            assert _maximal_peel(sig) == want
-            assert _maximal(sig, n) == want
+            assert _maximal(signature_array(rows, n, dtype)) == want
 
     @pytest.mark.parametrize("n", [13, 14, 15, 16])
     @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
-    def test_routes_agree_up_to_sixteen_formulas(self, n, dtype, monkeypatch):
-        # 512 rows under 25 maximal ones of n/2 formulas each: too few rows
-        # for the 8-per-row rule, so _maximal peels them. `_KB` reads bases
-        # of at most 16 formulas off its own bitset and never asks.
+    def test_routes_agree_up_to_sixteen_formulas(self, n, dtype):
+        # 512 rows under 25 maximal ones of n/2 formulas each.
         rng = random.Random(n)
         tops = [sum(1 << i for i in rng.sample(range(n), n // 2)) for _ in range(25)]
         rows = tops + [rng.choice(tops) & rng.getrandbits(n) for _ in range(487)]
-        sig = signature_array(rows, n, dtype)
-        assert (1 << n) > 8 * len(sig)
         want = brute_maximal(rows)
         assert len(want) == len(set(tops))
-        assert _maximal_present(sig, n) == _maximal_peel(sig) == want
-
-        def present(sig, n):
-            raise AssertionError("built a bitset for too few rows")
-
-        monkeypatch.setattr(argumentation, "_maximal_present", present)
-        assert _maximal(sig, n) == want
+        assert _maximal(signature_array(rows, n, dtype)) == want
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
     def test_empty_base(self, dtype):
         # With no formulas every row is the empty set.
         for rows, want in (([0] * 5, [0]), ([], [])):
-            sig = signature_array(rows, 0, dtype)
-            assert _maximal_present(sig, 0) == _maximal_peel(sig) == want
-            assert _maximal(sig, 0) == want
+            assert _maximal(signature_array(rows, 0, dtype)) == want
 
     @pytest.mark.parametrize("n", [0, 1, 12, 63, 64, 65])
     def test_no_rows(self, n):
-        sig = signature_array([], n)
-        assert _maximal(sig, n) == [] == _maximal_peel(sig)
+        assert _maximal(signature_array([], n)) == []
 
     @pytest.mark.parametrize("n", [12, 63, 64, 65])
     def test_peel_with_duplicates(self, n):
@@ -1543,13 +1613,11 @@ class TestMaximal:
         distinct = [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(8)]
         distinct += [d & rng.getrandbits(n) for d in distinct]
         rows = [rng.choice(distinct) for _ in range(100)] + distinct[:1] * 5
-        sig = signature_array(rows, n)
-        assert (1 << n) > 8 * len(sig)
-        assert _maximal_peel(sig) == _maximal(sig, n) == brute_maximal(rows)
+        assert _maximal(signature_array(rows, n)) == brute_maximal(rows)
 
     def test_ties_in_ascending_bitmask_order(self):
         rows = [0b1100, 0b0011, 0b1010, 0b0001]
-        assert _maximal_peel(signature_array(rows, 4)) == [0b0011, 0b1010, 0b1100]
+        assert _maximal(signature_array(rows, 4)) == [0b0011, 0b1010, 0b1100]
 
 
 # A 1-valid ternary relation closed under none of the four operations:

@@ -71,12 +71,13 @@ from .logic import (
     _check_engine,
     _entailed,
     _fragment,
+    _literal_template,
     entails,
     is_consistent,
     negative_cnf_of,
     positive_cnf_of,
 )
-from .kernels import signature_codes
+from .kernels import broadcast_mask, transpose_codes
 from .relations import ConstraintLanguage, language_properties, relation_properties
 
 __all__ = [
@@ -113,7 +114,7 @@ COMPLEXITY_CLASSES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Support:
     """An index set into a knowledge base, strictly ascending."""
 
@@ -283,18 +284,22 @@ def _maximal(sig: np.ndarray) -> list[int]:
 
 def _lacking(n: int) -> list[int]:
     """Bit s of the i-th int marks subset s of n formulas as lacking
-    formula i: bit patterns 0x55, 0x33, 0x0f, then runs of 2**(i-3) 0xff
-    and 0x00 bytes."""
-    size = ((1 << n) + 7) >> 3
-    patterns = [b"\x55" * size, b"\x33" * size, b"\x0f" * size]
-    for i in range(3, n):
-        run = 1 << (i - 3)
-        patterns.append((b"\xff" * run + b"\x00" * run) * (size // run // 2))
-    return [int.from_bytes(p, "little") for p in patterns[:n]]
+    formula i. Pattern i repeats every 2**(i+1) bits, so it is doubled up
+    to 2**n bits from its first period, 2**i set bits and then 2**i clear
+    ones; each int is made once, with no bytes kept beside it."""
+    patterns = []
+    for i in range(n):
+        p, width = (1 << (1 << i)) - 1, 2 << i
+        while width < 1 << n:
+            p |= p << width
+            width <<= 1
+        patterns.append(p)
+    return patterns
 
 
 # The patterns repeat every 2**(i+1) bits, so those for 16 formulas, ANDed
-# with a bitset over fewer, serve every n <= 16.
+# with a bitset over fewer, serve every n <= 16, and cut to 2**n_vars bits
+# they are the negative literals over up to 16 variables (`_literal_bits`).
 _LACKING_16 = _lacking(16)
 
 # The set bits of each byte value, ascending.
@@ -306,7 +311,9 @@ def _presence(codes: np.ndarray, size: int) -> np.ndarray:
     present = np.zeros(size, dtype=np.bool_)
     # Indexing with intp codes took 10 us where uint16 codes took 17 us
     # (2048 rows, 12 formulas): numpy casts other index types in chunks.
-    present[codes.astype(np.intp)] = True
+    # Cast a step at a time, the intp copy stays at 1 MB at the mask limit.
+    for start in range(0, len(codes), 1 << 17):
+        present[codes[start : start + (1 << 17)].astype(np.intp)] = True
     return present
 
 
@@ -358,6 +365,68 @@ def _transversals(edges: list[int]) -> list[int]:
     return transversals
 
 
+# Relations of at most this arity take their model bitsets from their CNF
+# (`_literal_template`), wider ones from their collapsed truth table
+# (`kernels.broadcast_mask`). Over six random relations per arity, one
+# constraint took 7 / 24 / 176 us from its CNF at arity 5 over 10 / 14 / 18
+# variables, against 23 / 36 / 165 us from its table, and 14 / 47 / 388 us
+# at arity 6 against 23 / 30 / 164 us (2-core Xeon VM). Finding the CNF also
+# tries 3**arity candidate clauses once per relation: 2 ms at arity 5 and
+# 32 ms at arity 7.
+_CNF_ARITY = 5
+
+
+def _literal_bits(n_vars: int) -> list[tuple[int, int]]:
+    """Per variable position p, the model bitsets over the 2**n_vars
+    assignments of the literals x_p and not x_p. Assignment a sets x_p in
+    bit q = n_vars - 1 - p, so not x_p holds where a lacks bit q: the
+    lacking pattern q, cut to 2**n_vars bits."""
+    full = (1 << (1 << n_vars)) - 1
+    if n_vars <= 16:
+        lacking = [p & full for p in _LACKING_16[:n_vars]]
+    else:
+        lacking = _lacking(n_vars)
+    return [(lacking[q] ^ full, lacking[q]) for q in reversed(range(n_vars))]
+
+
+def _model_bits(formula: GammaFormula, index, literals, n_vars: int) -> int:
+    """A formula's models over the 2**n_vars assignments as an int bitset:
+    bit a is set iff assignment a satisfies every constraint. A clause is
+    the OR of its literals' bitsets (`_literal_bits`) and the formula the
+    AND of its clauses, so a repeated argument needs no special case:
+    x or not x comes out full. A relation wider than _CNF_ARITY comes
+    from its collapsed table, broadcast over every variable and packed."""
+    bits = (1 << (1 << n_vars)) - 1
+    for c in formula.constraints:
+        relation = c.relation
+        if relation.arity > _CNF_ARITY:
+            (table,), (axes,) = _constraint_arrays((c,), index)
+            bits &= _packed(broadcast_mask(n_vars, table, axes))
+            continue
+        args = [literals[index[a]] for a in c.args]
+        for clause in _literal_template(relation):
+            lits = 0
+            for j, sign in clause:
+                lits |= args[j][sign]
+            bits &= lits
+    return bits
+
+
+def _model_rows(formulas: Sequence[GammaFormula], order) -> np.ndarray:
+    """The formulas' model bitsets (`_model_bits`) over the 2**len(order)
+    assignments, one packed row each, in the form `transpose_codes` takes.
+    Each int goes to bytes as soon as it is made, so no int stays beside
+    its bytes."""
+    n_vars = len(order)
+    index = {v: i for i, v in enumerate(order)}
+    literals = _literal_bits(n_vars)
+    width = ((1 << n_vars) + 7) >> 3
+    rows = bytearray()
+    for f in formulas:
+        rows += _model_bits(f, index, literals, n_vars).to_bytes(width, "little")
+    return np.frombuffer(rows, dtype=np.uint8).reshape(len(formulas), width)
+
+
 class _KB:
     """A knowledge base compiled against one claim.
 
@@ -367,25 +436,27 @@ class _KB:
     maximal signatures `mcs` are the maximal consistent subsets of delta,
     in canonical order (`_canonical`).
 
-    The variable order is numbered once per compile. Each formula's
-    constraints are combined on its own axes from cached collapsed tables
-    (`_constraint_arrays`) and ORed, at its bit, straight into one narrow
-    code per assignment (`signature_codes`), so no per-formula 2**n mask
-    is built.
+    The compile builds each formula's models as an int bitset over the
+    2**len(order) assignments (`_model_bits`): one int AND or OR per
+    clause and literal, on literal bitsets cut from the shift patterns
+    `_LACKING_16` (or `_lacking` past 16 variables), and a table for a
+    relation wider than _CNF_ARITY. One bit transpose of the packed rows
+    (`transpose_codes`) then gives one narrow code per assignment, so the
+    numpy calls per compile do not grow with the formulas.
 
     The compile takes the subset bitset (`bitset`) up to 16 formulas, and
     past that while the 2**n subsets number at most 8 per assignment (n
     at most len(order) + 3, so at most 23 inside the mask limit); its
     transforms cost n * 2**n bit operations whatever the base. There
     alpha is compiled the same way as formula n, so bit n of a code says
-    the assignment is a model of alpha and no mask is built for it
-    either. One presence bitset of 2**(n+1) bits holds every code: its
-    low half, `outside`, marks the signatures of alpha's non-models, and
-    the OR of its halves, `rows`, every signature. Every query is read
-    off two superset-OR transforms (`_zeta`) over the shift patterns
-    `lacking`, each made at most once and only when a query needs it:
-    `consistent` of rows, and `unentailing` of outside, whose bit s says
-    that s does not entail alpha. The supports are `consistent &
+    the assignment is a model of alpha. One presence bitset of 2**(n+1)
+    bits holds every code: its low half, `outside`, marks the signatures
+    of alpha's non-models, and the OR of its halves, `rows`, every
+    signature. Every query is read off two superset-OR transforms
+    (`_zeta`) over the shift patterns `lacking`, each made at most once
+    and only when a query needs it: `consistent` of rows, and
+    `unentailing` of outside, whose bit s says that s does not entail
+    alpha. The supports are `consistent &
     ~unentailing`, and the minimal ones (`minimal`) are the supports s
     with no support s - {i}: a support t inside s leaves s - {i} a
     support for each i in s - t, as entailment holds upward and
@@ -394,33 +465,31 @@ class _KB:
     the row of any of its models and that row entails alpha too, so
     `unentailing` alone decides existence.
 
-    Otherwise alpha is compiled as a word of its own (one byte per
-    assignment) that gives the mask of its non-models, and the formulas'
-    codes, stacked into 64-bit words past 64 formulas, are peeled
-    (`_maximal`) for `mcs` and `bad`, the maximal signatures of alpha's
-    non-models. A subset entails alpha iff it lies inside no member of
-    `bad`, and the supports are the minimal hitting sets of each MCS's
-    `edges`.
+    Otherwise alpha's row is unpacked on its own into the mask of its
+    non-models, and the formulas' codes, stacked into 64-bit words past
+    64 formulas, are peeled (`_maximal`) for `mcs` and `bad`, the maximal
+    signatures of alpha's non-models. A subset entails alpha iff it lies
+    inside no member of `bad`, and the supports are the minimal hitting
+    sets of each MCS's `edges`.
     """
 
     def __init__(self, delta: Sequence[GammaFormula], alpha: GammaFormula, order):
         n = self.n = len(delta)
-        index = {v: i for i, v in enumerate(order)}
-        formulas = [_constraint_arrays(f.constraints, index) for f in (*delta, alpha)]
+        n_vars = len(order)
         # 2**n <= 8 * 2**len(order): at most 8 subsets per assignment.
-        self.bitset = n <= 16 or n <= len(order) + 3
+        self.bitset = n <= 16 or n <= n_vars + 3
         if self.bitset:
             self.lacking = _LACKING_16[:n] if n <= 16 else _lacking(n)
-            codes = signature_codes(len(order), formulas)
+            codes = transpose_codes(_model_rows((*delta, alpha), order), n_vars)
             present = _packed(_presence(codes, 2 << n))
             self.outside = present & ((1 << (1 << n)) - 1)
             self.rows = self.outside | present >> (1 << n)
             return
-        # Alpha's one-byte word, popped so the formula words stop at n.
-        outside = signature_codes(len(order), [formulas.pop()]) == 0
-        words = [
-            signature_codes(len(order), formulas[w : w + 64]) for w in range(0, n, 64)
-        ]
+        models = _model_rows((*delta, alpha), order)
+        # Alpha's row gives its non-models, so the formula words stop at n.
+        outside = np.unpackbits(models[n], count=1 << n_vars, bitorder="little") == 0
+        words = [transpose_codes(models[w : min(w + 64, n)], n_vars) for w in range(0, n, 64)]
+        del models
         if len(words) == 1:
             sig = words[0]
         else:

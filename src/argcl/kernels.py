@@ -3,15 +3,17 @@ in vectorized numpy.
 
 Model filtering ANDs each constraint's truth table, broadcast over an
 n-axis view of the assignment mask, into that mask in place: 1 byte per
-assignment and no index arrays. Signature codes combine each formula's
-constraint tables on that formula's own axes and OR the result, weighted
-by the formula's bit, into one narrow unsigned code per assignment, so no
-per-formula mask over all assignments is built. Both kernels take each
-table already collapsed onto its distinct variables in ascending order
-(`collapse`), so a broadcast is one reshape. On a wide mask, a table that
-sits on the last axes is first materialised over the trailing six axes in
-both kernels, so the AND or OR runs over 64 contiguous entries at a time
-instead of one or two.
+assignment and no index arrays. It takes each table already collapsed
+onto its distinct variables in ascending order (`collapse`), so a
+broadcast is one reshape. On a wide mask, a table that sits on the last
+axes is first materialised over the trailing six axes, so the AND runs
+over 64 contiguous entries at a time instead of one or two.
+
+Signature codes are one bit transpose of the formulas' model bitsets,
+packed 8 assignments to a byte: each step of assignments is unpacked to
+one byte per formula and assignment, shifted to the formula's bit in the
+narrow code type and OR-reduced over the formulas, so the numpy calls per
+compile do not grow with the number of formulas.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 __all__ = [
     "collapse",
     "filter_models",
-    "signature_codes",
+    "broadcast_mask",
+    "transpose_codes",
     "pair_closure",
     "triple_closure",
     "OP_AND",
@@ -57,15 +60,6 @@ OP_XOR3 = 1
 # every other axis, and ANDed into the view in place. No per-assignment
 # index array is built.
 #
-# Signature codes use the same encoding and the same (2,) * n view of an
-# unsigned code array, in the narrowest type that holds one bit per formula
-# (np.min_scalar_type: 2 bytes for 12 formulas). A formula's first table is
-# multiplied by its bit while it is still 2**k entries; its other broadcast
-# tables multiply in as 0/1, so the product holds the bit exactly where
-# every constraint holds, on at most 2**|vars(f)| entries; that product is
-# ORed into the view in place. Each formula costs one pass over the codes
-# and builds no mask over all assignments.
-#
 # numpy runs that AND as one inner loop per contiguous run of the mask over
 # which the table is constant: 2**(n-1-p) entries, p the table's last axis.
 # When that run is 16 entries or fewer and the mask has at least 2**12
@@ -76,8 +70,7 @@ OP_XOR3 = 1
 # the table on the last two axes from 38 to 15 us, and on the first and last
 # axes from 65 to 15 us (2-core Xeon VM). Tables that leave longer runs, and
 # narrower masks, gained nothing from the copy when measured, so they are
-# ANDed as they are. Signature codes materialise a formula's product by the
-# same rule (_short_runs) before the OR.
+# ANDed as they are.
 # ---------------------------------------------------------------------------
 
 _TRAIL_AXES = 6
@@ -110,43 +103,63 @@ def filter_models(
     return sat
 
 
-def signature_codes(
-    n_vars: int,
-    formulas: list[tuple[list[np.ndarray], list[tuple[int, ...]]]],
-) -> np.ndarray:
-    """Per-assignment bitsets of the formulas each assignment satisfies.
+def broadcast_mask(n_vars: int, table: np.ndarray, pos: tuple[int, ...]) -> np.ndarray:
+    """One collapsed table (`collapse`) over all 2**n_vars assignments:
+    entry a is the table's entry for a's values on the ascending axes
+    pos. A table that would leave short runs on a wide mask is first
+    materialised over the trailing axes, as in filter_models."""
+    t = _broadcast_table(n_vars, table, pos)
+    if _short_runs(n_vars, t):
+        t = t & _TRAIL
+    return np.broadcast_to(t, (2,) * n_vars).reshape(-1)
+
+
+# Assignments per transpose step. The step holds one byte per formula and
+# assignment, and one code per formula and assignment in the code type, so
+# at 64 formulas of a 64-bit code it takes 4.5 MB whatever the number of
+# assignments; steps of 2**12 to 2**14 assignments ran equally fast over
+# 10 to 20 variables (2-core Xeon VM), longer ones slower past 16.
+_CHUNK = 1 << 13
+
+
+def transpose_codes(rows: np.ndarray, n_vars: int) -> np.ndarray:
+    """Per-assignment bitsets of the formulas each assignment satisfies,
+    from per-formula model bitsets.
 
     Args:
+        rows: uint8 array of shape (formulas, ceil(2**n_vars / 8)), at
+            most 64 formulas: row j is formula j's model bitset, packed
+            little-endian, so bit a % 8 of byte a // 8 says whether
+            assignment a satisfies it.
         n_vars: number of variables; the result has 2**n_vars entries.
-        formulas: at most 64 formulas, each as the (tables, positions) of
-            its constraints, in the collapsed form `filter_models` takes;
-            every formula has at least one constraint.
 
     Returns:
-        Unsigned array in the narrowest type that holds len(formulas)
-        bits: bit j of entry a is set iff assignment a satisfies every
-        constraint of formula j.
+        Unsigned array in the narrowest type that holds len(rows) bits:
+        bit j of entry a is set iff assignment a satisfies formula j.
     """
-    if len(formulas) > 64:
-        raise ValueError(f"{len(formulas)} formulas do not fit one 64-bit code")
-    codes = np.zeros(1 << n_vars, dtype=np.min_scalar_type((1 << len(formulas)) - 1))
-    view = codes.reshape((2,) * n_vars)
-    for bit, (tables, positions) in enumerate(formulas):
-        # The formula's bit weights its first table before that is
-        # broadcast; the other tables multiply in as 0/1, which ANDs them.
-        weight = codes.dtype.type(1 << bit)
-        t = _broadcast_table(n_vars, tables[0] * weight, positions[0])
-        for table, pos in zip(tables[1:], positions[1:]):
-            t = t * _broadcast_table(n_vars, table, pos)
-        view |= t * _TRAIL if _short_runs(n_vars, t) else t
+    if len(rows) > 64:
+        raise ValueError(f"{len(rows)} formulas do not fit one 64-bit code")
+    size = 1 << n_vars
+    dtype = np.min_scalar_type((1 << len(rows)) - 1)
+    codes = np.empty(size, dtype=dtype)
+    shifts = np.arange(len(rows), dtype=dtype)[:, None]
+    for start in range(0, size, _CHUNK):
+        count = min(_CHUNK, size - start)
+        block = rows[:, start >> 3 : (start + count + 7) >> 3]
+        bits = np.unpackbits(block, axis=1, count=count, bitorder="little")
+        np.bitwise_or.reduce(
+            np.left_shift(bits, shifts, dtype=dtype),
+            axis=0,
+            out=codes[start : start + count],
+        )
     return codes
 
 
 def _short_runs(n_vars: int, t: np.ndarray) -> bool:
     """Does the broadcast table t leave runs of 16 entries or fewer in a
     wide mask (an axis past n_vars - _TRAIL_AXES of size 2), so that it is
-    materialised over the trailing _TRAIL_AXES axes before it is combined
-    with the mask."""
+    materialised over the trailing _TRAIL_AXES axes before it is ANDed
+    into the mask."""
     return n_vars >= _WIDE and 2 in t.shape[n_vars - _TRAIL_AXES + 1 :]
 
 

@@ -1,8 +1,11 @@
 """Tests for argument existence, verification, relevance, and classification."""
 
+import dataclasses
 import itertools
+import pickle
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from argcl import (
 from argcl import argumentation, kernels, logic
 from argcl.argumentation import _KB, _mask_order, _maximal
 from argcl.formulas import models_mask, satisfies, variables_of
+from argcl.reductions import BRIDGE7
 from conftest import (
     AND_NOT,
     EQ2,
@@ -77,6 +81,19 @@ class TestSupport:
 
     def test_iteration(self):
         assert tuple(Support((0, 3))) == (0, 3)
+
+    def test_slotted_frozen_value(self):
+        # A slotted Support has no per-instance dict, so a run that keeps
+        # every support it returned holds about half the bytes.
+        support = Support(range(1, 4))
+        assert support.indices == (1, 2, 3)
+        assert not hasattr(support, "__dict__")
+        copy = pickle.loads(pickle.dumps(support))
+        assert copy == support == Support((1, 2, 3)) != Support((1, 2))
+        assert hash(copy) == hash(support)
+        assert len({copy, support, Support((1, 2))}) == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            support.indices = (0,)
 
 
 class TestComplexityReport:
@@ -898,13 +915,23 @@ class TestCompiledBase:
         assert arg_exists(delta, no) is False
         assert find_minimal_support(delta, no) is None
 
-    @pytest.mark.parametrize("size", [8, 63, 64, 65, 70])
-    def test_signatures_match_brute_force(self, size):
+    @pytest.mark.parametrize(
+        "size, n_vars",
+        [pytest.param(size, 8, id=str(size)) for size in (8, 63, 64, 65, 70)]
+        + [
+            pytest.param(size, n_vars, id=f"{n_vars}vars-{size}")
+            for n_vars in (1, 2, 3)
+            for size in (12, 20)
+        ],
+    )
+    def test_signatures_match_brute_force(self, size, n_vars):
         # Formula 63 takes the top bit of the first signature word and 64
         # starts a second word; a wrong bit for either changes mcs or bad
-        # here, before any query loop runs.
-        rng = random.Random(size)
-        variables = [f"v{i}" for i in range(8)]
+        # here, before any query loop runs. Over 1 to 3 variables a model
+        # bitset is shorter than one byte; 12 formulas take the subset
+        # bitset there and 20 are peeled.
+        rng = random.Random(size if n_vars == 8 else 100 * n_vars + size)
+        variables = [f"v{i}" for i in range(n_vars)]
 
         def formula():
             relation = rng.choice(KB_RELATIONS)
@@ -912,7 +939,7 @@ class TestCompiledBase:
             return gamma(Constraint(relation, args))
 
         delta = [formula() for _ in range(size)]
-        alpha = gamma(Constraint(OR2, ("v0", "v1")))
+        alpha = gamma(Constraint(OR2, (variables[0], variables[min(1, n_vars - 1)])))
         order = _mask_order(delta, alpha, DEFAULT_MAX_MODELS)
         signatures, outside = set(), set()
         for values in itertools.product((False, True), repeat=len(order)):
@@ -930,30 +957,62 @@ class TestCompiledBase:
         assert len(kb.mcs) > 1 and non_models_match(kb, outside)
 
     @pytest.mark.parametrize(
-        "n_vars, size",
-        [(n, size) for n in (12, 14, 16) for size in (0, 1, 16, 17)]
-        + [(12, 63), (12, 64), (12, 65)],
+        "n_vars, size, wide, chunk",
+        [
+            pytest.param(n, size, False, None, id=f"{n}-{size}")
+            for n in (12, 14, 16)
+            for size in (0, 1, 16, 17)
+        ]
+        + [pytest.param(12, size, False, None, id=f"12-{size}") for size in (63, 64, 65)]
+        + [
+            pytest.param(12, 17, True, None, id="12-17-both-sides-of-the-arity-cut"),
+            pytest.param(14, 40, True, None, id="14-40-both-sides-of-the-arity-cut"),
+            pytest.param(12, 16, True, 64, id="12-16-chunk-64"),
+            pytest.param(13, 41, True, 24, id="13-41-chunk-24"),
+        ],
     )
-    def test_wide_signatures_match_brute_force(self, n_vars, size):
-        # From 12 variables the kernel materialises tables near the last
-        # axes, so formulas of 1-4 constraints draw their arguments,
-        # repeated and unsorted, from the last four variables, from axes
-        # spread over the whole order, or from anywhere. 16 formulas fill
-        # a 16-bit code and 17 widen it; 64 fill a word and 65 take two.
+    def test_wide_signatures_match_brute_force(self, n_vars, size, wide, chunk, monkeypatch):
+        # Formulas of 1-4 constraints draw their arguments, repeated and
+        # unsorted, from the last four variables, from variables spread
+        # over the whole order, or from anywhere. 16 formulas fill a 16-bit
+        # code and 17 widen it; 64 fill a word and 65 take two. The wide
+        # bases also draw BRIDGE7, a random arity-5 relation (from its CNF,
+        # at the arity cut) and a random arity-6 one (from its table), and
+        # lead with arguments that merge a literal or make a clause
+        # tautological. A transpose step of `chunk` assignments puts
+        # several step boundaries, and a short last step, in one compile.
+        if chunk is not None:
+            monkeypatch.setattr(kernels, "_CHUNK", chunk)
         rng = random.Random(1000 * n_vars + size)
         variables = [f"v{i:02d}" for i in range(n_vars)]
         pools = [variables[-4:], variables[:: n_vars // 4] + variables[-1:], variables]
+        relations = KB_RELATIONS
+        delta = []
+        if wide:
+            relations += tuple(
+                Relation(name, k, frozenset(rng.sample(range(1 << k), (1 << k) // 2)))
+                for name, k in (("R5", 5), ("R6", 6))
+            )
+            relations += (BRIDGE7,)
+            assert relations[-3].arity <= argumentation._CNF_ARITY < relations[-2].arity
+            x, y, z = variables[-1], variables[0], variables[n_vars // 2]
+            delta = [
+                gamma(Constraint(IMPL, (x, x))),
+                gamma(Constraint(OR2, (y, y)), Constraint(NAE3, (x, z, x))),
+                gamma(Constraint(relations[-3], (z, x, z, y, x))),
+                gamma(Constraint(BRIDGE7, (x, y, x, z, y, y, x))),
+            ]
 
         def formula():
             constraints = []
             for _ in range(rng.randint(1, 4)):
-                relation = rng.choice(KB_RELATIONS)
+                relation = rng.choice(relations)
                 pool = rng.choice(pools)
                 args = tuple(rng.choice(pool) for _ in range(relation.arity))
                 constraints.append(Constraint(relation, args))
             return GammaFormula(tuple(constraints))
 
-        delta = [formula() for _ in range(size)]
+        delta += [formula() for _ in range(size - len(delta))]
         alpha = gamma(Constraint(OR2, (variables[-1], variables[0])))
         order = tuple(variables)
         codes = np.zeros(1 << n_vars, dtype=object)
@@ -1020,17 +1079,58 @@ class TestCompiledBase:
         assert len(kb.mcs) > 1 and non_models_match(kb, codes[outside].tolist())
 
     def test_no_mask_per_compile(self, monkeypatch):
-        # The formulas' bits and alpha's go straight into the signature
-        # codes, so a compile builds no satisfaction mask at all.
+        # The formulas' and alpha's model bitsets come from their clauses'
+        # literal bitsets, so a compile over relations no wider than the
+        # arity cut builds no satisfaction mask at all.
         def forbidden(*args, **kwargs):
             raise AssertionError("the signature base built a mask")
 
         monkeypatch.setattr(argumentation, "models_mask", forbidden)
+        monkeypatch.setattr(argumentation, "broadcast_mask", forbidden)
         monkeypatch.setattr(kernels, "filter_models", forbidden)
         delta = [or2(f"v{i}", f"v{i + 1}") for i in range(12)]
         alpha = gamma(Constraint(T, ("v0",)))
         kb = _KB(delta, alpha, tuple(sorted(variables_of(delta) | alpha.variables)))
         assert kb.mcs == [(1 << 12) - 1] and kb.unentailing
+
+    @pytest.mark.parametrize("n", [17, 18, 19, 20])
+    def test_lacking_patterns_past_sixteen(self, n):
+        # Bit s of pattern i is set iff subset s lacks formula i.
+        subsets = np.arange(1 << n)
+        patterns = argumentation._lacking(n)
+        assert len(patterns) == n
+        for i, pattern in enumerate(patterns):
+            want = np.packbits((subsets >> i & 1) == 0, bitorder="little")
+            assert pattern == int.from_bytes(want.tobytes(), "little")
+
+    @pytest.mark.parametrize("size, bound", [(13, 10_511_849), (41, 21_524_152)])
+    def test_compile_memory_at_the_mask_limit(self, size, bound):
+        # One compile over 2**20 assignments: 13 formulas take the subset
+        # bitset and 41 are peeled. Each bound is the tracemalloc peak, in
+        # bytes, of the per-formula broadcast-OR compile this one replaced,
+        # on the same base: 10.02 and 20.53 MB. This compile peaked at 7.43
+        # and 20.51 MB; past 16 formulas the peel sets the peak.
+        names = [f"v{i:02d}" for i in range(20)]
+        chain = [gamma(Constraint(IMPL, pair)) for pair in zip(names[1:], names[2:])]
+        nae = [gamma(Constraint(NAE3, ("v00", "v01", v))) for v in names[2:5]]
+        fillers = [or2(a, b) for a, b in itertools.combinations(names[1:], 2)]
+        delta = [
+            gamma(Constraint(T, ("v00",))),
+            gamma(Constraint(F, ("v00",))),
+            gamma(Constraint(T, ("v01",))),
+            *chain,
+            *nae,
+            *fillers,
+        ][:size]
+        alpha = gamma(Constraint(T, ("v19",)))
+        tracemalloc.start()
+        try:
+            kb = _KB(delta, alpha, tuple(names))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kb.bitset == (size == 13) and kb.mcs
+        assert peak <= bound
 
     @pytest.mark.parametrize("size", [0, 1, 12, 16])
     def test_small_bases_skip_maximal(self, size, monkeypatch):

@@ -15,8 +15,9 @@ from argcl.kernels import (
     OP_XOR3,
     collapse,
     filter_models,
+    broadcast_mask,
     pair_closure,
-    signature_codes,
+    transpose_codes,
     triple_closure,
 )
 
@@ -77,7 +78,12 @@ def filter_raw(n_vars, tables, positions):
 
 
 def signature_raw(n_vars, formulas):
-    return signature_codes(n_vars, [collapsed(*f) for f in formulas])
+    """The codes of formulas given as raw constraints: each formula's
+    naive satisfaction row, packed, then one transpose."""
+    rows = [np.packbits(naive_filter(n_vars, *f), bitorder="little") for f in formulas]
+    width = ((1 << n_vars) + 7) >> 3
+    packed = np.array(rows, dtype=np.uint8).reshape(len(formulas), width)
+    return transpose_codes(packed, n_vars)
 
 
 def random_case(rng, max_vars=6, max_constraints=4, max_arity=4):
@@ -165,6 +171,17 @@ class TestFilterModels:
         got = filter_raw(n, tables, placements)
         assert got.tolist() == naive_filter(n, tables, placements)
 
+    @pytest.mark.parametrize("n_vars", [3, 12, 14])
+    def test_broadcast_mask_is_one_table_filtered(self, n_vars):
+        # One table as a mask of its own, on the first, the last and
+        # spread axes: from 12 variables a table on the last axes is
+        # materialised over the trailing six first.
+        rng = random.Random(407 + n_vars)
+        for pos in [(0, 1), (n_vars - 2, n_vars - 1), (0, n_vars // 2, n_vars - 1)]:
+            table = np.array([rng.random() < 0.6 for _ in range(1 << len(pos))])
+            got = broadcast_mask(n_vars, table, pos)
+            assert got.tolist() == naive_filter(n_vars, [table], [pos])
+
     def test_memory_is_one_byte_per_assignment(self):
         # 2**22 assignments take 4 MB as a bool mask; one int64 index
         # array over them would take 32 MB more.
@@ -230,13 +247,18 @@ def random_formula(rng, n_vars, max_constraints=4, max_arity=4):
 class TestSignatureCodes:
     @pytest.mark.parametrize(
         "n_vars, count",
-        [(8, 1), (8, 20), (10, 9), (12, 16), (13, 17), (14, 8), (15, 4), (16, 3)],
+        [(8, 1), (8, 20), (10, 9), (12, 16), (13, 17), (14, 8), (15, 4), (16, 3)]
+        + [(0, 2), (1, 3), (2, 9), (3, 17)],
     )
     def test_agrees_with_shifted_naive_rows(self, n_vars, count):
-        # From 12 variables, formulas near the last axes are materialised
-        # over the trailing six before they are ORed in.
+        # From 14 variables the transpose takes several steps; below 3 a
+        # row is shorter than one byte, and 0 variables have one
+        # assignment, which every formula without constraints satisfies.
         rng = random.Random(500 + 32 * n_vars + count)
-        formulas = [random_formula(rng, n_vars) for _ in range(count)]
+        if n_vars:
+            formulas = [random_formula(rng, n_vars) for _ in range(count)]
+        else:
+            formulas = [([], [])] * count
         got = signature_raw(n_vars, formulas)
         assert got.dtype == np.min_scalar_type((1 << count) - 1)
         assert got.tolist() == shifted_naive_codes(n_vars, formulas)

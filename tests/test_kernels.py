@@ -13,9 +13,9 @@ from argcl.kernels import (
     OP_NIMP,
     OP_OR,
     OP_XOR3,
+    broadcast_mask,
     collapse,
     filter_models,
-    broadcast_mask,
     pair_closure,
     transpose_codes,
     triple_closure,

@@ -74,8 +74,6 @@ from .logic import (
     _literal_template,
     entails,
     is_consistent,
-    negative_cnf_of,
-    positive_cnf_of,
 )
 from .kernels import broadcast_mask, transpose_codes
 from .relations import ConstraintLanguage, language_properties, relation_properties
@@ -198,7 +196,7 @@ def argcheck(
     formulas = _dedup(phi)
     premises = None if engine == "generic" else _fragment_premises(formulas, alpha)
     if premises is not None:
-        return _argcheck_compiled(premises, alpha, len(formulas))
+        return _argcheck_compiled(premises, len(formulas))
     if not is_consistent(formulas, engine=engine, max_models=max_models):
         return False
     if not entails(formulas, alpha, engine=engine, max_models=max_models):
@@ -210,15 +208,17 @@ def argcheck(
     return True
 
 
-def _argcheck_compiled(premises: _Premises, alpha: GammaFormula, n: int) -> bool:
-    """argcheck on n formulas compiled one block each, from their one engine."""
-    engine = premises.engine
+def _argcheck_compiled(premises: _Premises, n: int) -> bool:
+    """argcheck on n formulas compiled one block each with alpha, from one engine."""
+    engine, claim = premises.engine, premises.claim
     if not engine.ok:
         return False
-    claim = premises.refutations(alpha)
-    cores = [engine.core(lits) for lits in claim]
-    if None in cores:
-        return False
+    cores = []
+    for lits in claim:
+        core = engine.core(lits)
+        if core is None:
+            return False
+        cores.append(core)
     if functools.reduce(operator.or_, cores, 0) != (1 << n) - 1:
         return False
     # Removing formula i keeps every refutation whose core misses i, so
@@ -232,13 +232,13 @@ def _argcheck_compiled(premises: _Premises, alpha: GammaFormula, n: int) -> bool
 def _fragment_premises(
     formulas: Sequence[GammaFormula], alpha: GammaFormula
 ) -> _Premises | None:
-    """The formulas compiled with one block per formula, when they and
+    """The formulas compiled one block each, with alpha, when they and
     alpha lie in one tractable fragment; None otherwise."""
     relations = {c.relation for f in (*formulas, alpha) for c in f.constraints}
     fragment = _fragment(relations)
     if fragment == "generic":
         return None
-    return _Premises(fragment, [f.constraints for f in formulas])
+    return _Premises(fragment, [f.constraints for f in formulas], alpha)
 
 
 def _mask_order(
@@ -725,24 +725,19 @@ class _Whole:
     iff some MCS entails alpha, and shrinking the first that does, in
     canonical order, gives the one support `_KB` gives.
 
-    `premises` is the base's fragment compile, when delta and alpha lie
-    in one tractable fragment: its engine finds the MCSes (`_corrections`)
-    and decides entailment within each. When that search hands over, the
-    next route answers instead: `_KB` inside the mask limit, `_Search`
-    past it. premises is None for a base in no fragment that
-    is_consistent found consistent past the mask limit, its own one MCS,
-    where entails calls decide. Only existence and one support reach this
-    route.
+    `premises` is the base's fragment compile with alpha, when delta and
+    alpha lie in one tractable fragment: its engine finds the MCSes
+    (`_corrections`) and decides entailment within each. When that search
+    hands over, the next route answers instead: `_KB` inside the mask
+    limit, `_Search` past it. premises is None for a base in no fragment
+    that is_consistent found consistent past the mask limit, its own one
+    MCS, where entails calls decide. Only existence and one support reach
+    this route.
     """
 
     def __init__(self, delta, alpha, max_models: int, max_kb: int, premises: _Premises | None):
         self.delta, self.alpha = delta, alpha
         self.max_models, self.max_kb, self.premises = max_models, max_kb, premises
-
-    @functools.cached_property
-    def claim(self) -> list[list[int]]:
-        """alpha's refutations on the compile, made when an MCS is tried."""
-        return self.premises.refutations(self.alpha)
 
     @functools.cached_property
     def order(self) -> tuple[str, ...] | None:
@@ -765,7 +760,7 @@ class _Whole:
         for h in self._correction_sets():
             if h is None:
                 return self._next().exists()
-            if _entailed(self.premises.engine, self.claim, h):
+            if _entailed(self.premises, h):
                 return True
         return False
 
@@ -775,7 +770,7 @@ class _Whole:
         for h in self._correction_sets():
             if h is None:
                 return self._next().first_support()
-            support = _shrink_compiled(self.premises.engine, self.claim, len(self.delta), h)
+            support = _shrink_compiled(self.premises, len(self.delta), h)
             if support is not None:
                 return support
         return None
@@ -867,10 +862,9 @@ def _shrink_consistent(
     return Support(tuple(i for i in range(len(delta)) if i not in dropped))
 
 
-def _shrink_compiled(engine, claim: list[list[int]], n: int, dropped: int) -> Support | None:
+def _shrink_compiled(premises: _Premises, n: int, dropped: int) -> Support | None:
     """_shrink_consistent on the consistent formulas outside `dropped` of
-    n formulas compiled one block each, from their one engine; claim
-    holds alpha's refutations.
+    n formulas compiled one block each with alpha, from their one engine.
 
     Each refutation of alpha keeps a core inside the formulas left. An
     index in no core is dropped with no check, as every refutation goes
@@ -879,6 +873,7 @@ def _shrink_compiled(engine, claim: list[list[int]], n: int, dropped: int) -> Su
     tried with it masked out too, and their cores are renewed when it
     goes. The support is the one the plain ascending loop keeps.
     """
+    engine, claim = premises.engine, premises.claim
     cores = [engine.core(lits, dropped) for lits in claim]
     if None in cores:
         return None
@@ -933,14 +928,14 @@ def _psi_index(delta: Sequence[GammaFormula], psi: int | GammaFormula) -> int:
     return idx
 
 
-def _monotone_clauses(alpha: GammaFormula, upward: bool) -> list[frozenset[str]]:
-    """The claim's positive (upward) or negative clauses as variable sets,
-    deduplicated keep-first."""
+def _monotone_clauses(alpha: GammaFormula) -> list[frozenset[str]]:
+    """The clauses of a claim over upward- or downward-closed relations as
+    variable sets, deduplicated keep-first. Every clause of such a claim
+    is positive, or every one negative, so its variables name it."""
     clauses: list[frozenset[str]] = []
     for c in alpha.constraints:
-        for clause in (positive_cnf_of if upward else negative_cnf_of)(c.relation):
-            coords = clause.pos if upward else clause.neg
-            lits = frozenset(c.args[i - 1] for i in coords)
+        for clause in _literal_template(c.relation):
+            lits = frozenset(c.args[j] for j, _ in clause)
             if lits not in clauses:
                 clauses.append(lits)
     return clauses
@@ -977,11 +972,14 @@ def _argrel_monotone(
     base for C_i, psi and every formula not covering C_i, entails the
     claim iff its members' covers hold every clause.
     """
-    clauses = _monotone_clauses(alpha, upward)
+    clauses = _monotone_clauses(alpha)
     claim = frozenset().union(*clauses)
     # A formula off the claim clauses' variables covers none of them.
     covers = [
-        0 if claim.isdisjoint(f.variables) else _cover(f, clauses, upward) for f in delta
+        _cover(f, clauses, upward)
+        if any(a in claim for c in f.constraints for a in c.args)
+        else 0
+        for f in delta
     ]
     full = (1 << len(clauses)) - 1
     for i in range(len(clauses)):
@@ -994,12 +992,16 @@ def _argrel_monotone(
     return False
 
 
-def _closed(delta: list[GammaFormula], alpha: GammaFormula, upward: bool) -> bool:
-    """Is every relation of the instance upward-closed (upward) or
-    downward-closed."""
-    flag = "positive" if upward else "negative"
-    relations = {c.relation for f in (*delta, alpha) for c in f.constraints}
-    return all(getattr(relation_properties(r), flag) for r in relations)
+def _direction(delta: list[GammaFormula], alpha: GammaFormula) -> bool | None:
+    """True if every relation of the instance is upward-closed, False if
+    every one is downward-closed, None otherwise: one scan decides, as no
+    relation is both (none is full)."""
+    upward = downward = True
+    for r in {c.relation for f in (*delta, alpha) for c in f.constraints}:
+        props = relation_properties(r)
+        upward &= props.positive
+        downward &= props.negative
+    return upward if upward or downward else None
 
 
 def _argrel_closed(
@@ -1009,10 +1011,10 @@ def _argrel_closed(
     upward: bool,
     engine: str,
 ) -> bool:
-    """_argrel_monotone after checking the engine and `_closed`."""
+    """_argrel_monotone after checking the engine and `_direction`."""
     _check_engine(engine)
     delta = list(delta)
-    if not _closed(delta, alpha, upward):
+    if _direction(delta, alpha) != upward:
         direction = "upward" if upward else "downward"
         raise PreconditionError(f"instance relations are not all {direction}-closed")
     return _argrel_monotone(delta, alpha, _psi_index(delta, psi), upward)
@@ -1082,11 +1084,10 @@ def argrel(
     _check_engine(engine)
     delta = list(delta)
     idx = _psi_index(delta, psi)
-    if engine != "generic":
-        for upward in (True, False):
-            if _closed(delta, alpha, upward):
-                logger.debug("argrel: clause decomposition (upward=%s)", upward)
-                return _argrel_monotone(delta, alpha, idx, upward)
+    upward = None if engine == "generic" else _direction(delta, alpha)
+    if upward is not None:
+        logger.debug("argrel: clause decomposition (upward=%s)", upward)
+        return _argrel_monotone(delta, alpha, idx, upward)
     return _route(delta, alpha, engine, max_models, max_kb, False).relevant(idx)
 
 

@@ -16,9 +16,11 @@ its relation's literal template (the prime-implicate clauses as
 fetched once per compile for each relation it meets). Unary constraints
 and binary ones on distinct variables take straight-line code; only
 repeated arguments, which can merge literals or make a tautology, and
-wider relations take the general path. It builds one engine over all of
-its caller-given blocks, and records the block that owns each clause or
-row. That engine decides consistency, answers
+wider relations take the general path. The claim goes through the same
+routine after the premises, so cnf_of is the one source of every clause
+(positive_cnf_of and negative_cnf_of only reorder it). The compile builds
+one engine over all of its caller-given blocks, and records the block
+that owns each clause or row. That engine decides consistency, answers
 each assumption check with any blocks masked out, and reports the core of
 a refutation: the blocks it used. With blocks masked out of inconsistent
 premises it also says whether the blocks left are consistent, and names
@@ -142,8 +144,8 @@ def _literal_template(relation: Relation) -> tuple[tuple[tuple[int, int], ...], 
 def positive_cnf_of(relation: Relation) -> tuple[Clause, ...]:
     """All-positive CNF of an upward-closed relation.
 
-    Each maximal non-member m contributes the clause over the
-    coordinates where m is 0; clauses are ordered by descending m.
+    Its prime implicates, cnf_of: one clause per maximal non-member m,
+    over the coordinates where m is 0, ordered by descending m.
 
     Raises:
         PreconditionError: if the relation is not upward-closed.
@@ -151,17 +153,7 @@ def positive_cnf_of(relation: Relation) -> tuple[Clause, ...]:
     if not relation_properties(relation).positive:
         raise PreconditionError(f"{relation.name} is not upward-closed")
     k = relation.arity
-    non_members = set(range(1 << k)) - relation.tuples
-    maximal = [
-        m
-        for m in non_members
-        if not any(n != m and n & m == m for n in non_members)
-    ]
-    clauses = []
-    for m in sorted(maximal, reverse=True):
-        pos = tuple(i for i in range(1, k + 1) if not (m >> (k - i)) & 1)
-        clauses.append(Clause(pos, ()))
-    return tuple(clauses)
+    return tuple(sorted(cnf_of(relation), key=lambda clause: _coord_mask(clause.pos, k)))
 
 
 @functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
@@ -177,17 +169,7 @@ def negative_cnf_of(relation: Relation) -> tuple[Clause, ...]:
     if not relation_properties(relation).negative:
         raise PreconditionError(f"{relation.name} is not downward-closed")
     k = relation.arity
-    non_members = set(range(1 << k)) - relation.tuples
-    minimal = [
-        m
-        for m in non_members
-        if not any(n != m and n & m == n for n in non_members)
-    ]
-    clauses = []
-    for m in sorted(minimal):
-        neg = tuple(i for i in range(1, k + 1) if (m >> (k - i)) & 1)
-        clauses.append(Clause((), neg))
-    return tuple(clauses)
+    return tuple(sorted(cnf_of(relation), key=lambda clause: _coord_mask(clause.neg, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +581,13 @@ _ENGINES = {
 }
 
 
-def _instantiate_clauses(blocks: Iterable[Iterable[Constraint]]):
+def _instantiate_clauses(
+    blocks: Iterable[Iterable[Constraint]], lit_of: dict[str, int] | None = None
+):
     """Every block's clauses, instantiated from literal templates in one
     pass: (the positive literal 2 * id of each variable, by first
-    occurrence; the clauses as literal tuples, block by block; the block
-    owning each clause).
+    occurrence after those of lit_of, which is copied; the clauses as
+    literal tuples, block by block; the block owning each clause).
 
     Each relation's template is fetched from _literal_template once per
     call and kept in a local dict, which is cheaper to probe than the
@@ -613,7 +597,7 @@ def _instantiate_clauses(blocks: Iterable[Iterable[Constraint]]):
     merge literals or make a tautology, so the literal set is built only
     for them.
     """
-    lit_of: dict[str, int] = {}
+    lit_of = dict(lit_of or {})
     templates: dict[Relation, tuple[tuple[tuple[int, int], ...], ...]] = {}
     items: list[tuple[int, ...]] = []
     owners: list[int] = []
@@ -711,60 +695,50 @@ def _instantiate_rows(blocks: Iterable[Iterable[Constraint]]):
 
 
 class _Premises:
-    """Premises compiled once for one fragment, as blocks of constraints.
+    """Premises, as blocks of constraints, and a claim compiled once for one fragment.
 
     Compiling interns the variables and instantiates every constraint in
     one pass (`_instantiate_clauses`): each prime-implicate clause of its
     relation, kept as a literal template of (coordinate, sign) pairs,
-    becomes the literals 2v + sign on the argument ids v. On the affine
-    fragment each GF(2) row becomes a mask of argument bits instead
-    (`_instantiate_rows`). Ids go by first occurrence (`index`). The
-    fragment's engine is then built over all of them, with block i owning
-    the clauses of the i-th caller-given block. That one engine decides
-    the premises' consistency (engine.ok), and with any blocks masked out
+    becomes the literals 2v + sign on the argument ids v, ids going by
+    first occurrence. On the affine fragment each GF(2) row becomes a
+    mask of argument bits instead (`_instantiate_rows`). The fragment's
+    engine is then built over all of them, with block i owning the
+    clauses of the i-th caller-given block. That one engine decides the
+    premises' consistency (engine.ok), and with any blocks masked out
     whether the blocks left are consistent and, when they are not, which
     blocks one conflict among them used (engine.conflict). Where they are
     consistent it decides whether they are satisfiable with a literal set
     (engine.sat), and which blocks one refutation used (engine.core).
+
+    The claim alpha's clauses then go through `_instantiate_clauses` from
+    the premises' ids on (id i has bit 1 << i on the affine fragment), and
+    each is negated into `claim`: the unit literals refuting it, on the
+    premise variables only, as the others are free. Consistent premises
+    entail alpha iff no refutation is satisfiable (`_entailed`).
     """
 
-    def __init__(self, fragment: str, blocks: Iterable[Iterable[Constraint]]):
-        instantiate = _instantiate_rows if fragment == "affine" else _instantiate_clauses
-        codes, items, owners = instantiate(blocks)
-        self.index = dict(zip(codes, range(len(codes))))
-        self.engine = _ENGINES[fragment](2 * len(codes), items, owners)
-
-    def refutations(self, alpha: GammaFormula) -> list[list[int]]:
-        """The negation of each non-tautological prime-implicate clause of
-        alpha, as literals on premise variables; the others are free.
-
-        A constraint on distinct variables has no tautological clause and
-        no literal to merge, so its clauses negate literal by literal."""
-        index = self.index
-        out = []
-        for c in alpha.constraints:
-            args = c.args
-            template = _literal_template(c.relation)
-            if len(set(args)) == len(args):
-                for clause in template:
-                    out.append(
-                        [2 * index[args[j]] + (s ^ 1) for j, s in clause if args[j] in index]
-                    )
-                continue
-            for clause in template:
-                negated: dict[str, int] = {}
-                for j, sign in clause:
-                    if negated.setdefault(args[j], sign ^ 1) == sign:
-                        break
-                else:
-                    out.append([2 * index[v] + s for v, s in negated.items() if v in index])
-        return out
+    def __init__(
+        self,
+        fragment: str,
+        blocks: Iterable[Iterable[Constraint]],
+        alpha: GammaFormula | None = None,
+    ):
+        if fragment == "affine":
+            bit_of, items, owners = _instantiate_rows(blocks)
+            lit_of = {v: 2 * i for i, v in enumerate(bit_of)}
+        else:
+            lit_of, items, owners = _instantiate_clauses(blocks)
+        n_lits = 2 * len(lit_of)
+        self.engine = _ENGINES[fragment](n_lits, items, owners)
+        _, clauses, _ = _instantiate_clauses([alpha.constraints] if alpha else [], lit_of)
+        self.claim = [[lit ^ 1 for lit in clause if lit < n_lits] for clause in clauses]
 
 
-def _entailed(engine, refutations: list[list[int]], masked: int = 0) -> bool:
+def _entailed(premises: _Premises, masked: int = 0) -> bool:
     """Consistent premises, the blocks left unmasked, entail alpha iff
-    every refutation is unsatisfiable."""
-    return not any(engine.sat(lits, masked) for lits in refutations)
+    every refutation of its claim is unsatisfiable."""
+    return not any(premises.engine.sat(lits, masked) for lits in premises.claim)
 
 
 # ---------------------------------------------------------------------------
@@ -857,6 +831,5 @@ def entails(
         alpha_mask = models_mask(alpha.constraints, order)
         return not bool(np.any(phi_mask & ~alpha_mask))
     logger.debug("entails via %s engine", fragment)
-    compiled = _Premises(fragment, [premises])
-    engine = compiled.engine
-    return not engine.ok or _entailed(engine, compiled.refutations(alpha))
+    compiled = _Premises(fragment, [premises], alpha)
+    return not compiled.engine.ok or _entailed(compiled)

@@ -331,9 +331,9 @@ class TestOneCompile:
         built = []
 
         class Counting(argumentation._Premises):
-            def __init__(self, fragment, blocks):
+            def __init__(self, fragment, blocks, alpha=None):
                 built.append(fragment)
-                super().__init__(fragment, blocks)
+                super().__init__(fragment, blocks, alpha)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the fragment route called is_consistent or entails")

@@ -155,6 +155,50 @@ class TestMonotoneCnf:
         with pytest.raises(PreconditionError, match="downward-closed"):
             negative_cnf_of(OR2)
 
+    def test_match_the_non_member_scans(self):
+        """On every upward- and downward-closed relation of arity 1-4 (189
+        each), the monotone CNFs are the clauses of the maximal (minimal)
+        non-members, in the order of the scans that found them."""
+
+        def upsets(k):
+            # An up-set of the k-cube is a pair of up-sets of the
+            # (k-1)-cube, the half with the top bit clear inside the other.
+            if k == 0:
+                return [frozenset(), frozenset({0})]
+            low = upsets(k - 1)
+            top = 1 << (k - 1)
+            return [a | {t | top for t in b} for a in low for b in low if a <= b]
+
+        def scan(relation, upward):
+            k = relation.arity
+            non_members = set(range(1 << k)) - relation.tuples
+            if upward:
+                ends = [m for m in non_members if not any(n != m and n & m == m for n in non_members)]
+                return tuple(
+                    Clause(tuple(i for i in range(1, k + 1) if not m >> (k - i) & 1), ())
+                    for m in sorted(ends, reverse=True)
+                )
+            ends = [m for m in non_members if not any(n != m and n & m == n for n in non_members)]
+            return tuple(
+                Clause((), tuple(i for i in range(1, k + 1) if m >> (k - i) & 1))
+                for m in sorted(ends)
+            )
+
+        checked = 0
+        for k in range(1, 5):
+            full = (1 << k) - 1
+            for up in upsets(k):
+                if not 0 < len(up) <= full:
+                    continue
+                down = frozenset(t ^ full for t in up)
+                code = sum(1 << t for t in up)
+                upward = Relation(f"UP{k}_{code}", k, up)
+                downward = Relation(f"DOWN{k}_{code}", k, down)
+                assert positive_cnf_of(upward) == scan(upward, True)
+                assert negative_cnf_of(downward) == scan(downward, False)
+                checked += 2
+        assert checked == 378
+
 
 class TestConsistency:
     def test_empty_is_consistent(self):
@@ -446,6 +490,12 @@ def test_consistent_shrink_matches_entails_loop(instance):
     assert arg_exists(delta, alpha) == (want is not None)
 
 
+def first_occurrence(blocks):
+    """The premise variables in order of first occurrence: the variable
+    ids of the compile."""
+    return list(dict.fromkeys(a for block in blocks for c in block for a in c.args))
+
+
 @pytest.mark.parametrize("language", sorted(SCHAEFER_LANGUAGES))
 @settings(max_examples=200, deadline=None, database=None)
 @given(data=st.data())
@@ -458,12 +508,13 @@ def test_cores_are_sound(language, data):
     delta, alpha = data.draw(consistent_bases((language,)))
     masked = data.draw(st.integers(0, (1 << len(delta)) - 1))
     relations = {c.relation for f in (*delta, alpha) for c in f.constraints}
-    premises = _Premises(_fragment(relations), [f.constraints for f in delta])
+    blocks = [f.constraints for f in delta]
+    premises = _Premises(_fragment(relations), blocks, alpha)
     engine = premises.engine
     assert engine.ok
-    names = list(premises.index)
+    names = first_occurrence(blocks)
     cores = []
-    for lits in premises.refutations(alpha):
+    for lits in premises.claim:
         units = [gamma(Constraint(F if lit & 1 else T, (names[lit >> 1],))) for lit in lits]
         for mask in (0, masked, *(1 << i for i in range(len(delta)))):
             kept = [f for i, f in enumerate(delta) if not mask >> i & 1]
@@ -509,10 +560,10 @@ def test_conflicts_are_sound_under_masks(language, data):
     for unit in (T, F):
         delta.insert(data.draw(st.integers(0, len(delta))), gamma(Constraint(unit, (x,))))
     fragment = _fragment({c.relation for f in delta for c in f.constraints})
-    premises = _Premises(fragment, [f.constraints for f in delta])
-    engine = premises.engine
+    blocks = [f.constraints for f in delta]
+    engine = _Premises(fragment, blocks).engine
     assert not engine.ok
-    names = list(premises.index)
+    names = first_occurrence(blocks)
     lit = data.draw(st.integers(0, 2 * len(names) - 1))
     unit = gamma(Constraint(F if lit & 1 else T, (names[lit >> 1],)))
     masked = data.draw(st.integers(0, (1 << len(delta)) - 1))
@@ -543,9 +594,9 @@ JOINT_CORES = {
 @pytest.mark.parametrize("fragment", sorted(JOINT_CORES))
 def test_core_spans_every_derivation(fragment):
     *blocks, claim = [Constraint(r, tuple(args)) for r, args in JOINT_CORES[fragment]]
-    premises = _Premises(fragment, [[c] for c in blocks])
+    premises = _Premises(fragment, [[c] for c in blocks], gamma(claim))
     engine = premises.engine
-    refutations = premises.refutations(gamma(claim))
+    refutations = premises.claim
     assert engine.ok and refutations
     for lits in refutations:
         assert engine.core(lits) == engine.core(lits, 0b1000) == 0b111
@@ -681,8 +732,9 @@ def reference_refutations(index, alpha):
 @given(template_instances())
 def test_template_compile_matches_cnf_of(instance):
     """The one-pass compile from literal templates gives the variable
-    index, each block's clause multiset (or rows, in order) and the claim's
-    refutations that instantiating cnf_of's clauses gives."""
+    ids by first occurrence, each block's clause multiset (or rows, in
+    order) and the claim's refutations that instantiating cnf_of's
+    clauses gives."""
     fragment, blocks, alpha = instance
     built = {}
     engine = logic._ENGINES[fragment]
@@ -691,10 +743,26 @@ def test_template_compile_matches_cnf_of(instance):
         built.update(n_lits=n_lits, items=items, owners=owners)
         return engine(n_lits, items, owners)
 
-    with mock.patch.dict(logic._ENGINES, {fragment: recording}):
-        premises = _Premises(fragment, blocks)
+    # The premises' variable codes, from the first instantiation (the
+    # claim's comes second): literal 2 * id, or bit 1 << id on affine.
+    name = "_instantiate_rows" if fragment == "affine" else "_instantiate_clauses"
+    instantiate = getattr(logic, name)
+    codes = []
+
+    def recording_codes(*args):
+        out = instantiate(*args)
+        codes.append(list(out[0].items()))
+        return out
+
+    with (
+        mock.patch.dict(logic._ENGINES, {fragment: recording}),
+        mock.patch.object(logic, name, recording_codes),
+    ):
+        premises = _Premises(fragment, blocks, alpha)
     index, want = reference_compile(fragment, blocks)
-    assert list(premises.index.items()) == list(index.items())
+    assert list(index) == first_occurrence(blocks)
+    code = (lambda i: 1 << i) if fragment == "affine" else (lambda i: 2 * i)
+    assert codes[0] == [(v, code(i)) for v, i in index.items()]
     assert built["n_lits"] == 2 * len(index)
     assert built["owners"] == sorted(built["owners"])
     got = [[] for _ in blocks]
@@ -706,7 +774,7 @@ def test_template_compile_matches_cnf_of(instance):
         for clauses, expected in zip(got, want):
             assert all(len(set(clause)) == len(clause) for clause in clauses)
             assert sorted(tuple(sorted(clause)) for clause in clauses) == sorted(expected)
-    refutations = [sorted(lits) for lits in premises.refutations(alpha)]
+    refutations = [sorted(lits) for lits in premises.claim]
     assert refutations == reference_refutations(index, alpha)
 
 

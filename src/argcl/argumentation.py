@@ -60,8 +60,9 @@ from .errors import BudgetExceededError, PreconditionError
 from .formulas import (
     DEFAULT_MAX_MODELS,
     GammaFormula,
-    _constraint_arrays,
-    models_mask,
+    _LACKING_16,
+    _ModelBits,
+    _lacking,
     satisfies,
     variables_of,
 )
@@ -75,7 +76,7 @@ from .logic import (
     entails,
     is_consistent,
 )
-from .kernels import broadcast_mask, transpose_codes
+from .kernels import transpose_codes
 from .relations import ConstraintLanguage, language_properties, relation_properties
 
 __all__ = [
@@ -99,7 +100,7 @@ DEFAULT_MAX_KB = 20
 
 # Bases whose signature array (counted as one 64-bit word per 64 formulas
 # per assignment) fits in this many words are compiled into a _KB, and the
-# generic subset search tests them on satisfaction masks; beyond it both
+# generic subset search tests them on model bitsets; beyond it both
 # fall back to per-subset consistency and entailment calls.
 _MASK_LIMIT = 1 << 20
 
@@ -282,26 +283,6 @@ def _maximal(sig: np.ndarray) -> list[int]:
     return _canonical(tops)
 
 
-def _lacking(n: int) -> list[int]:
-    """Bit s of the i-th int marks subset s of n formulas as lacking
-    formula i. Pattern i repeats every 2**(i+1) bits, so it is doubled up
-    to 2**n bits from its first period, 2**i set bits and then 2**i clear
-    ones; each int is made once, with no bytes kept beside it."""
-    patterns = []
-    for i in range(n):
-        p, width = (1 << (1 << i)) - 1, 2 << i
-        while width < 1 << n:
-            p |= p << width
-            width <<= 1
-        patterns.append(p)
-    return patterns
-
-
-# The patterns repeat every 2**(i+1) bits, so those for 16 formulas, ANDed
-# with a bitset over fewer, serve every n <= 16, and cut to 2**n_vars bits
-# they are the negative literals over up to 16 variables (`_literal_bits`).
-_LACKING_16 = _lacking(16)
-
 # The set bits of each byte value, ascending.
 _BYTE_BITS = [tuple(b for b in range(8) if v >> b & 1) for v in range(256)]
 
@@ -365,66 +346,15 @@ def _transversals(edges: list[int]) -> list[int]:
     return transversals
 
 
-# Relations of at most this arity take their model bitsets from their CNF
-# (`_literal_template`), wider ones from their collapsed truth table
-# (`kernels.broadcast_mask`). Over six random relations per arity, one
-# constraint took 7 / 24 / 176 us from its CNF at arity 5 over 10 / 14 / 18
-# variables, against 23 / 36 / 165 us from its table, and 14 / 47 / 388 us
-# at arity 6 against 23 / 30 / 164 us (2-core Xeon VM). Finding the CNF also
-# tries 3**arity candidate clauses once per relation: 2 ms at arity 5 and
-# 32 ms at arity 7.
-_CNF_ARITY = 5
-
-
-def _literal_bits(n_vars: int) -> list[tuple[int, int]]:
-    """Per variable position p, the model bitsets over the 2**n_vars
-    assignments of the literals x_p and not x_p. Assignment a sets x_p in
-    bit q = n_vars - 1 - p, so not x_p holds where a lacks bit q: the
-    lacking pattern q, cut to 2**n_vars bits."""
-    full = (1 << (1 << n_vars)) - 1
-    if n_vars <= 16:
-        lacking = [p & full for p in _LACKING_16[:n_vars]]
-    else:
-        lacking = _lacking(n_vars)
-    return [(lacking[q] ^ full, lacking[q]) for q in reversed(range(n_vars))]
-
-
-def _model_bits(formula: GammaFormula, index, literals, n_vars: int) -> int:
-    """A formula's models over the 2**n_vars assignments as an int bitset:
-    bit a is set iff assignment a satisfies every constraint. A clause is
-    the OR of its literals' bitsets (`_literal_bits`) and the formula the
-    AND of its clauses, so a repeated argument needs no special case:
-    x or not x comes out full. A relation wider than _CNF_ARITY comes
-    from its collapsed table, broadcast over every variable and packed."""
-    bits = (1 << (1 << n_vars)) - 1
-    for c in formula.constraints:
-        relation = c.relation
-        if relation.arity > _CNF_ARITY:
-            (table,), (axes,) = _constraint_arrays((c,), index)
-            bits &= _packed(broadcast_mask(n_vars, table, axes))
-            continue
-        args = [literals[index[a]] for a in c.args]
-        for clause in _literal_template(relation):
-            lits = 0
-            for j, sign in clause:
-                lits |= args[j][sign]
-            bits &= lits
-    return bits
-
-
 def _model_rows(formulas: Sequence[GammaFormula], order) -> np.ndarray:
-    """The formulas' model bitsets (`_model_bits`) over the 2**len(order)
-    assignments, one packed row each, in the form `transpose_codes` takes.
-    Each int goes to bytes as soon as it is made, so no int stays beside
-    its bytes."""
-    n_vars = len(order)
-    index = {v: i for i, v in enumerate(order)}
-    literals = _literal_bits(n_vars)
-    width = ((1 << n_vars) + 7) >> 3
+    """The formulas' packed model bitsets (`_ModelBits`) over the
+    2**len(order) assignments, one row each, in the form
+    `transpose_codes` takes."""
+    space = _ModelBits(order)
     rows = bytearray()
     for f in formulas:
-        rows += _model_bits(f, index, literals, n_vars).to_bytes(width, "little")
-    return np.frombuffer(rows, dtype=np.uint8).reshape(len(formulas), width)
+        rows += space.packed(f.constraints)
+    return np.frombuffer(rows, dtype=np.uint8).reshape(len(formulas), -1)
 
 
 class _KB:
@@ -436,13 +366,13 @@ class _KB:
     maximal signatures `mcs` are the maximal consistent subsets of delta,
     in canonical order (`_canonical`).
 
-    The compile builds each formula's models as an int bitset over the
-    2**len(order) assignments (`_model_bits`): one int AND or OR per
-    clause and literal, on literal bitsets cut from the shift patterns
-    `_LACKING_16` (or `_lacking` past 16 variables), and a table for a
-    relation wider than _CNF_ARITY. One bit transpose of the packed rows
-    (`transpose_codes`) then gives one narrow code per assignment, so the
-    numpy calls per compile do not grow with the formulas.
+    The compile builds each formula's models as a packed bitset over the
+    2**len(order) assignments (`formulas._ModelBits`, its variable index
+    and literals made once per compile): one int AND or OR per clause
+    and literal, in blocks of 2**16 assignments past 16 variables. One
+    bit transpose of the packed rows (`transpose_codes`) then gives one
+    narrow code per assignment, so the numpy calls per compile do not
+    grow with the formulas.
 
     The compile takes the subset bitset (`bitset`) up to 16 formulas, and
     past that while the 2**n subsets number at most 8 per assignment (n
@@ -589,8 +519,9 @@ class _Search:
     Subsets are visited by cardinality then lexicographically, skipping
     supersets of a support already found; any other subset that is
     consistent and entails alpha is minimal, since a smaller qualifying
-    subset would have come first. Subsets are tested on satisfaction
-    masks when those fit, else by is_consistent/entails calls.
+    subset would have come first. Subsets are tested on the formulas'
+    model bitsets (`_ModelBits`) when those fit, else by
+    is_consistent/entails calls.
 
     Raises:
         BudgetExceededError: when len(delta) exceeds max_kb; this is the
@@ -610,13 +541,14 @@ class _Search:
         delta, alpha, engine, max_models = self.delta, self.alpha, self.engine, self.max_models
         order = _mask_order(delta, alpha, max_models)
         if order is not None:
-            rows = [models_mask(f.constraints, order) for f in delta]
-            sat = np.array(rows, dtype=np.bool_).reshape(len(delta), 1 << len(order))
-            outside = ~models_mask(alpha.constraints, order)
+            space = _ModelBits(order)
+            rows = [space.bits(f.constraints) for f in delta]
+            full = (1 << (1 << len(order))) - 1
+            outside = full ^ space.bits(alpha.constraints)
 
             def qualifies(subset):
-                models = sat[list(subset)].all(axis=0)
-                return models.any() and not (models & outside).any()
+                models = functools.reduce(operator.and_, [rows[i] for i in subset], full)
+                return models != 0 and not models & outside
 
         else:
 

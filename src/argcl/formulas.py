@@ -16,7 +16,7 @@ import functools
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .relations import (
     ConstraintLanguage,
     Relation,
     _IDENT_RE,
+    _literal_template,
     parse_relation_line,
     parse_relations,
     serialize_relations,
@@ -198,9 +199,40 @@ class ArgInstance:
 
 
 # ---------------------------------------------------------------------------
-# Model enumeration. Internally everything works on satisfaction masks:
-# boolean arrays over all 2^n assignments to a sorted variable tuple.
+# Model enumeration. Internally a conjunction's models over the 2^n
+# assignments to ordered variables are one packed bitset (`_ModelBits`).
 # ---------------------------------------------------------------------------
+
+
+def _lacking(n: int) -> list[int]:
+    """Bit s of the i-th int is set iff s lacks bit i. Pattern i repeats
+    every 2**(i+1) bits, so it is doubled up to 2**n bits from its first
+    period, 2**i set bits and then 2**i clear ones; each int is made
+    once, with no bytes kept beside it."""
+    patterns = []
+    for i in range(n):
+        p, width = (1 << (1 << i)) - 1, 2 << i
+        while width < 1 << n:
+            p |= p << width
+            width <<= 1
+        patterns.append(p)
+    return patterns
+
+
+# The patterns repeat every 2**(i+1) bits, so those for 16 bits, ANDed with
+# a bitset over fewer, serve every n <= 16: subsets of up to 16 formulas,
+# and the negative literals of up to 16 variables (`_ModelBits`).
+_LACKING_16 = _lacking(16)
+
+# Relations of at most this arity take their model bitsets from their CNF
+# (`_literal_template`), wider ones from their collapsed truth table
+# (`kernels.filter_models`). Over six random relations per arity, one
+# constraint took 7 / 24 / 176 us from its CNF at arity 5 over 10 / 14 / 18
+# variables, against 23 / 36 / 165 us from its table, and 14 / 47 / 388 us
+# at arity 6 against 23 / 30 / 164 us (2-core Xeon VM). Finding the CNF also
+# tries 3**arity candidate clauses once per relation: 2 ms at arity 5 and
+# 32 ms at arity 7.
+_CNF_ARITY = 5
 
 
 @functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
@@ -214,50 +246,100 @@ def _constraint_template(relation: Relation, pattern: tuple[int, ...]) -> np.nda
     return table
 
 
-def _constraint_arrays(
-    constraints: Iterable[Constraint], index: Mapping[Variable, int]
-) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
-    """Collapsed tables and ascending distinct positions, in the form the
-    kernels take, given each variable's position. Unary constraints and
-    binary ones on two distinct variables, most of any base, take
-    straight-line code: their rank pattern is (0,), (0, 1) or (1, 0)."""
-    tables = []
-    positions = []
-    for c in constraints:
-        args = c.args
-        if len(args) == 1:
-            tables.append(_constraint_template(c.relation, (0,)))
-            positions.append((index[args[0]],))
-            continue
-        if len(args) == 2:
-            x, y = index[args[0]], index[args[1]]
-            if x < y:
-                tables.append(_constraint_template(c.relation, (0, 1)))
-                positions.append((x, y))
-                continue
-            if y < x:
-                tables.append(_constraint_template(c.relation, (1, 0)))
-                positions.append((y, x))
-                continue
-        pos = [index[a] for a in args]
-        axes = sorted(set(pos))
-        tables.append(_constraint_template(c.relation, tuple(map(axes.index, pos))))
-        positions.append(tuple(axes))
-    return tables, positions
+class _ModelBits:
+    """Model bitsets of constraint conjunctions over one variable order,
+    whose position p holds bit n-1-p of an assignment.
+
+    The assignments go in blocks of 2**16 (or all 2**n, if fewer), one
+    per value of the leading variables. On a block the literals of a
+    leading variable are the constants 0 and all-ones, and those of the
+    others are the patterns `_LACKING_16`, cut to the block: not x holds
+    where x's bit is clear, and x is the complement. A clause of a
+    relation's CNF (`_literal_template`) is the OR of its literals and a
+    conjunction the AND of its clauses, so a repeated argument needs no
+    case of its own: x or not x comes out full. Relations wider than
+    _CNF_ARITY take one `kernels.filter_models` mask per conjunction,
+    packed and ANDed in.
+    """
+
+    def __init__(self, order: tuple[Variable, ...]):
+        self.n = n = len(order)
+        self.index = {v: i for i, v in enumerate(order)}
+        block = min(n, len(_LACKING_16))
+        lead = n - block
+        self.full = full = (1 << (1 << block)) - 1
+        self.width = ((1 << block) + 7) >> 3
+        # Per block, (x, not x) for each order position.
+        constants = ((0, full), (full, 0))
+        patterns = [(q ^ full, q) for q in [p & full for p in reversed(_LACKING_16[:block])]]
+        self.blocks = [
+            [constants[b >> (lead - 1 - p) & 1] for p in range(lead)] + patterns
+            for b in range(1 << lead)
+        ]
+
+    def packed(self, constraints: Sequence[Constraint]) -> bytes:
+        """The conjunction's models, packed little-endian: bit a % 8 of
+        byte a // 8 says whether assignment a satisfies every constraint."""
+        index, full = self.index, self.full
+        out = []
+        wide = False
+        for lits in self.blocks:
+            bits = full
+            for c in constraints:
+                relation = c.relation
+                if relation.arity > _CNF_ARITY:
+                    wide = True
+                    continue
+                args = [lits[index[a]] for a in c.args]
+                for clause in _literal_template(relation):
+                    either = 0
+                    for j, sign in clause:
+                        either |= args[j][sign]
+                    bits &= either
+                if not bits:
+                    # An empty block stays empty whatever the constraints
+                    # left say, wide ones included.
+                    break
+            out.append(bits.to_bytes(self.width, "little"))
+        packed = b"".join(out)
+        if wide:
+            tables, positions = [], []
+            for c in constraints:
+                if c.relation.arity > _CNF_ARITY:
+                    pos = [index[a] for a in c.args]
+                    axes = sorted(set(pos))
+                    pattern = tuple(map(axes.index, pos))
+                    tables.append(_constraint_template(c.relation, pattern))
+                    positions.append(tuple(axes))
+            mask = kernels.filter_models(self.n, tables, positions)
+            mask = np.packbits(mask, bitorder="little")
+            packed = (np.frombuffer(packed, np.uint8) & mask).tobytes()
+        return packed
+
+    def bits(self, constraints: Sequence[Constraint]) -> int:
+        """The conjunction's models as an int: bit a for assignment a."""
+        return int.from_bytes(self.packed(constraints), "little")
 
 
 def models_mask(constraints: Iterable[Constraint], order: tuple[Variable, ...]) -> np.ndarray:
-    """Satisfaction mask of a constraint conjunction over ordered variables.
+    """Satisfaction mask of a constraint conjunction over ordered variables:
+    entry m says whether assignment mask m (variable at order position i
+    holds bit n-1-i) satisfies every constraint. It is the packed model
+    bitset (`_ModelBits`) unpacked, 1 byte per assignment.
 
-    Entry m of the result says whether assignment mask m (variable at
-    order position i holds bit n-1-i) satisfies every constraint. The
-    mask is 1 byte per assignment; each constraint's truth table is
-    broadcast over its (2,) * n view and ANDed in place, so no
-    per-assignment index array is built.
+    Raises:
+        ValueError: when `order` repeats a variable or misses one of the
+            constraints' variables.
     """
-    index = {v: i for i, v in enumerate(order)}
-    tables, positions = _constraint_arrays(constraints, index)
-    return kernels.filter_models(len(order), tables, positions)
+    constraints = list(constraints)
+    if len(set(order)) < len(order):
+        repeated = sorted({v for v in order if order.count(v) > 1})
+        raise ValueError(f"assignment scope repeats variables: {repeated}")
+    missing = {a for c in constraints for a in c.args}.difference(order)
+    if missing:
+        raise ValueError(f"assignment scope misses variables: {sorted(missing)}")
+    packed = np.frombuffer(_ModelBits(order).packed(constraints), np.uint8)
+    return np.unpackbits(packed, count=1 << len(order), bitorder="little").view(np.bool_)
 
 
 def _model_order(variables: Iterable[Variable], max_models: int) -> tuple[Variable, ...]:
@@ -307,18 +389,10 @@ def enumerate_models(
         ValueError: when `over` misses a formula variable.
     """
     constraints = _as_constraints(phi)
-    used: set[Variable] = set()
-    for c in constraints:
-        used.update(c.args)
-    if over is None:
-        scope = used
-    else:
-        scope = set(over)
-        if not used <= scope:
-            missing = sorted(used - scope)
-            raise ValueError(f"assignment scope misses variables: {missing}")
+    scope = {a for c in constraints for a in c.args} if over is None else set(over)
     order = _model_order(scope, max_models)
     n = len(order)
+    # models_mask names any formula variable that `over` misses.
     mask = models_mask(constraints, order)
     models = []
     for m in np.flatnonzero(mask):

@@ -1,5 +1,6 @@
-"""Array kernels for model filtering, formula signatures and closure tests,
-in vectorized numpy.
+"""Array kernels for the model masks of relations wider than
+`formulas._CNF_ARITY`, formula signatures and closure tests, in vectorized
+numpy.
 
 Model filtering ANDs each constraint's truth table, broadcast over an
 n-axis view of the assignment mask, into that mask in place: 1 byte per
@@ -23,7 +24,6 @@ import numpy as np
 __all__ = [
     "collapse",
     "filter_models",
-    "broadcast_mask",
     "transpose_codes",
     "pair_closure",
     "triple_closure",
@@ -66,11 +66,11 @@ OP_XOR3 = 1
 # entries, the table is first materialised over the trailing _TRAIL_AXES
 # axes (size 2 on its own axes and on those, size 1 elsewhere: at most
 # 2**(k+6) entries, never more than the mask), so each inner loop covers 64
-# contiguous entries. At 14 variables this takes a one-constraint call with
-# the table on the last two axes from 38 to 15 us, and on the first and last
-# axes from 65 to 15 us (2-core Xeon VM). Tables that leave longer runs, and
-# narrower masks, gained nothing from the copy when measured, so they are
-# ANDed as they are.
+# contiguous entries. On a one-constraint call with a random table of arity 6
+# or 8 on spread axes this took 14 variables from 106 to 24 us, 16 from 387
+# to 54 us and 20 from 2292 to 218 us (2-core Xeon VM). Tables that leave
+# longer runs, and narrower masks, gained nothing from the copy when
+# measured, so they are ANDed as they are.
 # ---------------------------------------------------------------------------
 
 _TRAIL_AXES = 6
@@ -98,20 +98,14 @@ def filter_models(
     sat = np.ones(1 << n_vars, dtype=np.bool_)
     view = sat.reshape((2,) * n_vars)
     for table, pos in zip(tables, positions):
-        t = _broadcast_table(n_vars, table, pos)
-        view &= t & _TRAIL if _short_runs(n_vars, t) else t
+        shape = [1] * n_vars
+        for p in pos:
+            shape[p] = 2
+        t = table.reshape(shape)
+        if n_vars >= _WIDE and 2 in shape[n_vars - _TRAIL_AXES + 1 :]:
+            t = t & _TRAIL
+        view &= t
     return sat
-
-
-def broadcast_mask(n_vars: int, table: np.ndarray, pos: tuple[int, ...]) -> np.ndarray:
-    """One collapsed table (`collapse`) over all 2**n_vars assignments:
-    entry a is the table's entry for a's values on the ascending axes
-    pos. A table that would leave short runs on a wide mask is first
-    materialised over the trailing axes, as in filter_models."""
-    t = _broadcast_table(n_vars, table, pos)
-    if _short_runs(n_vars, t):
-        t = t & _TRAIL
-    return np.broadcast_to(t, (2,) * n_vars).reshape(-1)
 
 
 # Assignments per transpose step. The step holds one byte per formula and
@@ -153,25 +147,6 @@ def transpose_codes(rows: np.ndarray, n_vars: int) -> np.ndarray:
             out=codes[start : start + count],
         )
     return codes
-
-
-def _short_runs(n_vars: int, t: np.ndarray) -> bool:
-    """Does the broadcast table t leave runs of 16 entries or fewer in a
-    wide mask (an axis past n_vars - _TRAIL_AXES of size 2), so that it is
-    materialised over the trailing _TRAIL_AXES axes before it is ANDed
-    into the mask."""
-    return n_vars >= _WIDE and 2 in t.shape[n_vars - _TRAIL_AXES + 1 :]
-
-
-def _broadcast_table(
-    n_vars: int, table: np.ndarray, pos: tuple[int, ...]
-) -> np.ndarray:
-    """The collapsed table as an n_vars-axis array: size 2 on the axes
-    `pos`, which ascend, and size 1 elsewhere."""
-    shape = [1] * n_vars
-    for p in pos:
-        shape[p] = 2
-    return table.reshape(shape)
 
 
 def collapse(table: np.ndarray, pos: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:

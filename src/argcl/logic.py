@@ -35,23 +35,27 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import logging
-from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from .errors import PreconditionError
 from .formulas import (
     Constraint,
     DEFAULT_MAX_MODELS,
     GammaFormula,
+    _ModelBits,
     _as_constraints,
     _model_order,
-    models_mask,
 )
-from .relations import RELATION_CACHE_SIZE, Relation, relation_properties
+from .relations import (
+    RELATION_CACHE_SIZE,
+    Clause,
+    Relation,
+    _coord_mask,
+    _literal_template,
+    cnf_of,
+    relation_properties,
+)
 
 __all__ = [
     "Clause",
@@ -63,81 +67,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class Clause:
-    """A disjunction over relation coordinates, 1-based.
-
-    pos lists coordinates appearing as positive literals, neg as negated
-    ones; both are ascending and disjoint.
-    """
-
-    pos: tuple[int, ...]
-    neg: tuple[int, ...]
-
-    def __str__(self):
-        lits = [f"x{i}" for i in self.pos] + [f"~x{i}" for i in self.neg]
-        return "(" + " | ".join(lits) + ")"
-
-
-def _coord_mask(coords: Iterable[int], arity: int) -> int:
-    mask = 0
-    for i in coords:
-        mask |= 1 << (arity - i)
-    return mask
-
-
-def _clause_holds(t: int, pos_mask: int, neg_mask: int, full: int) -> bool:
-    return bool((t & pos_mask) | (~t & full & neg_mask))
-
-
-@functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
-def cnf_of(relation: Relation) -> tuple[Clause, ...]:
-    """Prime-implicate CNF of a relation over its coordinates.
-
-    Clauses are enumerated by increasing size with subsumption pruning,
-    so the result is exactly the set of prime implicates; their
-    conjunction has the relation's tuples as its models. Clause order is
-    (size, negative-literal mask, positive-literal mask) ascending. If
-    the relation is Horn every clause has at most one positive literal,
-    dually for dual Horn, and bijunctive relations yield clauses of at
-    most two literals.
-    """
-    k = relation.arity
-    full = (1 << k) - 1
-    tuples = sorted(relation.tuples)
-    kept: list[Clause] = []
-    kept_sets: list[tuple[frozenset[int], frozenset[int]]] = []
-    for size in range(1, k + 1):
-        sized: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
-        for support in itertools.combinations(range(1, k + 1), size):
-            for signs in itertools.product((True, False), repeat=size):
-                pos = tuple(i for i, s in zip(support, signs) if s)
-                neg = tuple(i for i, s in zip(support, signs) if not s)
-                sized.append((_coord_mask(neg, k), _coord_mask(pos, k), pos, neg))
-        sized.sort()
-        for neg_mask, pos_mask, pos, neg in sized:
-            if not all(_clause_holds(t, pos_mask, neg_mask, full) for t in tuples):
-                continue
-            ps, ns = frozenset(pos), frozenset(neg)
-            if any(kp <= ps and kn <= ns for kp, kn in kept_sets):
-                continue
-            kept.append(Clause(pos, neg))
-            kept_sets.append((ps, ns))
-    return tuple(kept)
-
-
-@functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
-def _literal_template(relation: Relation) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """cnf_of as literal templates: each clause's literals, in order, as
-    (0-based coordinate, sign) pairs, sign 0 for a positive literal and 1
-    for a negated one. On a constraint whose j-th argument has id v_j the
-    clause is the literals 2 * v_j + sign (see the fragment engines)."""
-    return tuple(
-        tuple([(i - 1, 0) for i in clause.pos] + [(i - 1, 1) for i in clause.neg])
-        for clause in cnf_of(relation)
-    )
 
 
 @functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
@@ -761,7 +690,7 @@ def _check_engine(engine: str):
 
 def _enumeration_sat(constraints: list[Constraint], max_models: int) -> bool:
     order = _model_order({a for c in constraints for a in c.args}, max_models)
-    return bool(models_mask(constraints, order).any())
+    return _ModelBits(order).bits(constraints) != 0
 
 
 def is_consistent(
@@ -809,7 +738,7 @@ def entails(
     """Decide whether every common model of the premises satisfies alpha.
 
     The generic engine enumerates the joint assignment space once and
-    compares satisfaction masks. The fragment path compiles the premises
+    compares model bitsets (`formulas._ModelBits`). The fragment path compiles the premises
     once and refutes one prime-implicate clause of alpha at a time: the
     clause's negation is a set of unit literals, so each check is one
     assumption call on the compiled premises. Literals on variables the
@@ -827,9 +756,8 @@ def entails(
         order = _model_order(
             {a for c in premises for a in c.args} | set(alpha.variables), max_models
         )
-        phi_mask = models_mask(premises, order)
-        alpha_mask = models_mask(alpha.constraints, order)
-        return not bool(np.any(phi_mask & ~alpha_mask))
+        space = _ModelBits(order)
+        return not space.bits(premises) & ~space.bits(alpha.constraints)
     logger.debug("entails via %s engine", fragment)
     compiled = _Premises(fragment, [premises], alpha)
     return not compiled.engine.ok or _entailed(compiled)

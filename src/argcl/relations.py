@@ -7,14 +7,17 @@ Property flags (Horn, dual Horn, bijunctive, affine, validity, monotonicity,
 implication closure) are computed by exhaustive closure tests and drive both
 complexity classification and solver dispatch. Every closure test runs on the
 array kernels (`kernels.pair_closure`, `kernels.triple_closure`), whatever the
-relation's size; a pair test builds |R|^2 int64 entries.
+relation's size; a pair test builds |R|^2 int64 entries. `cnf_of` gives a
+relation's clauses to the fragment engines and the model kernel alike.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass, fields
+from typing import Iterable
 
 import numpy as np
 
@@ -129,6 +132,81 @@ def truth_table(relation: Relation) -> np.ndarray:
     table[sorted(relation.tuples)] = True
     table.setflags(write=False)
     return table
+
+
+@dataclass(frozen=True)
+class Clause:
+    """A disjunction over relation coordinates, 1-based.
+
+    pos lists coordinates appearing as positive literals, neg as negated
+    ones; both are ascending and disjoint.
+    """
+
+    pos: tuple[int, ...]
+    neg: tuple[int, ...]
+
+    def __str__(self):
+        lits = [f"x{i}" for i in self.pos] + [f"~x{i}" for i in self.neg]
+        return "(" + " | ".join(lits) + ")"
+
+
+def _coord_mask(coords: Iterable[int], arity: int) -> int:
+    mask = 0
+    for i in coords:
+        mask |= 1 << (arity - i)
+    return mask
+
+
+def _clause_holds(t: int, pos_mask: int, neg_mask: int, full: int) -> bool:
+    return bool((t & pos_mask) | (~t & full & neg_mask))
+
+
+@functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
+def cnf_of(relation: Relation) -> tuple[Clause, ...]:
+    """Prime-implicate CNF of a relation over its coordinates.
+
+    Clauses are enumerated by increasing size with subsumption pruning,
+    so the result is exactly the set of prime implicates; their
+    conjunction has the relation's tuples as its models. Clause order is
+    (size, negative-literal mask, positive-literal mask) ascending. If
+    the relation is Horn every clause has at most one positive literal,
+    dually for dual Horn, and bijunctive relations yield clauses of at
+    most two literals.
+    """
+    k = relation.arity
+    full = (1 << k) - 1
+    tuples = sorted(relation.tuples)
+    kept: list[Clause] = []
+    kept_sets: list[tuple[frozenset[int], frozenset[int]]] = []
+    for size in range(1, k + 1):
+        sized: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
+        for support in itertools.combinations(range(1, k + 1), size):
+            for signs in itertools.product((True, False), repeat=size):
+                pos = tuple(i for i, s in zip(support, signs) if s)
+                neg = tuple(i for i, s in zip(support, signs) if not s)
+                sized.append((_coord_mask(neg, k), _coord_mask(pos, k), pos, neg))
+        sized.sort()
+        for neg_mask, pos_mask, pos, neg in sized:
+            if not all(_clause_holds(t, pos_mask, neg_mask, full) for t in tuples):
+                continue
+            ps, ns = frozenset(pos), frozenset(neg)
+            if any(kp <= ps and kn <= ns for kp, kn in kept_sets):
+                continue
+            kept.append(Clause(pos, neg))
+            kept_sets.append((ps, ns))
+    return tuple(kept)
+
+
+@functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
+def _literal_template(relation: Relation) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """cnf_of as literal templates: each clause's literals, in order, as
+    (0-based coordinate, sign) pairs, sign 0 for a positive literal and 1
+    for a negated one. On a constraint whose j-th argument has id v_j the
+    clause is the literals 2 * v_j + sign (see the fragment engines)."""
+    return tuple(
+        tuple([(i - 1, 0) for i in clause.pos] + [(i - 1, 1) for i in clause.neg])
+        for clause in cnf_of(relation)
+    )
 
 
 FLAG_NAMES = (

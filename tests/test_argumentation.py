@@ -35,7 +35,7 @@ from argcl import (
     relation_properties,
 )
 
-from argcl import argumentation, kernels, logic
+from argcl import argumentation, formulas, kernels, logic
 from argcl.argumentation import _KB, _mask_order, _maximal
 from argcl.formulas import models_mask, satisfies, variables_of
 from argcl.reductions import BRIDGE7
@@ -678,9 +678,9 @@ class TestMonotoneArgrel:
             (argumentation, "_KB"),
             (argumentation, "entails"),
             (argumentation, "is_consistent"),
-            (argumentation, "models_mask"),
+            (argumentation, "_ModelBits"),
             (logic, "_Premises"),
-            (logic, "models_mask"),
+            (logic, "_ModelBits"),
         ):
             monkeypatch.setattr(module, name, counting(f"{module.__name__}.{name}"))
         for upward, (delta, claims) in cases.items():
@@ -994,7 +994,7 @@ class TestCompiledBase:
                 for name, k in (("R5", 5), ("R6", 6))
             )
             relations += (BRIDGE7,)
-            assert relations[-3].arity <= argumentation._CNF_ARITY < relations[-2].arity
+            assert relations[-3].arity <= formulas._CNF_ARITY < relations[-2].arity
             x, y, z = variables[-1], variables[0], variables[n_vars // 2]
             delta = [
                 gamma(Constraint(IMPL, (x, x))),
@@ -1085,8 +1085,7 @@ class TestCompiledBase:
         def forbidden(*args, **kwargs):
             raise AssertionError("the signature base built a mask")
 
-        monkeypatch.setattr(argumentation, "models_mask", forbidden)
-        monkeypatch.setattr(argumentation, "broadcast_mask", forbidden)
+        monkeypatch.setattr(formulas, "models_mask", forbidden)
         monkeypatch.setattr(kernels, "filter_models", forbidden)
         delta = [or2(f"v{i}", f"v{i + 1}") for i in range(12)]
         alpha = gamma(Constraint(T, ("v0",)))

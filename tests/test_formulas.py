@@ -1,7 +1,9 @@
 """Tests for constraint formulas, model enumeration, and instance files."""
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from argcl import (
@@ -12,8 +14,10 @@ from argcl import (
     GammaFormula,
     ParseError,
     QuantifiedFormula,
+    Relation,
     conjoin,
     enumerate_models,
+    is_consistent,
     models_mask,
     parse_instance,
     satisfies,
@@ -149,6 +153,75 @@ class TestModelEnumeration:
         ]
         assert models_mask([Constraint(IMPL, ("a", "a"))], order).all()
         assert models_mask([Constraint(T, ("b",))], order).tolist() == [False, True] * 2
+
+    def test_models_mask_checks_the_order(self):
+        # An order missing a constraint's variable, or repeating one,
+        # is refused and the variables are named.
+        impl = [Constraint(IMPL, ("a", "b"))]
+        with pytest.raises(ValueError, match=r"scope misses variables: \['b'\]"):
+            models_mask(impl, ("a",))
+        with pytest.raises(ValueError, match=r"scope repeats variables: \['a'\]"):
+            models_mask(impl, ("a", "b", "a"))
+
+    @pytest.mark.parametrize("n_vars", range(20))
+    def test_models_mask_matches_satisfies(self, n_vars):
+        # Random conjunctions of relations of arity 1-8, on both sides of
+        # the CNF arity cut (5), with repeated arguments, against
+        # per-assignment `satisfies`. Past 16 variables the kernel works
+        # in blocks of 2**16 assignments, so 17-19 variables cross
+        # several; past 12 variables a sample of assignments is checked,
+        # some of them models.
+        rng = random.Random(2800 + n_vars)
+        order = tuple(f"v{i:02d}" for i in range(n_vars))
+        relations = [
+            Relation(f"R{k}", k, frozenset(rng.sample(range(1 << k), (3 << k) // 4)))
+            for k in range(1, 9)
+        ]
+        for _ in range(4):
+            constraints = []
+            if n_vars:
+                used = order[: rng.randint(1, n_vars)]
+                for _ in range(rng.randint(1, 4)):
+                    relation = rng.choice(relations)
+                    args = [rng.choice(used) for _ in range(relation.arity)]
+                    args[-1] = args[0]
+                    constraints.append(Constraint(relation, tuple(args)))
+            mask = models_mask(constraints, order)
+            assert mask.dtype == np.bool_ and mask.shape == (1 << n_vars,)
+            if n_vars <= 12:
+                points = range(1 << n_vars)
+            else:
+                models = np.flatnonzero(mask).tolist()
+                points = rng.sample(models, min(20, len(models)))
+                points += [rng.randrange(1 << n_vars) for _ in range(280)]
+            for a in points:
+                assignment = {v: bool(a >> (n_vars - 1 - i) & 1) for i, v in enumerate(order)}
+                want = all(satisfies(assignment, c) for c in constraints)
+                assert mask[a] == want, (constraints, a)
+            if n_vars <= 12:
+                phi = gamma(*constraints) if constraints else []
+                got = enumerate_models(phi, over=order)
+                assert len(got) == mask.sum()
+                assert all(all(satisfies(m, c) for c in constraints) for m in got)
+
+    def test_memory_at_22_variables(self):
+        # 44 narrow constraints over 22 variables: the kernel takes the
+        # 2**22 assignments in blocks of 2**16, so the mask's 4 MB is
+        # the bulk of the peak, and generic consistency builds no mask.
+        order = tuple(f"v{i:02d}" for i in range(22))
+        constraints = [Constraint(OR2, (order[i], order[(i + 1) % 22])) for i in range(22)]
+        constraints += [Constraint(IMPL, (order[i], order[(i + 5) % 22])) for i in range(22)]
+        for run in (
+            lambda: models_mask(constraints, order),
+            lambda: is_consistent(gamma(*constraints), engine="generic"),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
 
     def test_lexicographic_order(self):
         phi = gamma(Constraint(OR2, ("a", "b")))

@@ -13,7 +13,6 @@ from argcl.kernels import (
     OP_NIMP,
     OP_OR,
     OP_XOR3,
-    broadcast_mask,
     collapse,
     filter_models,
     pair_closure,
@@ -170,17 +169,6 @@ class TestFilterModels:
             assert got.tolist() == naive_filter(n, tables[-1:], [pos])
         got = filter_raw(n, tables, placements)
         assert got.tolist() == naive_filter(n, tables, placements)
-
-    @pytest.mark.parametrize("n_vars", [3, 12, 14])
-    def test_broadcast_mask_is_one_table_filtered(self, n_vars):
-        # One table as a mask of its own, on the first, the last and
-        # spread axes: from 12 variables a table on the last axes is
-        # materialised over the trailing six first.
-        rng = random.Random(407 + n_vars)
-        for pos in [(0, 1), (n_vars - 2, n_vars - 1), (0, n_vars // 2, n_vars - 1)]:
-            table = np.array([rng.random() < 0.6 for _ in range(1 << len(pos))])
-            got = broadcast_mask(n_vars, table, pos)
-            assert got.tolist() == naive_filter(n_vars, [table], [pos])
 
     def test_memory_is_one_byte_per_assignment(self):
         # 2**22 assignments take 4 MB as a bool mask; one int64 index

@@ -73,6 +73,7 @@ from .logic import (
     _entailed,
     _fragment,
     _literal_template,
+    _relations,
     entails,
     is_consistent,
 )
@@ -214,20 +215,23 @@ def _argcheck_compiled(premises: _Premises, n: int) -> bool:
     engine, claim = premises.engine, premises.claim
     if not engine.ok:
         return False
-    cores = []
+    # The refutations whose core holds each formula, in claim order.
+    held: list[list[list[int]]] = [[] for _ in range(n)]
+    covered = 0
     for lits in claim:
         core = engine.core(lits)
         if core is None:
             return False
-        cores.append(core)
-    if functools.reduce(operator.or_, cores, 0) != (1 << n) - 1:
+        covered |= core
+        while core:
+            low = core & -core
+            held[low.bit_length() - 1].append(lits)
+            core ^= low
+    if covered != (1 << n) - 1:
         return False
     # Removing formula i keeps every refutation whose core misses i, so
     # only the others are tried with i masked; one of them must now hold.
-    return all(
-        any(engine.sat(lits, 1 << i) for lits, core in zip(claim, cores) if core >> i & 1)
-        for i in range(n)
-    )
+    return all(any(engine.sat(lits, 1 << i) for lits in held[i]) for i in range(n))
 
 
 def _fragment_premises(
@@ -235,11 +239,11 @@ def _fragment_premises(
 ) -> _Premises | None:
     """The formulas compiled one block each, with alpha, when they and
     alpha lie in one tractable fragment; None otherwise."""
-    relations = {c.relation for f in (*formulas, alpha) for c in f.constraints}
-    fragment = _fragment(relations)
+    blocks = [f.constraints for f in formulas]
+    fragment = _fragment(_relations([*blocks, alpha.constraints]))
     if fragment == "generic":
         return None
-    return _Premises(fragment, [f.constraints for f in formulas], alpha)
+    return _Premises(fragment, blocks, alpha)
 
 
 def _mask_order(

@@ -246,6 +246,25 @@ def _constraint_template(relation: Relation, pattern: tuple[int, ...]) -> np.nda
     return table
 
 
+@functools.lru_cache(maxsize=32)
+def _block_literals(n: int) -> tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """_ModelBits' tables for n variables, which depend on n alone: (the
+    all-ones block, a block's width in bytes, per block the (x, not x)
+    bitsets of each order position). Every order of length n shares them
+    read-only; the cache holds every n up to 31, past the 22 variables
+    of the default model budget."""
+    block = min(n, len(_LACKING_16))
+    lead = n - block
+    full = (1 << (1 << block)) - 1
+    constants = ((0, full), (full, 0))
+    patterns = tuple((q ^ full, q) for q in [p & full for p in reversed(_LACKING_16[:block])])
+    blocks = tuple(
+        tuple(constants[b >> (lead - 1 - p) & 1] for p in range(lead)) + patterns
+        for b in range(1 << lead)
+    )
+    return full, ((1 << block) + 7) >> 3, blocks
+
+
 class _ModelBits:
     """Model bitsets of constraint conjunctions over one variable order,
     whose position p holds bit n-1-p of an assignment.
@@ -263,19 +282,9 @@ class _ModelBits:
     """
 
     def __init__(self, order: tuple[Variable, ...]):
-        self.n = n = len(order)
+        self.n = len(order)
         self.index = {v: i for i, v in enumerate(order)}
-        block = min(n, len(_LACKING_16))
-        lead = n - block
-        self.full = full = (1 << (1 << block)) - 1
-        self.width = ((1 << block) + 7) >> 3
-        # Per block, (x, not x) for each order position.
-        constants = ((0, full), (full, 0))
-        patterns = [(q ^ full, q) for q in [p & full for p in reversed(_LACKING_16[:block])]]
-        self.blocks = [
-            [constants[b >> (lead - 1 - p) & 1] for p in range(lead)] + patterns
-            for b in range(1 << lead)
-        ]
+        self.full, self.width, self.blocks = _block_literals(self.n)
 
     def packed(self, constraints: Sequence[Constraint]) -> bytes:
         """The conjunction's models, packed little-endian: bit a % 8 of

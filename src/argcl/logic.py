@@ -10,25 +10,30 @@ Entailment then reduces to unsatisfiability of the premises plus the
 unit literals refuting one prime-implicate clause of the claim, one
 assumption check per clause against that single compile.
 
-The compile, _Premises, instantiates every constraint in one pass from
+Per-relation work is done once per query: _relations collects the
+query's relations by identity, so each distinct relation is hashed once
+and not once per constraint, and _fragment is cached per language. The
+compile, _Premises, then instantiates every constraint in one pass from
 its relation's literal template (the prime-implicate clauses as
 (coordinate, sign) pairs, cached per relation like cnf_of itself, and
-fetched once per compile for each relation it meets). Unary constraints
-and binary ones on distinct variables take straight-line code; only
-repeated arguments, which can merge literals or make a tautology, and
-wider relations take the general path. The claim goes through the same
-routine after the premises, so cnf_of is the one source of every clause
-(positive_cnf_of and negative_cnf_of only reorder it). The compile builds
-one engine over all of its caller-given blocks, and records the block
-that owns each clause or row. That engine decides consistency, answers
-each assumption check with any blocks masked out, and reports the core of
-a refutation: the blocks it used. With blocks masked out of inconsistent
-premises it also says whether the blocks left are consistent, and names
-the blocks of one conflict when they are not. So the argumentation
-queries compile a base once, one block per formula, and read existence,
-verification and one minimal support off that one engine: a subset
-question masks the blocks left out, a formula outside every core needs
-no check at all, and the conflicts lead to the maximal consistent subsets.
+fetched once per compile for each relation it meets, looked up by
+identity). Unary constraints, and binary and ternary ones on distinct
+variables, take straight-line code; only repeated arguments, which can
+merge literals or make a tautology, and wider relations take the general
+path. The claim goes through the same routine after the premises,
+continuing their variable ids in the same table, so cnf_of is the one
+source of every clause (positive_cnf_of and negative_cnf_of only reorder
+it). The compile builds one engine over all of its caller-given blocks,
+and records the block that owns each clause or row. That engine decides
+consistency, answers each assumption check with any blocks masked out,
+and reports the core of a refutation: the blocks it used. With blocks
+masked out of inconsistent premises it also says whether the blocks left
+are consistent, and names the blocks of one conflict when they are not.
+So the argumentation queries compile a base once, one block per formula,
+and read existence, verification and one minimal support off that one
+engine: a subset question masks the blocks left out, a formula outside
+every core needs no check at all, and the conflicts lead to the maximal
+consistent subsets.
 """
 
 from __future__ import annotations
@@ -151,16 +156,26 @@ class _UnitPropagation:
             for lit in lits:
                 occurs[lit].append(c)
         self.occurs = occurs
-        self.counts = [len(lits) for lits in clauses]
+        self.counts = list(map(len, clauses))
         self.left = self.counts.copy()
         self.reason, conflict = self._fixpoint(self.left)
         self.ok = conflict is None
         self.first = (self.reason, self.left, conflict)
-        self.fed = 0 if self.ok else -1
-        for c in self.reason or ():
-            if c is not None:
-                self.fed |= 1 << owners[c]
         self.last = (0, *self.first)
+
+    @functools.cached_property
+    def fed(self) -> int:
+        """The blocks whose clauses forced a literal at the premises'
+        fixpoint, whose masking rebuilds it; every block (-1) on
+        inconsistent premises. Only masked queries need it."""
+        if not self.ok:
+            return -1
+        owners = self.owners
+        fed = 0
+        for c in self.reason:
+            if c is not None:
+                fed |= 1 << owners[c]
+        return fed
 
     def _fixpoint(self, left: list[int]):
         """Propagate the unit clauses of fresh counts, updating them in
@@ -277,16 +292,17 @@ class _ImplicationGraph:
     """
 
     def __init__(self, n_lits: int, clauses: list[tuple[int, ...]], owners: list[int]):
-        self.succ: list[list[tuple[int, int, int]]] = [[] for _ in range(n_lits)]
+        succ: list[list[tuple[int, int, int]]] = [[] for _ in range(n_lits)]
         for lits, block in zip(clauses, owners):
             if len(lits) == 1:
                 lit = lits[0]
-                self.succ[lit ^ 1].append((lit, block, lit ^ 1))
+                succ[lit ^ 1].append((lit, block, lit ^ 1))
             else:
                 a, b = lits
-                self.succ[a ^ 1].append((b, block, a ^ 1))
-                self.succ[b ^ 1].append((a, block, b ^ 1))
-        self.first = _complementary_literal(self.succ)
+                succ[a ^ 1].append((b, block, a ^ 1))
+                succ[b ^ 1].append((a, block, b ^ 1))
+        self.succ = succ
+        self.first = _complementary_literal(succ)
         self.ok = self.first is None
 
     def _refute(self, lits: list[int], masked: int):
@@ -515,19 +531,23 @@ def _instantiate_clauses(
 ):
     """Every block's clauses, instantiated from literal templates in one
     pass: (the positive literal 2 * id of each variable, by first
-    occurrence after those of lit_of, which is copied; the clauses as
-    literal tuples, block by block; the block owning each clause).
+    occurrence after those already in lit_of, which is extended in place;
+    the clauses as literal tuples, block by block; the block owning each
+    clause).
 
     Each relation's template is fetched from _literal_template once per
-    call and kept in a local dict, which is cheaper to probe than the
-    lru_cache. Unary constraints and binary ones on two distinct
-    variables, most of any base, are instantiated in straight-line code.
-    The rest keep the general path, where only repeated arguments can
-    merge literals or make a tautology, so the literal set is built only
-    for them.
+    call and kept in a local dict keyed by the relation's id, which costs
+    no Relation.__hash__ per constraint; the relations are held beside
+    it, so no id is reused while the dict lives. Unary constraints, and
+    binary and ternary ones on distinct variables, most of any base, are
+    instantiated in straight-line code. The rest keep the general path,
+    where only repeated arguments can merge literals or make a tautology,
+    so the literal set is built only for them.
     """
-    lit_of = dict(lit_of or {})
-    templates: dict[Relation, tuple[tuple[tuple[int, int], ...], ...]] = {}
+    if lit_of is None:
+        lit_of = {}
+    templates: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
+    held: list[Relation] = []
     items: list[tuple[int, ...]] = []
     owners: list[int] = []
     append = items.append
@@ -535,9 +555,10 @@ def _instantiate_clauses(
         start = len(items)
         for c in block:
             relation = c.relation
-            template = templates.get(relation)
+            template = templates.get(id(relation))
             if template is None:
-                template = templates[relation] = _literal_template(relation)
+                template = templates[id(relation)] = _literal_template(relation)
+                held.append(relation)
             args = c.args
             arity = len(args)
             if arity == 1:
@@ -566,6 +587,30 @@ def _instantiate_clauses(
                             append(((y if j else x) + s,))
                     continue
                 lits = [x, y]
+            elif arity == 3:
+                a, b, d = args
+                x = lit_of.get(a)
+                if x is None:
+                    x = lit_of[a] = 2 * len(lit_of)
+                y = lit_of.get(b)
+                if y is None:
+                    y = lit_of[b] = 2 * len(lit_of)
+                z = lit_of.get(d)
+                if z is None:
+                    z = lit_of[d] = 2 * len(lit_of)
+                lits = [x, y, z]
+                if x != y and x != z and y != z:
+                    for clause in template:
+                        if len(clause) == 3:
+                            (j, s), (k, t), (m, u) = clause
+                            append((lits[j] + s, lits[k] + t, lits[m] + u))
+                        elif len(clause) == 2:
+                            (j, s), (k, t) = clause
+                            append((lits[j] + s, lits[k] + t))
+                        else:
+                            ((j, s),) = clause
+                            append((lits[j] + s,))
+                    continue
             else:
                 lits = []
                 for a in args:
@@ -591,7 +636,8 @@ def _instantiate_rows(blocks: Iterable[Iterable[Constraint]]):
     order; the block owning each row). A row's mask XORs the bits of the
     arguments its coefficients name, so a repeated argument cancels."""
     bit_of: dict[str, int] = {}
-    templates: dict[Relation, tuple[tuple[tuple[int, ...], int], ...]] = {}
+    templates: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
+    held: list[Relation] = []
     items: list[tuple[int, int]] = []
     owners: list[int] = []
     append = items.append
@@ -599,15 +645,16 @@ def _instantiate_rows(blocks: Iterable[Iterable[Constraint]]):
         start = len(items)
         for c in block:
             relation = c.relation
-            template = templates.get(relation)
+            template = templates.get(id(relation))
             if template is None:
                 # Each row as (the coordinates it names, rhs); coefficient
                 # bit k-1-j belongs to 0-based coordinate j.
                 k = relation.arity
-                template = templates[relation] = tuple(
+                template = templates[id(relation)] = tuple(
                     (tuple(j for j in range(k) if cmask >> (k - 1 - j) & 1), rhs)
                     for cmask, rhs in _affine_rows(relation)
                 )
+                held.append(relation)
             bits = []
             for a in c.args:
                 bit = bit_of.get(a)
@@ -640,9 +687,10 @@ class _Premises:
     consistent it decides whether they are satisfiable with a literal set
     (engine.sat), and which blocks one refutation used (engine.core).
 
-    The claim alpha's clauses then go through `_instantiate_clauses` from
-    the premises' ids on (id i has bit 1 << i on the affine fragment), and
-    each is negated into `claim`: the unit literals refuting it, on the
+    The claim alpha's clauses then go through `_instantiate_clauses` with
+    the premises' id table, which the claim's new variables extend in
+    place (id i has bit 1 << i on the affine fragment), and each is
+    negated into `claim`: the unit literals refuting it, on the
     premise variables only, as the others are free. Consistent premises
     entail alpha iff no refutation is satisfiable (`_entailed`).
     """
@@ -661,7 +709,15 @@ class _Premises:
         n_lits = 2 * len(lit_of)
         self.engine = _ENGINES[fragment](n_lits, items, owners)
         _, clauses, _ = _instantiate_clauses([alpha.constraints] if alpha else [], lit_of)
-        self.claim = [[lit ^ 1 for lit in clause if lit < n_lits] for clause in clauses]
+        # Plain loops: a nested comprehension costs a call per clause.
+        claim: list[list[int]] = []
+        for clause in clauses:
+            lits = []
+            for lit in clause:
+                if lit < n_lits:
+                    lits.append(lit ^ 1)
+            claim.append(lits)
+        self.claim = claim
 
 
 def _entailed(premises: _Premises, masked: int = 0) -> bool:
@@ -675,7 +731,17 @@ def _entailed(premises: _Premises, masked: int = 0) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _fragment(relations: set[Relation]) -> str:
+def _relations(blocks: Iterable[Iterable[Constraint]]) -> frozenset[Relation]:
+    """The distinct relations of the blocks' constraints: the query's
+    language. They are collected by id(), so each distinct relation is
+    hashed once per query, by the frozenset, and not once per constraint."""
+    return frozenset({id(c.relation): c.relation for block in blocks for c in block}.values())
+
+
+@functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
+def _fragment(relations: frozenset[Relation]) -> str:
+    """The first tractable fragment holding every relation of a language,
+    or "generic"; computed once per language."""
     reports = [relation_properties(r) for r in relations]
     for flag in ("horn", "dual_horn", "bijunctive", "affine"):
         if all(getattr(rep, flag) for rep in reports):
@@ -717,7 +783,7 @@ def is_consistent(
         return True
     if engine == "generic":
         return _enumeration_sat(constraints, max_models)
-    relations = {c.relation for c in constraints}
+    relations = _relations([constraints])
     reports = [relation_properties(r) for r in relations]
     if all(rep.zero_valid for rep in reports) or all(rep.one_valid for rep in reports):
         return True
@@ -750,8 +816,9 @@ def entails(
     """
     _check_engine(engine)
     premises = _as_constraints(phi)
-    relations = {c.relation for c in premises} | {c.relation for c in alpha.constraints}
-    fragment = "generic" if engine == "generic" else _fragment(relations)
+    fragment = (
+        "generic" if engine == "generic" else _fragment(_relations([premises, alpha.constraints]))
+    )
     if fragment == "generic":
         order = _model_order(
             {a for c in premises for a in c.args} | set(alpha.variables), max_models

@@ -27,6 +27,7 @@ from argcl import (
     variables_of,
 )
 
+from argcl.formulas import _ModelBits, _block_literals
 from conftest import (
     IMPL,
     NEQ,
@@ -203,6 +204,30 @@ class TestModelEnumeration:
                 got = enumerate_models(phi, over=order)
                 assert len(got) == mask.sum()
                 assert all(all(satisfies(m, c) for c in constraints) for m in got)
+
+    @pytest.mark.parametrize("n_vars", [5, 17])
+    def test_orders_of_one_length_share_the_literal_tables(self, n_vars):
+        # The per-block literal tables depend only on the variable count:
+        # two orders of equal length read the same objects, and the masks
+        # from a cold and a warm cache agree with `satisfies`.
+        first = tuple(f"a{i:02d}" for i in range(n_vars))
+        second = tuple(f"b{i:02d}" for i in reversed(range(n_vars)))
+        _block_literals.cache_clear()
+        one, two = _ModelBits(first), _ModelBits(second)
+        assert one.blocks is two.blocks and one.full == two.full and one.width == two.width
+        assert _block_literals.cache_info().misses == 1
+        rng = random.Random(n_vars)
+        constraints = [
+            Constraint(rng.choice((IMPL, NEQ, OR2)), tuple(rng.sample(second, 2)))
+            for _ in range(n_vars)
+        ]
+        _block_literals.cache_clear()
+        cold = models_mask(constraints, second)
+        warm = models_mask(constraints, second)
+        assert np.array_equal(cold, warm)
+        for a in rng.sample(range(1 << n_vars), 32) + np.flatnonzero(cold)[:8].tolist():
+            assignment = {v: bool(a >> (n_vars - 1 - i) & 1) for i, v in enumerate(second)}
+            assert cold[a] == all(satisfies(assignment, c) for c in constraints)
 
     def test_memory_at_22_variables(self):
         # 44 narrow constraints over 22 variables: the kernel takes the

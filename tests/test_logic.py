@@ -1,6 +1,7 @@
 """Tests for CNF extraction and the satisfiability and entailment engines."""
 
 import functools
+import itertools
 import operator
 import random
 import zlib
@@ -33,6 +34,7 @@ from argcl import (
     relation_properties,
 )
 
+from argcl import argumentation
 from argcl.argumentation import _shrink_consistent
 from argcl.formulas import DEFAULT_MAX_MODELS, _constraint_template, satisfies
 from argcl import logic
@@ -507,7 +509,7 @@ def test_cores_are_sound(language, data):
     claim can go with the claim still entailed."""
     delta, alpha = data.draw(consistent_bases((language,)))
     masked = data.draw(st.integers(0, (1 << len(delta)) - 1))
-    relations = {c.relation for f in (*delta, alpha) for c in f.constraints}
+    relations = frozenset(c.relation for f in (*delta, alpha) for c in f.constraints)
     blocks = [f.constraints for f in delta]
     premises = _Premises(_fragment(relations), blocks, alpha)
     engine = premises.engine
@@ -559,7 +561,7 @@ def test_conflicts_are_sound_under_masks(language, data):
     x = data.draw(st.sampled_from(variables))
     for unit in (T, F):
         delta.insert(data.draw(st.integers(0, len(delta))), gamma(Constraint(unit, (x,))))
-    fragment = _fragment({c.relation for f in delta for c in f.constraints})
+    fragment = _fragment(frozenset(c.relation for f in delta for c in f.constraints))
     blocks = [f.constraints for f in delta]
     engine = _Premises(fragment, blocks).engine
     assert not engine.ok
@@ -614,12 +616,15 @@ def test_relation_caches_are_bounded():
         negative_cnf_of,
         _affine_rows,
         _constraint_template,
+        _fragment,
     )
     # Upward-closed, downward-closed and affine shapes, a third each, so
-    # that every cache sees more fresh relations than it may keep.
+    # that every cache sees more fresh relations, and the fragment cache
+    # more fresh languages, than it may keep.
     shapes = (OR2.tuples, NAND2.tuples, NEQ.tuples)
     for i in range(1000):
         relation = Relation(f"FRESH{i}", 2, shapes[i % 3])
+        _fragment(frozenset({relation, T}))
         truth_table(relation)
         relation_properties(relation)
         cnf_of(relation)
@@ -628,6 +633,59 @@ def test_relation_caches_are_bounded():
         [positive_cnf_of, negative_cnf_of, _affine_rows][i % 3](relation)
     for cache in caches:
         assert cache.cache_info().currsize <= RELATION_CACHE_SIZE == 256
+
+
+def test_fragment_cache_matches_the_uncached_choice():
+    """The fragment cached per language is the first one whose flag every
+    relation has, on every language drawn from the catalog, and a
+    language seen before reads the same choice from the cache."""
+    for size in range(1, len(CATALOG) + 1):
+        for language in itertools.combinations(CATALOG, size):
+            reports = [relation_properties(r) for r in language]
+            flags = ("horn", "dual_horn", "bijunctive", "affine")
+            want = next((f for f in flags if all(getattr(p, f) for p in reports)), "generic")
+            assert _fragment(frozenset(language)) == want
+            assert _fragment(frozenset(reversed(language))) == want
+
+
+@pytest.mark.parametrize("fragment", ["horn", "affine", "generic"])
+def test_relation_hashes_do_not_grow_with_the_base(fragment):
+    """Compiling or deciding a base hashes each of its k distinct
+    relations a number of times bounded in k, not once per constraint:
+    the same count at 20 and 160 formulas, and at most a few per relation."""
+    relations = {
+        "horn": (IMPL, NAND2, T, F),
+        "affine": (NEQ, EQ2, T, F),
+        "generic": (OR2, NAE3, T, F),
+    }[fragment]
+    rng = random.Random(len(fragment))
+
+    def base(size):
+        variables = [f"x{i}" for i in range(size)]
+        return [
+            gamma(Constraint(r, tuple(rng.sample(variables, r.arity))))
+            for r in (rng.choice(relations) for _ in range(size))
+        ]
+
+    alpha = gamma(Constraint(relations[0], ("x0", "x1")))
+    hash_of = Relation.__hash__
+    counts = []
+    for size in (20, 160):
+        delta = base(size)
+        argumentation._fragment_premises(delta, alpha)
+        hashes = []
+
+        def counting(relation):
+            hashes.append(relation)
+            return hash_of(relation)
+
+        with mock.patch.object(Relation, "__hash__", counting):
+            argumentation._fragment_premises(delta, alpha)
+            if fragment != "generic":
+                is_consistent(delta)
+                entails(delta, alpha)
+        counts.append(len(hashes))
+    assert counts[0] == counts[1] <= 12 * len(relations)
 
 
 # The polymorphism that closes each Schaefer fragment, on tuple bitmasks.
@@ -685,9 +743,29 @@ def template_instances(draw):
     return fragment, blocks, alpha
 
 
+def reference_clauses(c, index):
+    """The constraint's cnf_of clauses on the variable index, as the
+    compile gives them: on distinct arguments each clause's literals in
+    template order (positive coordinates ascending, then negated ones);
+    on a repeated argument, which can merge literals, the clause's
+    literal set in Python's iteration order, and no tautology."""
+    ids = [index[a] for a in c.args]
+    out = []
+    for clause in cnf_of(c.relation):
+        lits = [2 * ids[i - 1] for i in clause.pos] + [2 * ids[i - 1] + 1 for i in clause.neg]
+        if len(set(ids)) == len(ids):
+            out.append(tuple(lits))
+            continue
+        merged = set(lits)
+        if not any(lit ^ 1 in merged for lit in merged):
+            out.append(tuple(merged))
+    return out
+
+
 def reference_compile(fragment, blocks):
-    """The variable index and each block's clauses (sorted literal tuples)
-    or GF(2) rows, instantiated straight from cnf_of and _affine_rows."""
+    """The variable index and each block's clauses (reference_clauses) or
+    GF(2) rows, in order, instantiated straight from cnf_of and
+    _affine_rows."""
     index: dict[str, int] = {}
     per_block = []
     for block in blocks:
@@ -703,38 +781,34 @@ def reference_compile(fragment, blocks):
                             gmask ^= 1 << v
                     made.append((gmask, rhs))
                 continue
-            for clause in cnf_of(c.relation):
-                lits = {2 * ids[i - 1] for i in clause.pos}
-                lits |= {2 * ids[i - 1] + 1 for i in clause.neg}
-                if not any(lit ^ 1 in lits for lit in lits):
-                    made.append(tuple(sorted(lits)))
+            made += reference_clauses(c, index)
         per_block.append(made)
     return index, per_block
 
 
 def reference_refutations(index, alpha):
-    """Each non-tautological claim clause of cnf_of, negated on the
-    premise variables, as a sorted literal list."""
-    out = []
+    """Each claim clause (reference_clauses, the claim's new variables
+    indexed after the premises' by first occurrence) negated on the
+    premise variables, in order."""
+    n = len(index)
+    index = dict(index)
     for c in alpha.constraints:
-        for clause in cnf_of(c.relation):
-            pos = {c.args[i - 1] for i in clause.pos}
-            neg = {c.args[i - 1] for i in clause.neg}
-            if pos & neg:
-                continue
-            lits = [2 * index[v] + 1 for v in pos if v in index]
-            lits += [2 * index[v] for v in neg if v in index]
-            out.append(sorted(lits))
-    return out
+        for a in c.args:
+            index.setdefault(a, len(index))
+    return [
+        [lit ^ 1 for lit in clause if lit < 2 * n]
+        for c in alpha.constraints
+        for clause in reference_clauses(c, index)
+    ]
 
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(template_instances())
 def test_template_compile_matches_cnf_of(instance):
-    """The one-pass compile from literal templates gives the variable
-    ids by first occurrence, each block's clause multiset (or rows, in
-    order) and the claim's refutations that instantiating cnf_of's
-    clauses gives."""
+    """The one-pass compile from literal templates gives exactly what
+    instantiating cnf_of's clauses gives: the variable ids by first
+    occurrence, each block's clauses (or rows) in order with their
+    literals in order, and the claim's refutations in order."""
     fragment, blocks, alpha = instance
     built = {}
     engine = logic._ENGINES[fragment]
@@ -764,18 +838,9 @@ def test_template_compile_matches_cnf_of(instance):
     code = (lambda i: 1 << i) if fragment == "affine" else (lambda i: 2 * i)
     assert codes[0] == [(v, code(i)) for v, i in index.items()]
     assert built["n_lits"] == 2 * len(index)
-    assert built["owners"] == sorted(built["owners"])
-    got = [[] for _ in blocks]
-    for item, owner in zip(built["items"], built["owners"], strict=True):
-        got[owner].append(item)
-    if fragment == "affine":
-        assert got == want
-    else:
-        for clauses, expected in zip(got, want):
-            assert all(len(set(clause)) == len(clause) for clause in clauses)
-            assert sorted(tuple(sorted(clause)) for clause in clauses) == sorted(expected)
-    refutations = [sorted(lits) for lits in premises.claim]
-    assert refutations == reference_refutations(index, alpha)
+    assert built["items"] == [item for made in want for item in made]
+    assert built["owners"] == [i for i, made in enumerate(want) for _ in made]
+    assert premises.claim == reference_refutations(index, alpha)
 
 
 @st.composite

@@ -78,7 +78,7 @@ from .logic import (
     is_consistent,
 )
 from .kernels import transpose_codes
-from .relations import ConstraintLanguage, language_properties, relation_properties
+from .relations import ConstraintLanguage, language_properties
 
 __all__ = [
     "DEFAULT_MAX_KB",
@@ -609,7 +609,7 @@ def _corrections(engine, n: int, fits: bool) -> Iterator[int | None]:
     the next level: it answers only when each MCS leaves out one formula
     of the root's conflict, at one engine check per MCS. Those checks
     need only say whether a node is consistent (`consistent`), which on
-    the implication graph is its Tarjan pass with no core. A deeper tree
+    the implication graph is its lockstep search with no core. A deeper tree
     can cost far more checks than it finds MCSes: on the 10- to
     14-formula bases of the 3-SAT reduction to NEQ the whole tree takes
     20 to 108 checks (median 55) for 9 to 27 MCSes. Past the mask limit
@@ -930,14 +930,10 @@ def _argrel_monotone(
 
 def _direction(delta: list[GammaFormula], alpha: GammaFormula) -> bool | None:
     """True if every relation of the instance is upward-closed, False if
-    every one is downward-closed, None otherwise: one scan decides, as no
-    relation is both (none is full)."""
-    upward = downward = True
-    for r in {c.relation for f in (*delta, alpha) for c in f.constraints}:
-        props = relation_properties(r)
-        upward &= props.positive
-        downward &= props.negative
-    return upward if upward or downward else None
+    every one is downward-closed, None otherwise, read off the language's
+    report; no relation is both (none is full)."""
+    props = language_properties(_relations([f.constraints for f in (*delta, alpha)]))
+    return props.positive if props.positive or props.negative else None
 
 
 def _argrel_closed(

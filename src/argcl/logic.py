@@ -12,7 +12,8 @@ assumption check per clause against that single compile.
 
 Per-relation work is done once per query: _relations collects the
 query's relations by identity, so each distinct relation is hashed once
-and not once per constraint, and _fragment is cached per language. The
+and not once per constraint, and _fragment reads the language report
+that relations.language_properties caches per language. The
 compile, _Premises, then instantiates every constraint in one pass from
 its relation's literal template (the prime-implicate clauses as
 (coordinate, sign) pairs, cached per relation like cnf_of itself, and
@@ -59,6 +60,7 @@ from .relations import (
     _coord_mask,
     _literal_template,
     cnf_of,
+    language_properties,
     relation_properties,
 )
 
@@ -277,18 +279,18 @@ class _UnitPropagation:
 
 
 class _ImplicationGraph:
-    """Implication-graph 2-SAT (Aspvall, Plass and Tarjan).
+    """Implication-graph 2-SAT by reachability (Even, Itai and Shamir).
 
-    The premises are satisfiable iff no strongly connected component
-    holds a literal and its complement. They are then satisfiable with a
-    literal set L iff the literals reachable from L hold no complementary
-    pair: those literals can all be true, and the clauses they leave open
-    are premises on the other variables, satisfied by any model. An edge
-    (target, block, source) stands for one clause; the search skips a
-    masked block's edges, and its parent pointers lead from a
+    Satisfiable premises are satisfiable with a literal set L iff the
+    literals reachable from L hold no complementary pair: those literals
+    can all be true, and the clauses they leave open are premises on the
+    other variables, satisfied by any model. The same search decides the
+    premises themselves, a variable at a time (`_complementary_literal`).
+    An edge (target, block, source) stands for one clause; the search
+    skips a masked block's edges, and its parent pointers lead from a
     complementary pair back to L through the core's edges. A conflict is
-    a literal l in a component with its complement: the cores that refute
-    l and l ^ 1 together derive both.
+    a variable whose literals l and l ^ 1 both reach a complementary
+    pair: the cores that refute l and l ^ 1 together refute either value.
     """
 
     def __init__(self, n_lits: int, clauses: list[tuple[int, ...]], owners: list[int]):
@@ -327,7 +329,7 @@ class _ImplicationGraph:
         return self.core([lit], masked) | self.core([lit ^ 1], masked)
 
     def consistent(self, masked: int = 0) -> bool:
-        """The Tarjan pass alone, with no core."""
+        """The lockstep search alone, with no core."""
         return (_complementary_literal(self.succ, masked) if masked else self.first) is None
 
     def sat(self, lits: list[int], masked: int = 0) -> bool:
@@ -351,64 +353,49 @@ class _ImplicationGraph:
 def _complementary_literal(
     succ: list[list[tuple[int, int, int]]], masked: int = 0
 ) -> int | None:
-    """Iterative Tarjan SCC over the edges of blocks outside `masked`: a
-    literal whose component holds its complement, or None if no component
-    holds a complementary pair.
+    """Even, Itai and Shamir's lockstep search over the edges of blocks
+    outside `masked`: the positive literal l of a variable with neither
+    value possible, l and l ^ 1 each reaching a complementary pair, or
+    None if the premises are satisfiable.
 
-    A literal with no successor is a component of its own as soon as it
-    is reached, so it never enters the stack. Each component is checked
-    for a complementary pair as it is popped, and the first one found
-    ends the search."""
-    n = len(succ)
-    order = [-1] * n
-    low = [0] * n
-    comp = [-1] * n
-    stack: list[int] = []
-    counter = n_comp = 0
-    for root in range(n):
-        if order[root] >= 0:
+    The literals set true so far are closed under the edges and hold no
+    complementary pair, so the clauses they leave open are premises on
+    the unset variables alone. For each unset variable, both of its
+    literals are searched, one popped literal from each in turn, past the
+    literals already set; no search can reach the complement of one. The
+    first search that ends with no complementary pair sets its literals
+    true. Taking turns keeps the work linear: a search that is dropped
+    has taken no more steps than the one whose literals are set, and a
+    literal once set is never searched again."""
+    true = [False] * len(succ)
+    for var in range(0, len(succ), 2):
+        if true[var] or true[var + 1]:
             continue
-        order[root] = low[root] = counter
-        counter += 1
-        if not succ[root]:
-            comp[root] = n_comp
-            n_comp += 1
+        if not succ[var] or not succ[var + 1]:
+            # A literal with no successor is a search that ends at once.
+            true[var if not succ[var] else var + 1] = True
             continue
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            node, edges = work[-1]
-            for nxt, block, _ in edges:
-                if masked and masked >> block & 1:
+        searches = [({var}, [var]), ({var + 1}, [var + 1])]
+        turn = 0
+        while searches:
+            seen, stack = searches[turn]
+            if not stack:
+                for lit in seen:
+                    true[lit] = True
+                break
+            for nxt, block, _ in succ[stack.pop()]:
+                if nxt in seen or true[nxt] or masked and masked >> block & 1:
                     continue
-                if order[nxt] < 0:
-                    order[nxt] = low[nxt] = counter
-                    counter += 1
-                    if not succ[nxt]:
-                        comp[nxt] = n_comp
-                        n_comp += 1
-                        continue
-                    stack.append(nxt)
-                    work.append((nxt, iter(succ[nxt])))
+                if nxt ^ 1 in seen:
+                    del searches[turn]
+                    turn = 0
                     break
-                if comp[nxt] < 0 and order[nxt] < low[node]:
-                    low[node] = order[nxt]
+                seen.add(nxt)
+                stack.append(nxt)
             else:
-                work.pop()
-                reach = low[node]
-                if work:
-                    parent = work[-1][0]
-                    if reach < low[parent]:
-                        low[parent] = reach
-                if reach == order[node]:
-                    while True:
-                        top = stack.pop()
-                        comp[top] = n_comp
-                        if comp[top ^ 1] == n_comp:
-                            return top
-                        if top == node:
-                            break
-                    n_comp += 1
+                turn = (turn + 1) % len(searches)
+        else:
+            return var
     return None
 
 
@@ -738,13 +725,12 @@ def _relations(blocks: Iterable[Iterable[Constraint]]) -> frozenset[Relation]:
     return frozenset({id(c.relation): c.relation for block in blocks for c in block}.values())
 
 
-@functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
 def _fragment(relations: frozenset[Relation]) -> str:
     """The first tractable fragment holding every relation of a language,
-    or "generic"; computed once per language."""
-    reports = [relation_properties(r) for r in relations]
+    or "generic", read off the language's cached report."""
+    report = language_properties(relations)
     for flag in ("horn", "dual_horn", "bijunctive", "affine"):
-        if all(getattr(rep, flag) for rep in reports):
+        if getattr(report, flag):
             return flag
     return "generic"
 
@@ -784,8 +770,7 @@ def is_consistent(
     if engine == "generic":
         return _enumeration_sat(constraints, max_models)
     relations = _relations([constraints])
-    reports = [relation_properties(r) for r in relations]
-    if all(rep.zero_valid for rep in reports) or all(rep.one_valid for rep in reports):
+    if language_properties(relations).eps_valid:
         return True
     fragment = _fragment(relations)
     logger.debug("is_consistent via %s engine", fragment)

@@ -337,7 +337,7 @@ class ConstraintLanguage:
         return tuple(r.name for r in self.relations)
 
 
-def language_properties(language: ConstraintLanguage) -> PropertyReport:
+def language_properties(language: Iterable[Relation]) -> PropertyReport:
     """Combine per-relation flags into language flags.
 
     Every base flag is the conjunction over the language's relations.
@@ -345,8 +345,19 @@ def language_properties(language: ConstraintLanguage) -> PropertyReport:
     of the language (a single constant assignment must satisfy every
     relation at once), and schaefer is the disjunction of the four
     language-level closure flags.
+
+    The language is any collection of relations, such as a
+    ConstraintLanguage or the frozenset of a query's relations; the
+    report is computed once per frozenset of them. This is the one place
+    where per-relation flags are combined, for the solver's dispatch as
+    well as for classification.
     """
-    reports = [relation_properties(r) for r in language]
+    return _language_report(frozenset(language))
+
+
+@functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
+def _language_report(relations: frozenset[Relation]) -> PropertyReport:
+    reports = [relation_properties(r) for r in relations]
     conj = {
         flag: all(getattr(rep, flag) for rep in reports)
         for flag in FLAG_NAMES

@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+import time
 import zlib
 from unittest import mock
 
@@ -39,7 +40,7 @@ from argcl.argumentation import _shrink_consistent
 from argcl.formulas import DEFAULT_MAX_MODELS, _constraint_template, satisfies
 from argcl import logic
 from argcl.logic import _Premises, _affine_rows, _fragment, _literal_template
-from argcl.relations import RELATION_CACHE_SIZE, truth_table
+from argcl.relations import RELATION_CACHE_SIZE, _language_report, truth_table
 from conftest import (
     CATALOG,
     EQ2,
@@ -616,11 +617,11 @@ def test_relation_caches_are_bounded():
         negative_cnf_of,
         _affine_rows,
         _constraint_template,
-        _fragment,
+        _language_report,
     )
     # Upward-closed, downward-closed and affine shapes, a third each, so
-    # that every cache sees more fresh relations, and the fragment cache
-    # more fresh languages, than it may keep.
+    # that every cache sees more fresh relations, and the language
+    # report's cache more fresh languages, than it may keep.
     shapes = (OR2.tuples, NAND2.tuples, NEQ.tuples)
     for i in range(1000):
         relation = Relation(f"FRESH{i}", 2, shapes[i % 3])
@@ -636,9 +637,10 @@ def test_relation_caches_are_bounded():
 
 
 def test_fragment_cache_matches_the_uncached_choice():
-    """The fragment cached per language is the first one whose flag every
-    relation has, on every language drawn from the catalog, and a
-    language seen before reads the same choice from the cache."""
+    """The fragment read off the report cached per language is the first
+    one whose flag every relation has, on every language drawn from the
+    catalog, and a language seen before reads the same choice from the
+    cache."""
     for size in range(1, len(CATALOG) + 1):
         for language in itertools.combinations(CATALOG, size):
             reports = [relation_properties(r) for r in language]
@@ -867,11 +869,50 @@ def two_cnfs(draw):
 
 
 @settings(max_examples=400, deadline=None, database=None)
-@given(two_cnfs())
-def test_two_sat_consistency_matches_enumeration(blocks):
-    premises = _Premises("bijunctive", blocks)
-    assert isinstance(premises.engine, logic._ImplicationGraph)
-    assert premises.engine.ok is naive_consistent([GammaFormula(tuple(b)) for b in blocks])
+@given(two_cnfs(), st.data())
+def test_two_sat_consistency_matches_enumeration(blocks, data):
+    """ok agrees with enumeration, and so, with a drawn block mask, do
+    consistent and conflict on the blocks left; a conflict misses the
+    mask and is inconsistent on its own blocks."""
+    engine = _Premises("bijunctive", blocks).engine
+    assert isinstance(engine, logic._ImplicationGraph)
+    formulas = [GammaFormula(tuple(b)) for b in blocks]
+    assert engine.ok is naive_consistent(formulas)
+    mask = data.draw(st.integers(0, (1 << len(blocks)) - 1))
+    kept = [f for i, f in enumerate(formulas) if not mask >> i & 1]
+    consistent = engine.consistent(mask)
+    conflict = engine.conflict(mask)
+    assert consistent is naive_consistent(kept) is (conflict is None)
+    if conflict is not None:
+        assert not conflict & mask
+        assert not naive_consistent([f for i, f in enumerate(formulas) if conflict >> i & 1])
+
+
+@pytest.mark.parametrize("contradiction", [False, True])
+@pytest.mark.parametrize("tail", [False, True])
+def test_two_sat_consistency_is_linear(tail, contradiction):
+    """F(u_j), then IMPL(u_j, w0), then the chain IMPL(w_i, w_i+1), for
+    k = 8000. A depth-first search that tries u_j before ~u_j, and checks
+    a literal's complement as it pops it, walks the chain once per u_j:
+    k^2 steps. Here ~u_j has no successor, so it is set at once; with
+    IMPL(x_j, u_j) added (`tail`) it has one, ~x_j, and both of u_j's
+    literals are searched in lockstep. T(w0) and F(w_k) make the chain
+    with them the one conflict."""
+    k = 8000
+    blocks = [[Constraint(F, (f"u{j}",))] for j in range(k)]
+    blocks += [[Constraint(IMPL, (f"u{j}", "w0"))] for j in range(k)]
+    if tail:
+        blocks += [[Constraint(IMPL, (f"x{j}", f"u{j}"))] for j in range(k)]
+    chain = len(blocks)
+    blocks += [[Constraint(IMPL, (f"w{i}", f"w{i + 1}"))] for i in range(k)]
+    if contradiction:
+        blocks += [[Constraint(T, ("w0",))], [Constraint(F, (f"w{k}",))]]
+    start = time.perf_counter()
+    engine = _Premises("bijunctive", blocks).engine
+    assert time.perf_counter() - start < 2.0
+    assert engine.ok is not contradiction
+    if contradiction:
+        assert engine.conflict() == ((1 << (k + 2)) - 1) << chain
 
 
 @pytest.mark.parametrize("contradiction", [False, True])

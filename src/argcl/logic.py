@@ -361,11 +361,12 @@ def _complementary_literal(
     The literals set true so far are closed under the edges and hold no
     complementary pair, so the clauses they leave open are premises on
     the unset variables alone. For each unset variable, both of its
-    literals are searched, one popped literal from each in turn, past the
-    literals already set; no search can reach the complement of one. The
-    first search that ends with no complementary pair sets its literals
-    true. Taking turns keeps the work linear: a search that is dropped
-    has taken no more steps than the one whose literals are set, and a
+    literals are searched, one edge from each in turn, past the literals
+    already set; no search can reach the complement of one. The first
+    search that ends with no complementary pair sets its literals true.
+    Taking turns a step at a time (one edge, or the end of a literal's
+    edges) keeps the work linear: a search that is dropped has taken at
+    most one step more than the one whose literals are set, and a
     literal once set is never searched again."""
     true = [False] * len(succ)
     for var in range(0, len(succ), 2):
@@ -375,7 +376,8 @@ def _complementary_literal(
             # A literal with no successor is a search that ends at once.
             true[var if not succ[var] else var + 1] = True
             continue
-        searches = [({var}, [var]), ({var + 1}, [var + 1])]
+        # Each search is its seen set and a stack of successor iterators.
+        searches = [({var}, [iter(succ[var])]), ({var + 1}, [iter(succ[var + 1])])]
         turn = 0
         while searches:
             seen, stack = searches[turn]
@@ -383,17 +385,18 @@ def _complementary_literal(
                 for lit in seen:
                     true[lit] = True
                 break
-            for nxt, block, _ in succ[stack.pop()]:
-                if nxt in seen or true[nxt] or masked and masked >> block & 1:
-                    continue
+            edge = next(stack[-1], None)
+            if edge is None:
+                stack.pop()
+            elif not (edge[0] in seen or true[edge[0]] or masked >> edge[1] & 1):
+                nxt = edge[0]
                 if nxt ^ 1 in seen:
                     del searches[turn]
                     turn = 0
-                    break
+                    continue
                 seen.add(nxt)
-                stack.append(nxt)
-            else:
-                turn = (turn + 1) % len(searches)
+                stack.append(iter(succ[nxt]))
+            turn = (turn + 1) % len(searches)
         else:
             return var
     return None

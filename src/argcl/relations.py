@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass, fields
 from typing import Iterable
@@ -355,14 +356,16 @@ def language_properties(language: Iterable[Relation]) -> PropertyReport:
     return _language_report(frozenset(language))
 
 
+_BASE_FLAGS = tuple(f for f in FLAG_NAMES if f not in ("eps_valid", "schaefer"))
+_base_flags = operator.attrgetter(*_BASE_FLAGS)
+
+
 @functools.lru_cache(maxsize=RELATION_CACHE_SIZE)
 def _language_report(relations: frozenset[Relation]) -> PropertyReport:
-    reports = [relation_properties(r) for r in relations]
-    conj = {
-        flag: all(getattr(rep, flag) for rep in reports)
-        for flag in FLAG_NAMES
-        if flag not in ("eps_valid", "schaefer")
-    }
+    # One row of base flags per relation, and an all-true row so that the
+    # empty language gets every flag.
+    rows = [_base_flags(relation_properties(r)) for r in relations]
+    conj = dict(zip(_BASE_FLAGS, map(all, zip((True,) * len(_BASE_FLAGS), *rows))))
     conj["eps_valid"] = conj["zero_valid"] or conj["one_valid"]
     conj["schaefer"] = (
         conj["horn"] or conj["dual_horn"] or conj["bijunctive"] or conj["affine"]

@@ -890,29 +890,50 @@ def test_two_sat_consistency_matches_enumeration(blocks, data):
 
 @pytest.mark.parametrize("contradiction", [False, True])
 @pytest.mark.parametrize("tail", [False, True])
-def test_two_sat_consistency_is_linear(tail, contradiction):
-    """F(u_j), then IMPL(u_j, w0), then the chain IMPL(w_i, w_i+1), for
-    k = 8000. A depth-first search that tries u_j before ~u_j, and checks
-    a literal's complement as it pops it, walks the chain once per u_j:
-    k^2 steps. Here ~u_j has no successor, so it is set at once; with
-    IMPL(x_j, u_j) added (`tail`) it has one, ~x_j, and both of u_j's
-    literals are searched in lockstep. T(w0) and F(w_k) make the chain
-    with them the one conflict."""
+@pytest.mark.parametrize("family", ["chain", "hub"])
+def test_two_sat_consistency_is_linear(family, tail, contradiction):
+    """Two families at k = 8000 whose u_j are all decided first.
+
+    chain: F(u_j), then IMPL(u_j, w0), then the chain IMPL(w_i, w_i+1).
+    A depth-first search that tries u_j before ~u_j, and checks a
+    literal's complement as it pops it, walks the chain once per u_j:
+    k^2 steps. Here ~u_j has no successor, so it is set at once.
+    T(w0) and F(w_k) make the chain with them the one conflict.
+
+    hub: OR2(u_j, a_j), then IMPL(u_j, h), then IMPL(h, v_i). ~u_j
+    reaches a_j in one edge, but u_j reaches h, whose k edges a search
+    that takes turns a popped literal at a time scans in one turn, once
+    per u_j: k^2 steps again. T(h), IMPL(h, v0) and F(v0) make the one
+    conflict.
+
+    With IMPL(x_j, u_j) added (`tail`), ~u_j has one more successor,
+    ~x_j."""
     k = 8000
-    blocks = [[Constraint(F, (f"u{j}",))] for j in range(k)]
-    blocks += [[Constraint(IMPL, (f"u{j}", "w0"))] for j in range(k)]
+    if family == "chain":
+        blocks = [[Constraint(F, (f"u{j}",))] for j in range(k)]
+        blocks += [[Constraint(IMPL, (f"u{j}", "w0"))] for j in range(k)]
+    else:
+        blocks = [[Constraint(OR2, (f"u{j}", f"a{j}"))] for j in range(k)]
+        blocks += [[Constraint(IMPL, (f"u{j}", "h"))] for j in range(k)]
     if tail:
         blocks += [[Constraint(IMPL, (f"x{j}", f"u{j}"))] for j in range(k)]
-    chain = len(blocks)
-    blocks += [[Constraint(IMPL, (f"w{i}", f"w{i + 1}"))] for i in range(k)]
-    if contradiction:
-        blocks += [[Constraint(T, ("w0",))], [Constraint(F, (f"w{k}",))]]
-    start = time.perf_counter()
+    start = len(blocks)
+    if family == "chain":
+        blocks += [[Constraint(IMPL, (f"w{i}", f"w{i + 1}"))] for i in range(k)]
+        if contradiction:
+            blocks += [[Constraint(T, ("w0",))], [Constraint(F, (f"w{k}",))]]
+        conflict = ((1 << (k + 2)) - 1) << start
+    else:
+        blocks += [[Constraint(IMPL, ("h", f"v{i}"))] for i in range(k)]
+        if contradiction:
+            blocks += [[Constraint(T, ("h",))], [Constraint(F, ("v0",))]]
+        conflict = (1 | 3 << k) << start
+    began = time.perf_counter()
     engine = _Premises("bijunctive", blocks).engine
-    assert time.perf_counter() - start < 2.0
+    assert time.perf_counter() - began < 2.0
     assert engine.ok is not contradiction
     if contradiction:
-        assert engine.conflict() == ((1 << (k + 2)) - 1) << chain
+        assert engine.conflict() == conflict
 
 
 @pytest.mark.parametrize("contradiction", [False, True])

@@ -361,11 +361,11 @@ def _complementary_literal(
     The literals set true so far are closed under the edges and hold no
     complementary pair, so the clauses they leave open are premises on
     the unset variables alone. For each unset variable, both of its
-    literals are searched, one edge from each in turn, past the literals
-    already set; no search can reach the complement of one. The first
-    search that ends with no complementary pair sets its literals true.
-    Taking turns a step at a time (one edge, or the end of a literal's
-    edges) keeps the work linear: a search that is dropped has taken at
+    literals are searched, one step from each in turn (one edge, or the
+    end of a literal's edges), past the literals already set; no search
+    can reach the complement of one. The first search that ends with no
+    complementary pair sets its literals true. Taking turns a step at a
+    time keeps the work linear: a search that is dropped has taken at
     most one step more than the one whose literals are set, and a
     literal once set is never searched again."""
     true = [False] * len(succ)

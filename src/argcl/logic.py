@@ -443,19 +443,27 @@ def _affine_rows(relation: Relation) -> tuple[tuple[int, int], ...]:
 
 
 def _eliminate(
-    pivots: dict[int, tuple[int, int, int]], rows: Iterable[tuple[int, int, int]]
+    pivots: dict[int, tuple[int, int, int]],
+    rows: Iterable[tuple[int, int, int]],
+    added: dict[int, tuple[int, int, int]] | None = None,
 ) -> int | None:
     """Add GF(2) rows (variable mask, rhs, block mask) to an echelon form
-    keyed by leading bit. Each reduction ORs in the pivot's blocks, so a
-    row that reduces to 0 = 1 carries the blocks whose rows sum to it:
-    that block mask is returned, or None when every row fits."""
+    keyed by leading bit. The new pivots go to `pivots`, or to `added`
+    when it is given: the two are read as one form, and `pivots` is left
+    as it is. Each reduction ORs in the pivot's blocks, so a row that
+    reduces to 0 = 1 carries the blocks whose rows sum to it: that block
+    mask is returned, or None when every row fits."""
+    if added is None:
+        added = pivots
     for mask, rhs, blocks in rows:
         while mask:
             lead = mask.bit_length()
             pivot = pivots.get(lead)
             if pivot is None:
-                pivots[lead] = (mask, rhs, blocks)
-                break
+                pivot = added.get(lead)
+                if pivot is None:
+                    added[lead] = (mask, rhs, blocks)
+                    break
             mask ^= pivot[0]
             rhs ^= pivot[1]
             blocks |= pivot[2]
@@ -469,10 +477,11 @@ class _Gf2Elimination:
     """Gaussian elimination over GF(2), complete for affine premises.
 
     The premises' rows are brought to echelon form once; each literal set
-    reduces its unit rows against a copy of the pivots. With blocks
-    masked, the rows left are eliminated afresh; the echelon form of the
-    last mask is kept for the next query. A row that reduces to 0 = 1
-    carries the blocks of its conflict.
+    reduces its unit rows against those pivots, which it leaves as they
+    are, and keeps the pivots its rows add in a dict of its own. With
+    blocks masked, the rows left are eliminated afresh; the echelon form
+    of the last mask is kept for the next query. A row that reduces to
+    0 = 1 carries the blocks of its conflict.
     """
 
     def __init__(self, n_lits: int, rows: list[tuple[int, int]], owners: list[int]):
@@ -502,7 +511,7 @@ class _Gf2Elimination:
     def core(self, lits: list[int], masked: int = 0) -> int | None:
         """The blocks one refutation of lits used, or None if satisfiable."""
         units = [(1 << (lit >> 1), ~lit & 1, 0) for lit in lits]
-        return _eliminate(dict(self._state(masked)[0]), units)
+        return _eliminate(self._state(masked)[0], units, {})
 
     def sat(self, lits: list[int], masked: int = 0) -> bool:
         return self.core(lits, masked) is None

@@ -9,6 +9,14 @@ construction are materialized as freshly named extensional relations.
 Source problems and reduction kinds each name their input type in one
 table (`_SOURCE_TYPES`, `_BUILDERS`). CNF sources are DIMACS; abduction
 files go through the instance-file reader (`formulas._Reader`).
+
+The oracles (`solve_source`) enumerate on one Python int per set of
+assignments, bit a for assignment a, as the model kernel does: each
+variable's false set is a fixed bit pattern (`formulas._lacking`), a
+clause's models are the OR of its literals' sets, and an abduction
+theory's models come from `formulas._ModelBits`. Their budgets bound the
+ints: at most 20 CNF variables (2^20-bit ints), 12 hypotheses, and 2^20
+assignments over an abduction instance's variables.
 """
 
 from __future__ import annotations
@@ -18,17 +26,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import BudgetExceededError, ParseError, PreconditionError
 from .formulas import (
     ArgInstance,
     Constraint,
     GammaFormula,
     Variable,
+    _LACKING_16,
+    _ModelBits,
     _Reader,
+    _lacking,
     conjoin,
-    models_mask,
     variables_of,
 )
 from .relations import (
@@ -256,29 +264,34 @@ def parse_abduction(
 # ---------------------------------------------------------------------------
 
 
-def _assignments(n: int) -> np.ndarray:
-    """All 2^n assignments as integers, once n fits the oracle budget."""
+def _false_sets(n: int) -> tuple[int, list[int]]:
+    """(all 2^n assignments as int bits, bit a for assignment a; per bit
+    i, the assignments whose bit i is clear, that is, those that make the
+    variable at bit i false)."""
+    full = (1 << (1 << n)) - 1
+    if n <= len(_LACKING_16):
+        return full, [p & full for p in _LACKING_16[:n]]
+    return full, _lacking(n)
+
+
+def _cnf_false_sets(n: int) -> tuple[int, list[int]]:
+    """_false_sets with CNF variable v at index v - 1 and at assignment
+    bit n - v. Raises before anything of size 2^n is made once n exceeds
+    the oracle budget."""
     if n > _MAX_CNF_VARS:
         raise BudgetExceededError(
             f"{n} variables exceed the oracle budget {_MAX_CNF_VARS}"
         )
-    return np.arange(1 << n, dtype=np.int64)
+    full, lacking = _false_sets(n)
+    return full, lacking[::-1]
 
 
-def _violations(cnf: CnfInput) -> tuple[np.ndarray, np.ndarray]:
-    """Per assignment, the number of clauses it violates and the index of
-    the last one (-1 for none). An assignment violates a clause iff the
-    clause's variables carry exactly the bits of its negative literals."""
-    assignments = _assignments(cnf.n)
-    count = np.zeros(1 << cnf.n, dtype=np.int32)
-    last = np.full(1 << cnf.n, -1, dtype=np.int32)
-    for i, clause in enumerate(cnf.clauses):
-        bits = {lit: 1 << (cnf.n - abs(lit)) for lit in clause}
-        negative = sum(bit for lit, bit in bits.items() if lit < 0)
-        violated = (assignments & sum(bits.values())) == negative
-        count += violated
-        last[violated] = i
-    return count, last
+def _clause_models(clause: frozenset[int], false: list[int], full: int) -> int:
+    """The assignments satisfying a clause: the OR of its literals' sets."""
+    models = 0
+    for lit in clause:
+        models |= (full ^ false[lit - 1]) if lit > 0 else false[-lit - 1]
+    return models
 
 
 def _require_three_cnf(cnf: CnfInput):
@@ -304,23 +317,21 @@ def _abd_answer(instance: AbdInstance, positive_only: bool) -> bool:
     )
     if (1 << len(order)) > _MAX_ORACLE_SPACE:
         raise BudgetExceededError(f"{len(order)} variables exceed the oracle budget")
-    phi_mask = models_mask(instance.phi.constraints, order)
+    # Position p of the order holds assignment bit n - 1 - p (`_ModelBits`).
     n = len(order)
-    assignments = np.arange(1 << n, dtype=np.int64)
-    bit_of = {
-        v: ((assignments >> (n - 1 - i)) & 1).astype(np.bool_)
-        for i, v in enumerate(order)
-    }
-    q_bit = bit_of[instance.q]
+    full, lacking = _false_sets(n)
+    false = {v: lacking[n - 1 - p] for p, v in enumerate(order)}
+    phi = _ModelBits(order).bits(instance.phi.constraints)
+    q_false = false[instance.q]
     choices = (True, None) if positive_only else (True, False, None)
     for picks in itertools.product(choices, repeat=len(instance.hypotheses)):
-        selected = phi_mask
+        selected = phi
         for h, value in zip(instance.hypotheses, picks):
             if value is True:
-                selected = selected & bit_of[h]
+                selected &= full ^ false[h]
             elif value is False:
-                selected = selected & ~bit_of[h]
-        if selected.any() and not (selected & ~q_bit).any():
+                selected &= false[h]
+        if selected and not selected & q_false:
             return True
     return False
 
@@ -332,8 +343,16 @@ def solve_source(problem: str, instance: CnfInput | AbdInstance) -> bool:
     true), criticalsat (unsatisfiable, yet satisfiable once any single
     clause is removed), abd, abd_p.
 
+    Every set of assignments is one int bitset over all 2^n of them. A
+    CNF oracle folds its clauses' sets one at a time, so its memory stays
+    flat in the clause count: criticalsat keeps the assignments that
+    violate exactly one clause and those that violate more. The abduction
+    oracles AND each literal set over the hypotheses into the theory's
+    models and test them against the observation.
+
     Raises:
-        BudgetExceededError: more than 20 CNF variables or 12 hypotheses.
+        BudgetExceededError: more than 20 CNF variables, 12 hypotheses,
+            or 2^20 assignments over an abduction instance's variables.
         PreconditionError: clause shape does not fit the problem.
     """
     source_type = _SOURCE_TYPES.get(problem)
@@ -343,25 +362,43 @@ def solve_source(problem: str, instance: CnfInput | AbdInstance) -> bool:
         raise TypeError(f"{problem} expects a {source_type.__name__}")
     if problem == "threesat":
         _require_three_cnf(instance)
-        count, _ = _violations(instance)
-        return bool((count == 0).any())
+        full, false = _cnf_false_sets(instance.n)
+        models = full
+        for clause in instance.clauses:
+            models &= _clause_models(clause, false, full)
+        return bool(models)
     if problem == "pos1in3":
         _require_pos1in3(instance)
-        assignments = _assignments(instance.n)
-        good = np.ones(1 << instance.n, dtype=np.bool_)
+        full, false = _cnf_false_sets(instance.n)
+        models = full
         for clause in instance.clauses:
-            count = np.zeros(1 << instance.n, dtype=np.int8)
-            for lit in clause:
-                count += ((assignments >> (instance.n - lit)) & 1).astype(np.int8)
-            good &= count == 1
-        return bool(good.any())
+            # The assignments that make exactly one of the literals seen
+            # so far true (`one`), and those that make more true.
+            one = more = 0
+            for v in clause:
+                true = full ^ false[v - 1]
+                more |= one & true
+                one = (one ^ true) & ~more
+            models &= one
+        return bool(models)
     if problem == "criticalsat":
         # Unsatisfiable, and each clause is the only one some assignment
-        # violates, so that dropping it leaves a model.
-        count, last = _violations(instance)
-        if (count == 0).any():
+        # violates, so that dropping it leaves a model. One pass splits
+        # the assignments that violate exactly one clause (`once`) from
+        # those that violate more; a second rebuilds each clause's
+        # violations and looks for one among `once`.
+        full, false = _cnf_false_sets(instance.n)
+        once = more = 0
+        for clause in instance.clauses:
+            violated = full ^ _clause_models(clause, false, full)
+            more |= once & violated
+            once = (once ^ violated) & ~more
+        if (once | more) != full:
             return False
-        return len(np.unique(last[count == 1])) == len(instance.clauses)
+        return all(
+            once & (full ^ _clause_models(clause, false, full))
+            for clause in instance.clauses
+        )
     return _abd_answer(instance, positive_only=problem == "abd_p")
 
 

@@ -7,6 +7,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from argcl import (
     ArgInstance,
@@ -38,7 +40,7 @@ from argcl import (
 )
 from argcl import reductions
 
-from conftest import EQ2, IMPL, NAE3, NEQ, OR2, T
+from conftest import AND_NOT, EQ2, IMPL, NAE3, NEQ, OR2, T
 
 
 def gamma(*constraints):
@@ -380,14 +382,7 @@ class TestSolveSource:
         # is unsatisfiable and dropping any one clause leaves it
         # satisfiable.
         rng = random.Random(19)
-
-        def satisfiable(n, clauses):
-            return any(
-                all(any((lit > 0) == point[abs(lit) - 1] for lit in c) for c in clauses)
-                for point in itertools.product((False, True), repeat=n)
-            )
-
-        critical = 0
+        criticals = 0
         for _ in range(300):
             n = rng.randint(1, 4)
             clauses = [
@@ -397,31 +392,44 @@ class TestSolveSource:
                 )
                 for _ in range(rng.randint(0, 6))
             ]
-            want = not satisfiable(n, clauses) and all(
-                satisfiable(n, clauses[:i] + clauses[i + 1 :]) for i in range(len(clauses))
-            )
-            critical += want
+            want = critical(n, clauses)
+            criticals += want
             instance = CnfInput(n, tuple(clauses))
             assert solve_source("threesat", instance) == satisfiable(n, clauses)
             assert solve_source("criticalsat", instance) == want
-        assert critical >= 5
+        assert criticals >= 5
 
-    def test_cnf_oracle_memory_does_not_grow_with_clauses(self):
-        # 200 random 3-clauses over 16 variables: two 2^16 arrays of
-        # counters serve every clause, where one mask per clause took
-        # 14 MB.
-        rng = random.Random(16)
+    @staticmethod
+    def criticalsat_peak(n):
+        """tracemalloc's peak while criticalsat answers 200 random
+        3-clauses over n variables."""
+        rng = random.Random(n)
         clauses = tuple(
-            frozenset(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 17), 3))
+            frozenset(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
             for _ in range(200)
         )
         tracemalloc.start()
         try:
-            solve_source("criticalsat", CnfInput(16, clauses))
+            solve_source("criticalsat", CnfInput(n, clauses))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 2**20
+        return peak
+
+    def test_cnf_oracle_memory_does_not_grow_with_clauses(self):
+        # 200 random 3-clauses over 16 variables: the per-variable sets and
+        # a few 2^16-bit ints serve every clause, where one mask per clause
+        # took 14 MB.
+        assert self.criticalsat_peak(16) < 3 * 2**20
+
+    def test_cnf_oracle_memory_at_the_budget_edge(self):
+        # At the 20-variable budget the 20 per-variable sets of 2^20 bits
+        # take 2.5 MB and each clause's set one more 128 KB (3.6 MB peak
+        # measured); one 2^20 array of counters per clause count and last
+        # index took 26 MB.
+        assert self.criticalsat_peak(20) < 8 * 2**20
+        with pytest.raises(BudgetExceededError):
+            solve_source("criticalsat", CnfInput(21, (frozenset({1, -2, 21}),)))
 
     def test_abd_and_positive_abd(self):
         lang = ConstraintLanguage.of(IMPL)
@@ -473,6 +481,152 @@ class TestSolveSource:
         hyps = tuple(f"h{i}" for i in range(13))
         with pytest.raises(BudgetExceededError):
             solve_source("abd", AbdInstance(lang, phi, hyps, "q"))
+
+
+# ---------------------------------------------------------------------------
+# solve_source against a per-assignment oracle. The oracle walks dict
+# assignments with itertools and shares no code with reductions.py or
+# formulas.py.
+# ---------------------------------------------------------------------------
+
+
+def points(variables):
+    """Every assignment to the variables, as a dict to booleans."""
+    variables = sorted(variables)
+    for values in itertools.product((False, True), repeat=len(variables)):
+        yield dict(zip(variables, values))
+
+
+def satisfiable(n, clauses):
+    return any(
+        all(any(point[abs(lit)] == (lit > 0) for lit in c) for c in clauses)
+        for point in points(range(1, n + 1))
+    )
+
+
+def one_in_three(n, clauses):
+    return any(
+        all(sum(point[v] for v in c) == 1 for c in clauses)
+        for point in points(range(1, n + 1))
+    )
+
+
+def critical(n, clauses):
+    return not satisfiable(n, clauses) and all(
+        satisfiable(n, clauses[:i] + clauses[i + 1 :]) for i in range(len(clauses))
+    )
+
+
+def explained(phi, hypotheses, q, positive_only):
+    """Some literal set over the hypotheses is consistent with phi and,
+    with it, entails q."""
+    def holds(point):
+        return all(
+            sum(point[a] << (len(c.args) - 1 - i) for i, a in enumerate(c.args))
+            in c.relation.tuples
+            for c in phi.constraints
+        )
+
+    scope = phi.variables | set(hypotheses) | {q}
+    models = [point for point in points(scope) if holds(point)]
+    choices = (True, None) if positive_only else (True, False, None)
+    for picks in itertools.product(choices, repeat=len(hypotheses)):
+        chosen = [
+            point
+            for point in models
+            if all(v is None or point[h] == v for h, v in zip(hypotheses, picks))
+        ]
+        if chosen and all(point[q] for point in chosen):
+            return True
+    return False
+
+
+@st.composite
+def cnf_sources(draw):
+    """A CNF over 0-5 variables with clauses of width 1-4, some of them
+    drawn again as repeats."""
+    n = draw(st.integers(0, 5))
+    if n == 0:
+        return CnfInput(0, ())
+    clause = st.lists(
+        st.integers(1, n), min_size=1, max_size=min(4, n), unique=True
+    ).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)).map(frozenset)
+    )
+    clauses = draw(st.lists(clause, max_size=6))
+    if clauses:
+        clauses += draw(st.lists(st.sampled_from(clauses), max_size=2))
+    return CnfInput(n, tuple(clauses))
+
+
+@st.composite
+def pos1in3_sources(draw):
+    n = draw(st.integers(3, 6))
+    triple = st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True)
+    return CnfInput(n, tuple(map(frozenset, draw(st.lists(triple, max_size=5)))))
+
+
+ABD_RELATIONS = (IMPL, OR2, NEQ, AND_NOT, EQ2, T, NAE3)
+ABD_VARIABLES = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def abduction_sources(draw):
+    """A theory of 1-3 constraints, 0-3 hypotheses (theory variables or
+    not) and an observation that is not a hypothesis."""
+    constraint = st.sampled_from(ABD_RELATIONS).flatmap(
+        lambda r: st.tuples(*[st.sampled_from(ABD_VARIABLES)] * r.arity).map(
+            lambda args, r=r: Constraint(r, args)
+        )
+    )
+    phi = gamma(*draw(st.lists(constraint, min_size=1, max_size=3)))
+    q = draw(st.sampled_from(ABD_VARIABLES))
+    hypotheses = draw(
+        st.lists(st.sampled_from([v for v in ABD_VARIABLES if v != q]), max_size=3, unique=True)
+    )
+    return AbdInstance(ConstraintLanguage.of(*ABD_RELATIONS), phi, tuple(hypotheses), q)
+
+
+class TestSolveSourceByAssignment:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(cnf_sources())
+    @example(CnfInput(0, ()))
+    @example(cnf(1, (1,), (-1,)))
+    @example(cnf(2, (1,), (-1, 2), (-2,)))
+    @example(cnf(1, (1,), (-1,), (1,)))
+    @example(cnf(2, (1, 2), (1, -2), (-1, 2), (-1, -2), (1, 2)))
+    def test_threesat_and_criticalsat(self, source):
+        clauses = list(source.clauses)
+        if any(len(c) > 3 for c in clauses):
+            with pytest.raises(PreconditionError):
+                solve_source("threesat", source)
+        else:
+            assert solve_source("threesat", source) == satisfiable(source.n, clauses)
+        assert solve_source("criticalsat", source) == critical(source.n, clauses)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(pos1in3_sources())
+    @example(cnf(3))
+    @example(cnf(4, (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)))
+    @example(cnf(3, (1, 2, 3), (1, 2, 3)))
+    def test_pos1in3(self, source):
+        assert solve_source("pos1in3", source) == one_in_three(source.n, list(source.clauses))
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(abduction_sources())
+    @example(AbdInstance(ConstraintLanguage.of(T), gamma(Constraint(T, ("q",))), (), "q"))
+    @example(
+        AbdInstance(
+            ConstraintLanguage.of(NEQ, IMPL),
+            gamma(Constraint(NEQ, ("h", "q")), Constraint(IMPL, ("g", "q"))),
+            ("h", "g", "z"),
+            "q",
+        )
+    )
+    def test_abduction(self, source):
+        args = (source.phi, source.hypotheses, source.q)
+        assert solve_source("abd", source) == explained(*args, positive_only=False)
+        assert solve_source("abd_p", source) == explained(*args, positive_only=True)
 
 
 class TestReduceDispatch:

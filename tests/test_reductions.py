@@ -424,9 +424,8 @@ class TestSolveSource:
 
     def test_cnf_oracle_memory_at_the_budget_edge(self):
         # At the 20-variable budget the 20 per-variable sets of 2^20 bits
-        # take 2.5 MB and each clause's set one more 128 KB (3.6 MB peak
-        # measured); one 2^20 array of counters per clause count and last
-        # index took 26 MB.
+        # take 2.5 MB and each clause's set 128 KB more: 3.6 MB peak on a
+        # 2-core Xeon VM.
         assert self.criticalsat_peak(20) < 8 * 2**20
         with pytest.raises(BudgetExceededError):
             solve_source("criticalsat", CnfInput(21, (frozenset({1, -2, 21}),)))

@@ -37,8 +37,8 @@ by `_route`:
    subset and every subset that does not entail the claim, and the
    minimal supports are read off those two bitsets by one-formula
    deletions. Otherwise the signatures are peeled: the maximal ones are
-   the MCSes, those of the claim's non-models decide entailment, and the
-   supports are the minimal hitting sets inside each MCS.
+   the MCSes, those of the claim's non-models decide entailment, and one
+   hitting-set search over both lists gives supports and relevance.
 3. Canonical subset search (`_Search`) over at most max_kb formulas,
    past the mask limit and always under the "generic" engine. It is the
    one place max_kb is checked; all supports and relevance set it up
@@ -335,19 +335,79 @@ def _step(bits: int, lacking: list[int], up: bool) -> int:
     return step
 
 
-def _transversals(edges: list[int]) -> list[int]:
-    """The minimal hitting sets of edges, by Berge's method."""
-    transversals = [0]
-    for e in edges:
-        hit = [t for t in transversals if t & e]
-        grown = {t | 1 << i for t in transversals if not t & e for i in _members(e)}
-        transversals = hit + [
-            g
-            for g in grown
-            if not any(h & ~g == 0 for h in hit)
-            and not any(o != g and o & ~g == 0 for o in grown)
-        ]
-    return transversals
+def _hitting_sets(
+    mcs: list[int], bad: list[int], n: int, idx: int | None = None
+) -> Iterator[int]:
+    """The minimal hitting sets of the edges ~b (b in bad) over n formulas
+    that lie inside some MCS, each once, or only those that hold idx. A
+    subset entails alpha iff it meets every edge and is consistent iff an
+    MCS holds it, so these are the minimal supports.
+
+    MMCS (Murakami and Uno, DAM 2014), on an explicit stack as a support
+    may hold every formula. A node keeps its set S, its candidates, the
+    edges S leaves uncovered and each member's critical edges (those it
+    alone of S meets), as bitmasks over edge indices, and the holders of
+    S. It branches on the candidates of the uncovered edge with the
+    fewest; each goes back into the candidates of the branches after it,
+    so every set is reached once, and a branch that leaves a member with
+    no critical edge is pruned, as no superset is then minimal.
+
+    A holder is an MCS that meets every edge, cut to what a support
+    inside it can hold: its formulas alone of it in some edge, which each
+    such support holds, and those in an edge that none of these meets,
+    where the others find their critical edges. Only holders' formulas
+    stay candidates, so every S is consistent, and with no holder nothing
+    is yielded.
+    """
+    full = (1 << n) - 1
+    edges = [full & ~b for b in bad]
+    hits = [sum(1 << j for j, e in enumerate(edges) if e >> i & 1) for i in range(n)]
+    every = (1 << len(edges)) - 1
+    start = 0 if idx is None else 1 << idx
+    holders = set()
+    for m in mcs:
+        if m & start != start:
+            continue
+        members = _members(m)
+        # The edges m meets once, and those it meets more often.
+        once = more = 0
+        for i in members:
+            more |= once & hits[i]
+            once = (once ^ hits[i]) & ~more
+        if once | more == every:
+            forced = functools.reduce(operator.or_, [hits[i] for i in members if hits[i] & once], 0)
+            holders.add(sum(1 << i for i in members if hits[i] & (once | every & ~forced)))
+    if idx is None:
+        stack = [(0, full, every, (), list(holders))]
+    else:
+        hit, holders = hits[idx], [h for h in holders if h & start]
+        stack = [(start, full ^ start, every & ~hit, (hit,), holders)] if hit and holders else []
+    while stack:
+        s, cand, uncovered, critical, holders = stack.pop()
+        if not uncovered:
+            yield s
+            continue
+        cand &= functools.reduce(operator.or_, holders, 0)
+        branch, rest = cand, uncovered
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            fewer = edges[low.bit_length() - 1] & cand
+            if fewer.bit_count() < branch.bit_count():
+                branch = fewer
+                if branch.bit_count() < 2:
+                    break
+        cand &= ~branch
+        done = 0
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            hit = hits[bit.bit_length() - 1]
+            kept = (*(c & ~hit for c in critical), uncovered & hit)
+            if all(kept):
+                inside = [m for m in holders if m & bit]
+                stack.append((s | bit, cand | done, uncovered & ~hit, kept, inside))
+            done |= bit
 
 
 def _model_rows(formulas: Sequence[GammaFormula], order) -> np.ndarray:
@@ -403,8 +463,8 @@ class _KB:
     non-models, and the formulas' codes, stacked into 64-bit words past
     64 formulas, are peeled (`_maximal`) for `mcs` and `bad`, the maximal
     signatures of alpha's non-models. A subset entails alpha iff it lies
-    inside no member of `bad`, and the supports are the minimal hitting
-    sets of each MCS's `edges`.
+    inside no member of `bad`, and one search (`_hitting_sets`) over both
+    lists gives the minimal supports and relevance.
     """
 
     def __init__(self, delta: Sequence[GammaFormula], alpha: GammaFormula, order):
@@ -474,46 +534,27 @@ class _KB:
                 return Support(_members(m))
         return None
 
-    def edges(self, m: int) -> list[int]:
-        """The inclusion-minimal sets m & ~b over b in `bad`.
-
-        A subset of an MCS m entails alpha iff it meets all of them, and
-        every subset of m is consistent, so the minimal supports inside m
-        are their minimal hitting sets. Each of those is a minimal support
-        outright: its proper subsets lie in m and do not entail alpha. An
-        m that does not entail alpha has the one edge 0.
-        """
-        edges: list[int] = []
-        for e in sorted({m & ~b for b in self.bad}, key=int.bit_count):
-            if not any(f & ~e == 0 for f in edges):
-                edges.append(e)
-        return edges
-
     def minimal_supports(self) -> list[Support]:
-        """The set bits of `minimal` on the bitset, otherwise the minimal
-        hitting sets of each MCS's edges; by cardinality, then
-        lexicographic."""
+        """The set bits of `minimal` on the bitset, otherwise the hitting
+        sets of `_hitting_sets`, none when no MCS entails alpha; by
+        cardinality, then lexicographic."""
         if self.bitset:
             found = _bits(self.minimal)
         else:
-            found = {t for m in self.mcs for t in _transversals(self.edges(m))}
+            found = _hitting_sets(self.mcs, self.bad, self.n)
         members = sorted(map(_members, found), key=lambda m: (len(m), m))
         return [Support(m) for m in members]
 
     def relevant(self, idx: int) -> bool:
         """Does some minimal support contain delta[idx].
 
-        On the bitset, `minimal` answers at once. Otherwise one does iff
-        for some MCS M containing idx and some b in `bad`, (b & M) | idx
-        entails alpha. Taking b with M & ~b a minimal edge E containing
-        idx is enough: as no other minimal edge lies inside E, (M & ~E) |
-        idx meets them all. So idx is relevant iff it lies in a minimal
-        edge of an MCS that contains it.
+        On the bitset, `minimal` answers at once. Otherwise none does when
+        no MCS entails alpha, and else `_hitting_sets` started at {idx}
+        answers at its first set.
         """
         if self.bitset:
             return self.minimal & ~self.lacking[idx] != 0
-        bit = 1 << idx
-        return any(bit & e for m in self.mcs if m & bit for e in self.edges(m))
+        return any(_hitting_sets(self.mcs, self.bad, self.n, idx))
 
 
 class _Search:

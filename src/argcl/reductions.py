@@ -14,8 +14,9 @@ The oracles (`solve_source`) enumerate on one Python int per set of
 assignments, bit a for assignment a, as the model kernel does: each
 variable's false set is a fixed bit pattern (`formulas._lacking`), a
 clause's models are the OR of its literals' sets, and an abduction
-theory's models come from `formulas._ModelBits`. Their budgets bound the
-ints: at most 20 CNF variables (2^20-bit ints), 12 hypotheses, and 2^20
+theory's models come from `formulas._ModelBits` and are narrowed one
+hypothesis literal at a time, depth first. Their budgets bound the ints:
+at most 20 CNF variables (2^20-bit ints), 12 hypotheses, and 2^20
 assignments over an abduction instance's variables.
 """
 
@@ -323,16 +324,18 @@ def _abd_answer(instance: AbdInstance, positive_only: bool) -> bool:
     false = {v: lacking[n - 1 - p] for p, v in enumerate(order)}
     phi = _ModelBits(order).bits(instance.phi.constraints)
     q_false = false[instance.q]
-    choices = (True, None) if positive_only else (True, False, None)
-    for picks in itertools.product(choices, repeat=len(instance.hypotheses)):
-        selected = phi
-        for h, value in zip(instance.hypotheses, picks):
-            if value is True:
-                selected &= full ^ false[h]
-            elif value is False:
-                selected &= false[h]
-        if selected and not selected & q_false:
+    literals = [(full ^ false[h], false[h]) for h in instance.hypotheses]
+    # Depth first: a node ANDs a literal set of a later hypothesis than its
+    # parent's into the parent's selection; an empty selection is dropped.
+    stack = [(phi, 0)] if phi else []
+    while stack:
+        selected, start = stack.pop()
+        if not selected & q_false:
             return True
+        for k in range(start, len(literals)):
+            for literal in literals[k][: 1 if positive_only else 2]:
+                if selected & literal:
+                    stack.append((selected & literal, k + 1))
     return False
 
 
@@ -347,8 +350,10 @@ def solve_source(problem: str, instance: CnfInput | AbdInstance) -> bool:
     CNF oracle folds its clauses' sets one at a time, so its memory stays
     flat in the clause count: criticalsat keeps the assignments that
     violate exactly one clause and those that violate more. The abduction
-    oracles AND each literal set over the hypotheses into the theory's
-    models and test them against the observation.
+    oracles walk the picks of at most one literal per hypothesis depth
+    first: each pick ANDs its literal's set into the theory's models as
+    its prefix left them, an empty selection ends its branch, and a
+    selection that misses the observation's false set answers True.
 
     Raises:
         BudgetExceededError: more than 20 CNF variables, 12 hypotheses,

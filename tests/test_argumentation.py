@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from argcl import (
@@ -36,7 +36,7 @@ from argcl import (
 )
 
 from argcl import argumentation, formulas, kernels, logic
-from argcl.argumentation import _KB, _mask_order, _maximal
+from argcl.argumentation import _KB, _mask_order, _maximal, _members
 from argcl.formulas import models_mask, satisfies, variables_of
 from argcl.reductions import BRIDGE7
 from conftest import (
@@ -724,10 +724,11 @@ def all_queries(delta, alpha, psi, **kwargs):
 
 
 @st.composite
-def bitset_instances(draw):
-    """0-16 formulas over at most 5 variables, about one in six a repeat
-    of an earlier one and others valid or unsatisfiable, with a claim that
-    may be valid or unsatisfiable too."""
+def bitset_instances(draw, sizes=st.integers(0, 16)):
+    """0-16 formulas (or as many as `sizes` draws) over at most 5
+    variables, about one in six a repeat of an earlier one and others
+    valid or unsatisfiable, with a claim that may be valid or
+    unsatisfiable too."""
     variables = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
 
     def formula():
@@ -745,7 +746,7 @@ def bitset_instances(draw):
         return GammaFormula(tuple(constraints))
 
     delta = []
-    for _ in range(draw(st.integers(0, 16))):
+    for _ in range(draw(sizes)):
         repeat = delta and draw(st.integers(0, 5)) == 0
         delta.append(draw(st.sampled_from(delta)) if repeat else formula())
     return delta, formula()
@@ -1187,20 +1188,20 @@ class TestCompiledBase:
 
     @pytest.mark.parametrize("size", [6, 12, 16])
     def test_small_bases_skip_edges_and_berge(self, size, monkeypatch):
-        """Up to 16 formulas no query reaches the per-MCS edges or Berge's
-        method; the answers are the generic engine's. The base repeats six
+        """Up to 16 formulas no query reaches the peel's hitting-set search
+        (`_hitting_sets`, which took the place of per-MCS edges and Berge's
+        method); the answers are the generic engine's. The base repeats six
         formulas that alone have three MCSes and six minimal supports of
         T(y)."""
 
         def forbidden(*args):
-            raise AssertionError("a small base went through edges or Berge")
+            raise AssertionError("a small base went through the hitting-set search")
 
         delta = (self.BERGE_BASE * 3)[:size]
         alpha = gamma(Constraint(T, ("y",)))
         want = enumerate_minimal_supports(delta, alpha, engine="generic")
         assert len(want) >= 6
-        monkeypatch.setattr(_KB, "edges", forbidden)
-        monkeypatch.setattr(argumentation, "_transversals", forbidden)
+        monkeypatch.setattr(argumentation, "_hitting_sets", forbidden)
         monkeypatch.setattr(argumentation, "_maximal", forbidden)
         kb = _KB(delta, alpha, _mask_order(delta, alpha, DEFAULT_MAX_MODELS))
         exists, support, supports, relevant = kb_answers(kb, size)
@@ -1211,14 +1212,14 @@ class TestCompiledBase:
 
     def test_sixteen_and_seventeen_formulas_agree(self, monkeypatch):
         """A 17th formula, valid, moves the base over two variables past
-        the subset bitset to the per-MCS edges and Berge's method and
-        changes no answer."""
+        the subset bitset to the hitting-set search and changes no
+        answer."""
         delta = (self.BERGE_BASE * 3)[:16]
         wider = delta + [gamma(Constraint(EQ2, ("y", "y")))]
         calls = []
-        berge = argumentation._transversals
+        search = argumentation._hitting_sets
         monkeypatch.setattr(
-            argumentation, "_transversals", lambda edges: calls.append(1) or berge(edges)
+            argumentation, "_hitting_sets", lambda *args: calls.append(1) or search(*args)
         )
         for alpha in (gamma(Constraint(T, ("y",))), gamma(Constraint(F, ("y",)))):
             for psi in (0, 2, 4, 15):
@@ -1235,7 +1236,7 @@ class TestCompiledBase:
         2**n subsets number at most 8 per assignment, over n - 3
         variables, and peels over n - 4. Each side matches a brute-force
         subset oracle (`subset_oracle`); the bitset never reaches
-        `_maximal`, the edges or Berge's method, and the peel builds no
+        `_maximal` or the hitting-set search, and the peel builds no
         transform. The formulas draw random relations over six hub
         variables, and each other variable enters one formula through
         the valid EQ2(v, v), so every variable is used and the distinct
@@ -1265,8 +1266,7 @@ class TestCompiledBase:
 
         if bitset:
             monkeypatch.setattr(argumentation, "_maximal", forbidden)
-            monkeypatch.setattr(argumentation, "_transversals", forbidden)
-            monkeypatch.setattr(_KB, "edges", forbidden)
+            monkeypatch.setattr(argumentation, "_hitting_sets", forbidden)
         else:
             monkeypatch.setattr(argumentation, "_zeta", forbidden)
         kb = _KB(delta, alpha, order)
@@ -1275,6 +1275,108 @@ class TestCompiledBase:
         assert kb_answers(kb, size) == want
         assert ("unentailing" in vars(kb)) is bitset
         assert enumerate_minimal_supports(delta, alpha) == want[2]
+
+
+def berge(edges):
+    """The minimal hitting sets of edges, by Berge's method."""
+    transversals = [0]
+    for e in edges:
+        hit = [t for t in transversals if t & e]
+        grown = {t | 1 << i for t in transversals if not t & e for i in _members(e)}
+        transversals = hit + [
+            g
+            for g in grown
+            if not any(h & ~g == 0 for h in hit)
+            and not any(o != g and o & ~g == 0 for o in grown)
+        ]
+    return transversals
+
+
+def per_mcs_supports(kb):
+    """The minimal supports as a list with repeats, found by Berge's
+    method inside each MCS m: a subset of m entails the claim iff it
+    meets every minimal set m & ~b over b in `bad`, and every subset of
+    m is consistent."""
+    found = []
+    for m in kb.mcs:
+        edges = []
+        for e in sorted({m & ~b for b in kb.bad}, key=int.bit_count):
+            if not any(f & ~e == 0 for f in edges):
+                edges.append(e)
+        found += berge(edges)
+    return found
+
+
+def peeled(delta, alpha):
+    kb = _KB(delta, alpha, _mask_order(delta, alpha, DEFAULT_MAX_MODELS))
+    assert not kb.bitset
+    return kb
+
+
+class TestPeelSearch:
+    """Past the subset bitset `_KB` reads the minimal supports and
+    relevance off one hitting-set search over `mcs` and `bad`
+    (`_hitting_sets`)."""
+
+    X, Y = gamma(Constraint(T, ("x",))), gamma(Constraint(F, ("x",)))
+    LOOSE = [or2("x", "y"), gamma(Constraint(NEQ, ("x", "y")))] * 8 + [
+        gamma(Constraint(IMPL, ("x", "y")))
+    ]
+
+    @settings(max_examples=80, deadline=None, database=None)
+    # 17-20 formulas over at most 5 variables, so `_KB` peels.
+    @given(bitset_instances(st.integers(17, 20)))
+    # A valid claim: the empty support is the only one.
+    @example((LOOSE + [X, Y], gamma(Constraint(EQ2, ("z", "z")))))
+    # A consistent base that does not entail the claim: no support.
+    @example((LOOSE, gamma(Constraint(T, ("z",)))))
+    # EQ2(y, y) holds at every non-model, so it lies in no edge.
+    @example((LOOSE + [X, gamma(Constraint(EQ2, ("y", "y")))], gamma(Constraint(T, ("y",)))))
+    # T(x) and F(x) together lie in no MCS.
+    @example((LOOSE + [gamma(Constraint(T, ("x",)), Constraint(F, ("x",)))], or2("x", "y")))
+    def test_matches_subset_oracle(self, instance):
+        delta, alpha = instance
+        kb = peeled(delta, alpha)
+        order = _mask_order(delta, alpha, DEFAULT_MAX_MODELS)
+        codes = np.zeros(1 << len(order), dtype=np.int64)
+        for i, f in enumerate(delta):
+            codes |= satisfaction_row(f, order).astype(np.int64) << i
+        mcs, want = subset_oracle(codes, ~satisfaction_row(alpha, order), len(delta))
+        assert kb.mcs == mcs
+        assert kb_answers(kb, len(delta)) == want
+
+    def test_each_support_once(self):
+        """On a base whose MCSes share supports, Berge's method inside each
+        MCS finds some support more than once; the search yields each once."""
+        delta = (TestCompiledBase.BERGE_BASE * 3)[:18]
+        kb = peeled(delta, gamma(Constraint(T, ("y",))))
+        repeated = per_mcs_supports(kb)
+        found = list(argumentation._hitting_sets(kb.mcs, kb.bad, kb.n))
+        assert len(found) == len(set(found)) == len(set(repeated)) < len(repeated)
+        assert set(found) == set(repeated)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_berge_per_mcs(self, seed):
+        """Random 20-30-formula bases over 6-12 variables, one constraint
+        each: the search finds the supports Berge's method finds inside
+        the MCSes, and a formula is relevant iff one of them holds it."""
+        rng = random.Random(seed)
+        variables = [f"v{i:02d}" for i in range(rng.randint(6, 12))]
+
+        def draw(relations):
+            relation = rng.choice(relations)
+            args = tuple(rng.choice(variables) for _ in range(relation.arity))
+            return gamma(Constraint(relation, args))
+
+        n = rng.randint(max(20, len(variables) + 4), 30)
+        delta = [draw((NEQ, IMPL, OR2, EQ2, NAE3, T, F)) for _ in range(n)]
+        kb = peeled(delta, draw((OR2, IMPL, NEQ)))
+        want = set(per_mcs_supports(kb))
+        found = list(argumentation._hitting_sets(kb.mcs, kb.bad, n))
+        assert len(found) == len(set(found))
+        assert set(found) == want
+        relevant = [any(s >> i & 1 for s in want) for i in range(n)]
+        assert [kb.relevant(i) for i in range(n)] == relevant
 
 
 class TestRoute:

@@ -6,11 +6,14 @@ monotonicity a support exists iff some maximal consistent subset (MCS) of
 the base entails the claim.
 
 Verification compiles phi once into one fragment engine when phi and the
-claim lie in one tractable fragment, and otherwise goes through
-is_consistent and entails. Under the "auto" engine, relevance on monotone
-languages is decided by clause decomposition, with no compile: point
-evaluations give the claim clauses each formula alone entails, and a
-cover test over those decides.
+claim lie in one tractable fragment. Otherwise, under the "auto" engine
+and inside the mask limit, it builds each formula's models as one int
+over the joint assignments, and consistency, entailment and every
+one-formula removal are ANDs of those ints; past the limit it goes
+through is_consistent and entails. Under the "auto" engine, relevance on
+monotone languages is decided by clause decomposition, with no compile:
+point evaluations give the claim clauses each formula alone entails, and
+a cover test over those decides.
 
 Existence, one minimal support, all minimal supports and every other
 relevance query take the first of three routes that answers, picked once
@@ -23,11 +26,13 @@ by `_route`:
    answers; a consistent base is its own one MCS. This search visits at
    most one node per formula below the base, and inside the mask limit
    it stops at the first inconsistent one; then route 2 answers inside
-   the mask limit and route 3 past it. A
-   base in no fragment is taken whole only past the mask limit, when
-   is_consistent finds it consistent, and entails calls answer; inside
-   the limit route 2 answers it with no enumeration, as a consistent
-   base's one MCS is itself.
+   the mask limit and route 3 past it. A small base, at most 16 formulas
+   over at most `_SMALL_VARS` variables with the claim's, skips this
+   route for route 2, which answers it in one compile whether or not it
+   is consistent. A base in no fragment is taken whole only past the mask
+   limit, when is_consistent finds it consistent, and entails calls
+   answer; inside the limit route 2 answers it with no enumeration, as a
+   consistent base's one MCS is itself.
 2. The signature base (`_KB`), when the assignment space fits the mask
    limit: the base and the claim are compiled once into per-assignment
    signatures, the claim as one more bit, so every query is read off
@@ -104,6 +109,19 @@ DEFAULT_MAX_KB = 20
 # generic subset search tests them on model bitsets; beyond it both
 # fall back to per-subset consistency and entailment calls.
 _MASK_LIMIT = 1 << 20
+
+# Existence and one support on a base of at most 16 formulas (the subset
+# bitset's own bound) over at most this many variables, the claim's
+# included, compile the signature base (`_KB`) at once, with no fragment
+# compile first. Over 60 random Horn, 2-CNF and affine bases of 6-16
+# formulas per variable count, _KB took 1.3-1.5x the fragment route's
+# time on consistent bases at 6-11 variables and 1.8x at 12, and 0.5-0.6x
+# on inconsistent ones at 6-11 and 0.64x at 12, as those pay the fragment
+# compile before its MCS search hands over to _KB: an even mix breaks
+# even between 11 and 12. On kb-search's inconsistent 12-formula bases,
+# with two MCSes each, _KB took 0.61x at 10 variables, 0.74x at 11 and
+# 0.94x at 12 (medians per base, 2-core Xeon VM).
+_SMALL_VARS = 11
 
 COMPLEXITY_CLASSES = (
     "P",
@@ -193,12 +211,23 @@ def argcheck(
     used. A formula in no core can go with every refutation intact, so
     phi is not minimal. Otherwise each formula is masked out in turn and
     only the refutations whose core holds it are tried again.
+
+    Otherwise the auto engine, inside the mask limit, compiles each
+    formula and alpha once into its models over the joint variables
+    (`_argcheck_bits`), and every check is an AND of those. Past the mask
+    limit, and always under the generic engine, phi's consistency,
+    entailment and each one-formula removal are is_consistent and
+    entails calls.
     """
     _check_engine(engine)
     formulas = _dedup(phi)
-    premises = None if engine == "generic" else _fragment_premises(formulas, alpha)
-    if premises is not None:
-        return _argcheck_compiled(premises, len(formulas))
+    if engine != "generic":
+        premises = _fragment_premises(formulas, alpha)
+        if premises is not None:
+            return _argcheck_compiled(premises, len(formulas))
+        order = _mask_order(formulas, alpha, max_models)
+        if order is not None:
+            return _argcheck_bits(formulas, alpha, order)
     if not is_consistent(formulas, engine=engine, max_models=max_models):
         return False
     if not entails(formulas, alpha, engine=engine, max_models=max_models):
@@ -232,6 +261,29 @@ def _argcheck_compiled(premises: _Premises, n: int) -> bool:
     # Removing formula i keeps every refutation whose core misses i, so
     # only the others are tried with i masked; one of them must now hold.
     return all(any(engine.sat(lits, 1 << i) for lits in held[i]) for i in range(n))
+
+
+def _argcheck_bits(formulas: Sequence[GammaFormula], alpha: GammaFormula, order) -> bool:
+    """argcheck on the formulas' model bitsets over one joint order
+    (`_ModelBits`): phi is consistent iff the AND of its rows is nonzero,
+    and entails alpha iff that AND misses alpha's non-models. phi without
+    formula i is the AND of the rows before i, kept as prefixes, and of
+    those after it, gathered from the back."""
+    space = _ModelBits(order)
+    full = (1 << (1 << len(order))) - 1
+    rows = [space.bits(f.constraints) for f in formulas]
+    before = list(itertools.accumulate(rows, operator.and_, initial=full))
+    if not before[-1]:
+        return False
+    outside = full ^ space.bits(alpha.constraints)
+    if before[-1] & outside:
+        return False
+    after = full
+    for i in reversed(range(len(rows))):
+        if not before[i] & after & outside:
+            return False
+        after &= rows[i]
+    return True
 
 
 def _fragment_premises(
@@ -361,7 +413,13 @@ def _hitting_sets(
     """
     full = (1 << n) - 1
     edges = [full & ~b for b in bad]
-    hits = [sum(1 << j for j, e in enumerate(edges) if e >> i & 1) for i in range(n)]
+    # The edges each formula meets: the edges' bit matrix, one row of
+    # packed bytes per edge, transposed by one unpack and one pack.
+    size = (n + 7) >> 3
+    data = np.frombuffer(b"".join(e.to_bytes(size, "little") for e in edges), dtype=np.uint8)
+    bits = np.unpackbits(data.reshape(len(edges), size), axis=1, count=n, bitorder="little")
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    hits = [int.from_bytes(row.tobytes(), "little") for row in packed]
     every = (1 << len(edges)) - 1
     start = 0 if idx is None else 1 << idx
     holders = set()
@@ -710,11 +768,18 @@ class _Whole:
     that is_consistent found consistent past the mask limit, its own one
     MCS, where entails calls decide. Only existence and one support reach
     this route.
+
+    premises and the joint variable order are each made once, when first
+    read, and `_route` reads them here to pick the route.
     """
 
-    def __init__(self, delta, alpha, max_models: int, max_kb: int, premises: _Premises | None):
+    def __init__(self, delta, alpha, max_models: int, max_kb: int):
         self.delta, self.alpha = delta, alpha
-        self.max_models, self.max_kb, self.premises = max_models, max_kb, premises
+        self.max_models, self.max_kb = max_models, max_kb
+
+    @functools.cached_property
+    def premises(self) -> _Premises | None:
+        return _fragment_premises(self.delta, self.alpha)
 
     @functools.cached_property
     def order(self) -> tuple[str, ...] | None:
@@ -762,17 +827,23 @@ def _route(delta, alpha, engine: str, max_models: int, max_kb: int, whole: bool)
     relevance (whole False) set the search up first, so they meet it
     before the signature base is built.
     """
-    search = None if whole else _Search(delta, alpha, engine, max_models, max_kb)
-    if engine != "generic":
-        premises = _fragment_premises(delta, alpha) if whole else None
-        if premises is not None:
-            return _Whole(delta, alpha, max_models, max_kb, premises)
+    if engine == "generic":
+        return _Search(delta, alpha, engine, max_models, max_kb)
+    if not whole:
+        search = _Search(delta, alpha, engine, max_models, max_kb)
         order = _mask_order(delta, alpha, max_models)
-        if order is not None:
-            return _KB(delta, alpha, order)
-        if whole and is_consistent(delta, engine=engine, max_models=max_models):
-            return _Whole(delta, alpha, max_models, max_kb, None)
-    return search or _Search(delta, alpha, engine, max_models, max_kb)
+        return search if order is None else _KB(delta, alpha, order)
+    route = _Whole(delta, alpha, max_models, max_kb)
+    # len(delta) is tested first, so a larger base makes its order only
+    # when its fragment compile or the next route needs it.
+    small = len(delta) <= 16 and route.order is not None and len(route.order) <= _SMALL_VARS
+    if not small and route.premises is not None:
+        return route
+    if route.order is not None:
+        return _KB(delta, alpha, route.order)
+    if is_consistent(delta, engine=engine, max_models=max_models):
+        return route
+    return _Search(delta, alpha, engine, max_models, max_kb)
 
 
 def arg_exists(

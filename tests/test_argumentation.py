@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from argcl import (
@@ -154,6 +154,44 @@ class TestArgExists:
         assert not arg_exists(delta, gamma(Constraint(T, ("y",))))
 
 
+# Wider than formulas._CNF_ARITY, in no fragment, and holding both constant
+# tuples, so that WIDE6 on one repeated variable is valid.
+WIDE6 = Relation("WIDE6", 6, frozenset(t for t in range(64) if t.bit_count() in (0, 1, 5, 6)))
+ARGCHECK_RELATIONS = (NAE3, ONE_IN_THREE, WIDE6, IMPL, OR2, NEQ, T, F)
+
+
+@st.composite
+def nonfragment_argchecks(draw):
+    """phi of 0-5 formulas, about one in four a repeat of an earlier one,
+    and a claim, over at most 6 variables and together in no fragment.
+    Arguments repeat freely, and one claim in four is valid: IMPL(v, v)
+    or WIDE6 on one variable."""
+    variables = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
+
+    def formula():
+        constraints = []
+        for _ in range(draw(st.integers(1, 2))):
+            relation = draw(st.sampled_from(ARGCHECK_RELATIONS))
+            args = tuple(draw(st.sampled_from(variables)) for _ in range(relation.arity))
+            constraints.append(Constraint(relation, args))
+        return GammaFormula(tuple(constraints))
+
+    phi = []
+    for _ in range(draw(st.integers(0, 5))):
+        repeat = phi and draw(st.integers(0, 3)) == 0
+        phi.append(draw(st.sampled_from(phi)) if repeat else formula())
+    v = draw(st.sampled_from(variables))
+    kind = draw(st.integers(0, 7))
+    if kind == 0:
+        alpha = gamma(Constraint(IMPL, (v, v)))
+    elif kind == 1:
+        alpha = gamma(Constraint(WIDE6, (v,) * 6))
+    else:
+        alpha = formula()
+    assume(logic._fragment(logic._relations([f.constraints for f in (*phi, alpha)])) == "generic")
+    return phi, alpha
+
+
 class TestArgcheck:
     def test_exact_argument(self):
         delta = [gamma(Constraint(IMPL, ("a", "b"))), gamma(Constraint(T, ("a",)))]
@@ -235,6 +273,75 @@ class TestArgcheck:
             assert argcheck(delta, alpha, engine="generic") == want
 
 
+    def test_outside_every_fragment_compiles_once(self, monkeypatch):
+        """phi and a claim in no fragment, inside the mask limit, are read
+        off one model-bitset compile over their joint variables, with no
+        is_consistent or entails call. Past a mask limit lowered to 1 the
+        same answers come from those calls, as under generic."""
+        # NAE3 lies in no fragment; with T(a) and T(b) it fixes c false,
+        # and each of the three is needed.
+        phi = [
+            gamma(Constraint(NAE3, ("a", "b", "c"))),
+            gamma(Constraint(T, ("a",))),
+            gamma(Constraint(T, ("b",))),
+        ]
+        claim = gamma(Constraint(F, ("c",)))
+        cases = (
+            (phi, claim, True),
+            (phi + [gamma(Constraint(IMPL, ("c", "d")))], claim, False),  # not minimal
+            (phi, gamma(Constraint(T, ("d",))), False),  # not entailed
+            (phi + [gamma(Constraint(T, ("c",)))], claim, False),  # inconsistent
+        )
+        built = []
+
+        class Counting(formulas._ModelBits):
+            def __init__(self, order):
+                built.append(order)
+                super().__init__(order)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("argcheck inside the mask limit called is_consistent or entails")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(argumentation, "_ModelBits", Counting)
+            patched.setattr(argumentation, "is_consistent", forbidden)
+            patched.setattr(argumentation, "entails", forbidden)
+            for premises, alpha, want in cases:
+                built.clear()
+                assert argcheck(premises, alpha) is want
+                assert built == [tuple(sorted(variables_of(premises) | alpha.variables))]
+        calls = []
+        is_consistent = argumentation.is_consistent
+
+        def spy(formulas, **kwargs):
+            calls.append(formulas)
+            return is_consistent(formulas, **kwargs)
+
+        monkeypatch.setattr(argumentation, "_MASK_LIMIT", 1)
+        monkeypatch.setattr(argumentation, "is_consistent", spy)
+        for premises, alpha, want in cases:
+            calls.clear()
+            assert argcheck(premises, alpha) is want
+            assert len(calls) == 1
+            assert argcheck(premises, alpha, engine="generic") is want
+
+    NAE = gamma(Constraint(NAE3, ("a", "b", "c")))
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(nonfragment_argchecks())
+    # Empty phi and a valid claim: the empty argument.
+    @example(([], gamma(Constraint(WIDE6, ("x",) * 6))))
+    # A valid claim needs no formula, so phi is not minimal.
+    @example(([NAE], gamma(Constraint(IMPL, ("a", "a")))))
+    # A repeated formula collapses; NAE3 is symmetric.
+    @example(([NAE, NAE], gamma(Constraint(NAE3, ("c", "b", "a")))))
+    def test_outside_every_fragment_matches_generic(self, instance):
+        phi, alpha = instance
+        want = argcheck(phi, alpha, engine="generic")
+        assert argcheck(phi, alpha) is want
+        assert want is naive_argcheck(phi, alpha)
+
+
 class TestFindMinimalSupport:
     def test_agrees_with_existence(self):
         rng = random.Random(8112)
@@ -274,7 +381,10 @@ class TestFindMinimalSupport:
 class TestOneCompile:
     """A consistent base in one fragment with its claim is compiled once
     into one engine: existence, verification and one support read
-    everything off it, and call neither is_consistent nor entails."""
+    everything off it, and call neither is_consistent nor entails. These
+    bases are small enough that existence and one support compile the
+    signature base instead (`TestRoute`), so those tests lower the bound
+    `_SMALL_VARS` to 0."""
 
     NAND2 = Relation("NAND2", 2, frozenset({0b00, 0b01, 0b10}))
     EVEN3 = Relation("EVEN3", 3, frozenset({0b000, 0b011, 0b101, 0b110}))
@@ -374,7 +484,8 @@ class TestOneCompile:
             assert len(engines) == 1
 
     @pytest.mark.parametrize("fragment", sorted(CASES))
-    def test_arg_exists(self, compiles, fragment):
+    def test_arg_exists(self, compiles, monkeypatch, fragment):
+        monkeypatch.setattr(argumentation, "_SMALL_VARS", 0)
         delta, (yes, _), no = self.CASES[fragment]
         for alpha, want in ((yes, True), (no, False)):
             compiles.clear()
@@ -382,7 +493,8 @@ class TestOneCompile:
             assert compiles == [fragment]
 
     @pytest.mark.parametrize("fragment", sorted(CASES))
-    def test_find_minimal_support(self, compiles, fragment):
+    def test_find_minimal_support(self, compiles, monkeypatch, fragment):
+        monkeypatch.setattr(argumentation, "_SMALL_VARS", 0)
         delta, (yes, support), no = self.CASES[fragment]
         for alpha, want in ((yes, Support(support)), (no, None)):
             compiles.clear()
@@ -409,6 +521,7 @@ class TestOneCompile:
         def forbidden(*args, **kwargs):
             raise AssertionError("an inconsistent fragment base left its compile")
 
+        monkeypatch.setattr(argumentation, "_SMALL_VARS", 0)
         monkeypatch.setattr(argumentation, "_KB", forbidden)
         monkeypatch.setattr(argumentation, "_Search", forbidden)
         delta, (yes, support), no = self.inconsistent(fragment)
@@ -1379,6 +1492,30 @@ class TestPeelSearch:
         assert [kb.relevant(i) for i in range(n)] == relevant
 
 
+@st.composite
+def small_inconsistent_fragment_bases(draw):
+    """Bases in one fragment with their claim (a language of
+    `TestRoute.FRAGMENT_LANGUAGES`, with T and F), made inconsistent by
+    1-3 contradicting pairs T(x), F(x): at most 12 formulas of 1-2
+    constraints over at most 8 variables, and a claim that may bring one
+    more, all inside the small route's bound."""
+    language = draw(st.sampled_from(TestRoute.FRAGMENT_LANGUAGES)) + (T, F)
+    variables = [f"x{i}" for i in range(draw(st.integers(1, 8)))]
+
+    def formula(pool):
+        constraints = []
+        for _ in range(draw(st.integers(1, 2))):
+            relation = draw(st.sampled_from(language))
+            args = tuple(draw(st.sampled_from(pool)) for _ in range(relation.arity))
+            constraints.append(Constraint(relation, args))
+        return GammaFormula(tuple(constraints))
+
+    pairs = draw(st.lists(st.sampled_from(variables), min_size=1, max_size=3, unique=True))
+    delta = [gamma(Constraint(unit, (v,))) for v in pairs for unit in (T, F)]
+    delta += [formula(variables) for _ in range(draw(st.integers(0, 6)))]
+    return draw(st.permutations(delta)), formula(variables + ["q"])
+
+
 class TestRoute:
     """Which route `_route` takes, and where max_kb binds."""
 
@@ -1397,8 +1534,11 @@ class TestRoute:
         self, fragment, n_vars, monkeypatch
     ):
         """Existence on a consistent base in a fragment with its claim is
-        in P, so it reads that one compile, inside the mask limit and
-        past it, and never reaches the signature base or subset search."""
+        in P, so above the small route's bound it reads that one compile,
+        inside the mask limit and past it, and never reaches the
+        signature base or subset search. The 5-variable base lies inside
+        the bound, which is lowered to 0 here; bases above the real bound
+        are pinned in `test_eps_valid_base_above_the_bound_never_builds_the_signature_base`."""
         names = [f"x{i:02d}" for i in range(n_vars)]
         delta = [gamma(Constraint(T, (v,))) for v in ("x00", "one")[: 1 + (fragment == "affine")]]
         delta += [gamma(self.LINKS[fragment](a, b)) for a, b in zip(names, names[1:])]
@@ -1408,6 +1548,7 @@ class TestRoute:
         no = gamma(Constraint(F if last else T, (names[-1],)))
         fits = _mask_order(delta, yes, DEFAULT_MAX_MODELS) is not None
         assert fits == (n_vars == 5)
+        monkeypatch.setattr(argumentation, "_SMALL_VARS", 0)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a consistent fragment base left its compile")
@@ -1472,6 +1613,133 @@ class TestRoute:
         answers(argumentation._Whole)
 
     @staticmethod
+    def bound_base(n_formulas, n_vars):
+        """T(x0), F(x0), the IMPL chain x0 -> ... -> x{n_vars - 1}, then
+        IMPL(x_i, x_{i+2}) for i = 0, 1, ... up to n_formulas: an
+        inconsistent Horn base over n_vars variables."""
+        names = [f"x{i}" for i in range(n_vars)]
+        delta = [gamma(Constraint(T, ("x0",))), gamma(Constraint(F, ("x0",)))]
+        delta += [gamma(Constraint(IMPL, pair)) for pair in zip(names, names[1:])]
+        delta += [gamma(Constraint(IMPL, pair)) for pair in zip(names, names[2:])]
+        assert len(delta) >= n_formulas
+        return delta[:n_formulas]
+
+    def test_small_base_reads_the_signature_base(self, monkeypatch):
+        """Existence and one support on a base of at most 16 formulas over
+        at most `_SMALL_VARS` variables, the claim's included, compile the
+        signature base straight away, with no fragment compile first; one
+        formula more, or one variable more, takes the fragment compile.
+        Both routes give the signature base's answers."""
+        small = argumentation._SMALL_VARS
+        last = f"x{small - 1}"
+        claims = [
+            gamma(Constraint(T, (last,))),  # T(x0) and the chain
+            gamma(Constraint(F, (last,))),  # no support
+            gamma(Constraint(IMPL, ("x0", last))),  # the chain alone
+        ]
+        cases = (
+            (self.bound_base(16, small), claims, _KB),
+            (self.bound_base(17, small), claims, argumentation._Whole),
+            (self.bound_base(16, small), [gamma(Constraint(T, ("y",)))], argumentation._Whole),
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a small base was compiled for its fragment")
+
+        for delta, alphas, route_type in cases:
+            for alpha in alphas:
+                order = _mask_order(delta, alpha, DEFAULT_MAX_MODELS)
+                kb = _KB(delta, alpha, order)
+                with monkeypatch.context() as patched:
+                    if route_type is _KB:
+                        patched.setattr(argumentation, "_Premises", forbidden)
+                    route = argumentation._route(
+                        delta, alpha, "auto", DEFAULT_MAX_MODELS, DEFAULT_MAX_KB, True
+                    )
+                    assert type(route) is route_type
+                    assert arg_exists(delta, alpha) is kb.exists()
+                    assert find_minimal_support(delta, alpha) == kb.first_support()
+        assert kb.exists() is False
+        assert arg_exists(cases[0][0], claims[0]) is True
+
+    # eps-valid languages of three fragments: ARG on each is in P.
+    EPS_VALID_LANGUAGES = (
+        (IMPL, TestOneCompile.NAND2, F),  # 0-valid, Horn
+        (IMPL, OR2, T),  # 1-valid, dual Horn
+        (EQ2, TestOneCompile.EVEN3),  # 0-valid, affine
+    )
+
+    @pytest.mark.parametrize("n_formulas, n_vars", [(17, 6), (12, 12)])
+    @pytest.mark.parametrize("language", range(len(EPS_VALID_LANGUAGES)))
+    def test_eps_valid_base_above_the_bound_never_builds_the_signature_base(
+        self, language, n_formulas, n_vars, monkeypatch
+    ):
+        """A base over an eps-valid Schaefer language is consistent, and
+        existence on it is in P. Above the small route's bound, by its
+        formulas or by its variables, existence and one support read its
+        one fragment compile and never build the signature base."""
+        relations = self.EPS_VALID_LANGUAGES[language]
+        assert classify_complexity(ConstraintLanguage(relations)).arg == "P"
+        rng = random.Random(3500 + 10 * language + n_vars)
+        names = [f"x{i:02d}" for i in range(n_vars)]
+        delta = []
+        for i in range(n_formulas):
+            relation = rng.choice(relations)
+            # Every variable is used: the i-th formula's first argument.
+            args = [names[i % n_vars]] + rng.sample(names, relation.arity - 1)
+            delta.append(gamma(Constraint(relation, tuple(args))))
+        # One claim copied from the base, one on fresh variables that no
+        # base entails, two at random.
+        claims = [gamma(rng.choice(delta).constraints[0])]
+        fresh = rng.choice(relations)
+        claims.append(gamma(Constraint(fresh, tuple(f"z{i}" for i in range(fresh.arity)))))
+        for _ in range(2):
+            relation = rng.choice(relations)
+            claims.append(gamma(Constraint(relation, tuple(rng.sample(names, relation.arity)))))
+        want = []
+        for alpha in claims:
+            order = _mask_order(delta, alpha, DEFAULT_MAX_MODELS)
+            assert len(delta) > 16 or len(order) > argumentation._SMALL_VARS
+            kb = _KB(delta, alpha, order)
+            want.append((kb.exists(), kb.first_support()))
+        assert {exists for exists, _ in want} == {True, False}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an eps-valid base above the bound left its compile")
+
+        for name in ("_KB", "_Search", "is_consistent", "entails"):
+            monkeypatch.setattr(argumentation, name, forbidden)
+        for alpha, (exists, support) in zip(claims, want):
+            assert arg_exists(delta, alpha) is exists
+            assert find_minimal_support(delta, alpha) == support
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(small_inconsistent_fragment_bases())
+    def test_small_inconsistent_base_matches_generic_and_the_fragment_route(self, instance):
+        """On small inconsistent bases in one fragment with their claim,
+        the signature base answers existence as the generic engine does,
+        and gives the one support the fragment route gives, reached with
+        the small route's bound lowered to 0."""
+        delta, alpha = instance
+        route = argumentation._route(
+            delta, alpha, "auto", DEFAULT_MAX_MODELS, DEFAULT_MAX_KB, True
+        )
+        assert type(route) is _KB
+        exists, support = arg_exists(delta, alpha), find_minimal_support(delta, alpha)
+        assert exists is arg_exists(delta, alpha, engine="generic")
+        assert (support is not None) is exists
+        if support is not None:
+            assert argcheck(support.formulas(delta), alpha, engine="generic")
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(argumentation, "_SMALL_VARS", 0)
+            route = argumentation._route(
+                delta, alpha, "auto", DEFAULT_MAX_MODELS, DEFAULT_MAX_KB, True
+            )
+            assert type(route) is argumentation._Whole
+            assert arg_exists(delta, alpha) is exists
+            assert find_minimal_support(delta, alpha) == support
+
+    @staticmethod
     def state_note_base(n, overlapping=False):
         """T(v00), F(v00) and IMPL formulas on fresh pairs, n in all: two
         MCSes over 2n - 3 variables. With `overlapping`, IMPL(v00, w) and
@@ -1531,7 +1799,9 @@ class TestRoute:
         it hands over at the first inconsistent node below the root, so it
         lists them only for one pair. Whichever route answers, inside the
         limit and past a limit lowered to 1, the answers are the signature
-        base's, and on up to 8 formulas the generic engine's."""
+        base's, and on up to 8 formulas the generic engine's. The small
+        route's bound is lowered to 0, so that these bases take the
+        fragment compile."""
         names = [f"x{i}" for i in range(pairs)]
         delta = [gamma(Constraint(unit, (v,))) for v in names for unit in (T, F)]
         delta += [gamma(Constraint(IMPL, (f"a{i}", f"b{i}"))) for i in range(fillers)]
@@ -1555,6 +1825,8 @@ class TestRoute:
         kbs = [_KB(delta, a, _mask_order(delta, a, DEFAULT_MAX_MODELS)) for a in claims]
         for fits in (True, False):
             with monkeypatch.context() as patched:
+                # Else the small route would answer from the signature base.
+                patched.setattr(argumentation, "_SMALL_VARS", 0)
                 if not fits:
                     patched.setattr(argumentation, "_MASK_LIMIT", 1)
                 for alpha, kb in zip(claims, kbs):
@@ -1581,7 +1853,9 @@ class TestRoute:
         and existence the generic engine's. Past a mask limit lowered to
         1 the search hands over only past its node cap, so it answers
         more bases; those are checked there too. Subset search, which
-        takes the others past the limit, is tested elsewhere."""
+        takes the others past the limit, is tested elsewhere. The small
+        route's bound is lowered to 0, so that these bases take the
+        fragment compile."""
         rng = random.Random(2323)
         answered = {True: 0, False: 0}
         seen = set()
@@ -1615,6 +1889,8 @@ class TestRoute:
                 if not (fits or done):
                     continue
                 with monkeypatch.context() as patched:
+                    # Else the small route would answer from the signature base.
+                    patched.setattr(argumentation, "_SMALL_VARS", 0)
                     if not fits:
                         patched.setattr(argumentation, "_MASK_LIMIT", 1)
                     assert arg_exists(delta, alpha) is exists

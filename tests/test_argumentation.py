@@ -272,7 +272,6 @@ class TestArgcheck:
             assert argcheck(delta, alpha) == want
             assert argcheck(delta, alpha, engine="generic") == want
 
-
     def test_outside_every_fragment_compiles_once(self, monkeypatch):
         """phi and a claim in no fragment, inside the mask limit, are read
         off one model-bitset compile over their joint variables, with no
@@ -313,9 +312,9 @@ class TestArgcheck:
         calls = []
         is_consistent = argumentation.is_consistent
 
-        def spy(formulas, **kwargs):
-            calls.append(formulas)
-            return is_consistent(formulas, **kwargs)
+        def spy(chosen, **kwargs):
+            calls.append(chosen)
+            return is_consistent(chosen, **kwargs)
 
         monkeypatch.setattr(argumentation, "_MASK_LIMIT", 1)
         monkeypatch.setattr(argumentation, "is_consistent", spy)
@@ -1537,8 +1536,8 @@ class TestRoute:
         in P, so above the small route's bound it reads that one compile,
         inside the mask limit and past it, and never reaches the
         signature base or subset search. The 5-variable base lies inside
-        the bound, which is lowered to 0 here; bases above the real bound
-        are pinned in `test_eps_valid_base_above_the_bound_never_builds_the_signature_base`."""
+        the bound, which is lowered to 0 here; the eps-valid test below
+        pins bases above the real bound."""
         names = [f"x{i:02d}" for i in range(n_vars)]
         delta = [gamma(Constraint(T, (v,))) for v in ("x00", "one")[: 1 + (fragment == "affine")]]
         delta += [gamma(self.LINKS[fragment](a, b)) for a, b in zip(names, names[1:])]

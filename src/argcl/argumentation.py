@@ -17,22 +17,23 @@ a cover test over those decides.
 
 Existence, one minimal support, all minimal supports and every other
 relevance query take the first of three routes that answers, picked once
-by `_route`:
+by `_route` for existence and one support and by `_all_route` for the
+others:
 
 1. The base's MCSes (`_Whole`), for existence and one support only. When
    the base and the claim lie in one tractable fragment, its one fragment
    compile finds the MCSes from the engine's conflicts, fewest formulas
    dropped first (`_corrections`), and the first that entails the claim
    answers; a consistent base is its own one MCS. This search visits at
-   most one node per formula below the base, and inside the mask limit
-   it stops at the first inconsistent one; then route 2 answers inside
-   the mask limit and route 3 past it. A small base, at most 16 formulas
-   over at most `_SMALL_VARS` variables with the claim's, skips this
-   route for route 2, which answers it in one compile whether or not it
-   is consistent. A base in no fragment is taken whole only past the mask
-   limit, when is_consistent finds it consistent, and entails calls
-   answer; inside the limit route 2 answers it with no enumeration, as a
-   consistent base's one MCS is itself.
+   most one node per formula below the base, and past that it hands
+   over: route 2 answers inside the mask limit and route 3 past it. A
+   small base, at most 16 formulas over at most `_SMALL_VARS` variables
+   with the claim's, skips this route for route 2, which answers it in
+   one compile whether or not it is consistent. A base in no fragment is
+   taken whole only past the mask limit, when is_consistent finds it
+   consistent, and entails calls answer; inside the limit route 2
+   answers it with no enumeration, as a consistent base's one MCS is
+   itself.
 2. The signature base (`_KB`), when the assignment space fits the mask
    limit: the base and the claim are compiled once into per-assignment
    signatures, the claim as one more bit, so every query is read off
@@ -684,7 +685,7 @@ class _Search:
         return any(idx in s for s in self.supports())
 
 
-def _corrections(engine, n: int, fits: bool) -> Iterator[int | None]:
+def _corrections(engine, n: int) -> Iterator[int | None]:
     """The minimal correction sets H of n formulas compiled one block each
     into engine: the sets whose complements ~H are the MCSes. They come
     level by level, fewest formulas first, and each level by descending
@@ -701,19 +702,8 @@ def _corrections(engine, n: int, fits: bool) -> Iterator[int | None]:
     consistent base is the root, with the one correction set 0.
 
     A None ends the list, and the caller hands over to the next route,
-    when a level would bring the nodes below the root past n. When the
-    base fits the mask limit (`fits`), the next route is the signature
-    base, which answers any base in one compile, so the search also hands
-    over at the first inconsistent node below the root, and no node joins
-    the next level: it answers only when each MCS leaves out one formula
-    of the root's conflict, at one engine check per MCS. Those checks
-    need only say whether a node is consistent (`consistent`), which on
-    the implication graph is its lockstep search with no core. A deeper tree
-    can cost far more checks than it finds MCSes: on the 10- to
-    14-formula bases of the 3-SAT reduction to NEQ the whole tree takes
-    20 to 108 checks (median 55) for 9 to 27 MCSes. Past the mask limit
-    only subset search is left, which tries up to 2**n subsets, so the
-    search goes on to n.
+    when a level would bring the nodes below the root past n, inside the
+    mask limit and past it alike.
     """
     core = engine.conflict()
     if core is None:
@@ -735,12 +725,6 @@ def _corrections(engine, n: int, fits: bool) -> Iterator[int | None]:
         level = {}
         consistent = []
         for h in fresh:
-            if fits:
-                if not engine.consistent(h):
-                    yield None
-                    return
-                consistent.append(h)
-                continue
             core = next((k for k in conflicts if not k & h), None)
             if core is None:
                 core = engine.conflict(h)
@@ -763,11 +747,11 @@ class _Whole:
     `premises` is the base's fragment compile with alpha, when delta and
     alpha lie in one tractable fragment: its engine finds the MCSes
     (`_corrections`) and decides entailment within each. When that search
-    hands over, the next route answers instead: `_KB` inside the mask
-    limit, `_Search` past it. premises is None for a base in no fragment
-    that is_consistent found consistent past the mask limit, its own one
-    MCS, where entails calls decide. Only existence and one support reach
-    this route.
+    spends its n nodes and hands over, the next route answers instead:
+    `_KB` inside the mask limit, `_Search` past it. premises is None for a
+    base in no fragment that is_consistent found consistent past the mask
+    limit, its own one MCS, where entails calls decide. Only existence and
+    one support reach this route.
 
     premises and the joint variable order are each made once, when first
     read, and `_route` reads them here to pick the route.
@@ -785,12 +769,6 @@ class _Whole:
     def order(self) -> tuple[str, ...] | None:
         return _mask_order(self.delta, self.alpha, self.max_models)
 
-    def _correction_sets(self) -> Iterator[int | None]:
-        engine = self.premises.engine
-        # fits matters only below an inconsistent root, so a consistent
-        # base needs no variable order.
-        return _corrections(engine, len(self.delta), engine.ok or self.order is not None)
-
     def _next(self):
         if self.order is not None:
             return _KB(self.delta, self.alpha, self.order)
@@ -799,7 +777,7 @@ class _Whole:
     def exists(self) -> bool:
         if self.premises is None:
             return entails(self.delta, self.alpha, max_models=self.max_models)
-        for h in self._correction_sets():
+        for h in _corrections(self.premises.engine, len(self.delta)):
             if h is None:
                 return self._next().exists()
             if _entailed(self.premises, h):
@@ -809,7 +787,7 @@ class _Whole:
     def first_support(self) -> Support | None:
         if self.premises is None:
             return _shrink_consistent(self.delta, self.alpha, self.max_models)
-        for h in self._correction_sets():
+        for h in _corrections(self.premises.engine, len(self.delta)):
             if h is None:
                 return self._next().first_support()
             support = _shrink_compiled(self.premises, len(self.delta), h)
@@ -818,21 +796,12 @@ class _Whole:
         return None
 
 
-def _route(delta, alpha, engine: str, max_models: int, max_kb: int, whole: bool):
+def _route(delta, alpha, engine: str, max_models: int, max_kb: int):
     """The first route, in the order the module docstring gives, that
-    answers the query.
-
-    whole is True for existence and one support, which the base's MCSes
-    answer. Those meet max_kb only on the subset search; all supports and
-    relevance (whole False) set the search up first, so they meet it
-    before the signature base is built.
-    """
+    answers existence and one support. These meet max_kb only on the
+    subset search."""
     if engine == "generic":
         return _Search(delta, alpha, engine, max_models, max_kb)
-    if not whole:
-        search = _Search(delta, alpha, engine, max_models, max_kb)
-        order = _mask_order(delta, alpha, max_models)
-        return search if order is None else _KB(delta, alpha, order)
     route = _Whole(delta, alpha, max_models, max_kb)
     # len(delta) is tested first, so a larger base makes its order only
     # when its fragment compile or the next route needs it.
@@ -844,6 +813,15 @@ def _route(delta, alpha, engine: str, max_models: int, max_kb: int, whole: bool)
     if is_consistent(delta, engine=engine, max_models=max_models):
         return route
     return _Search(delta, alpha, engine, max_models, max_kb)
+
+
+def _all_route(delta, alpha, engine: str, max_models: int, max_kb: int):
+    """The route of all supports and relevance: the subset search is set
+    up first, so that they meet max_kb before the signature base is
+    built, and the signature base answers under auto when it fits."""
+    search = _Search(delta, alpha, engine, max_models, max_kb)
+    order = None if engine == "generic" else _mask_order(delta, alpha, max_models)
+    return search if order is None else _KB(delta, alpha, order)
 
 
 def arg_exists(
@@ -864,7 +842,7 @@ def arg_exists(
             the subset search exceeds max_kb.
     """
     _check_engine(engine)
-    return _route(list(delta), alpha, engine, max_models, max_kb, True).exists()
+    return _route(list(delta), alpha, engine, max_models, max_kb).exists()
 
 
 def find_minimal_support(
@@ -892,7 +870,7 @@ def find_minimal_support(
             the subset search exceeds max_kb.
     """
     _check_engine(engine)
-    return _route(list(delta), alpha, engine, max_models, max_kb, True).first_support()
+    return _route(list(delta), alpha, engine, max_models, max_kb).first_support()
 
 
 def _shrink_consistent(
@@ -956,7 +934,7 @@ def enumerate_minimal_supports(
         BudgetExceededError: when len(delta) exceeds max_kb.
     """
     _check_engine(engine)
-    return _route(list(delta), alpha, engine, max_models, max_kb, False).minimal_supports()
+    return _all_route(list(delta), alpha, engine, max_models, max_kb).minimal_supports()
 
 
 def _psi_index(delta: Sequence[GammaFormula], psi: int | GammaFormula) -> int:
@@ -1132,7 +1110,7 @@ def argrel(
     if upward is not None:
         logger.debug("argrel: clause decomposition (upward=%s)", upward)
         return _argrel_monotone(delta, alpha, idx, upward)
-    return _route(delta, alpha, engine, max_models, max_kb, False).relevant(idx)
+    return _all_route(delta, alpha, engine, max_models, max_kb).relevant(idx)
 
 
 def classify_complexity(language: ConstraintLanguage) -> ComplexityReport:

@@ -28,8 +28,8 @@ it). The compile builds one engine over all of its caller-given blocks,
 and records the block that owns each clause or row. That engine decides
 consistency, answers each assumption check with any blocks masked out,
 and reports the core of a refutation: the blocks it used. With blocks
-masked out of inconsistent premises it also says whether the blocks left
-are consistent, and names the blocks of one conflict when they are not.
+masked out of inconsistent premises it also names the blocks of one
+conflict among the blocks left, or None when they are consistent.
 So the argumentation queries compile a base once, one block per formula,
 and read existence, verification and one minimal support off that one
 engine: a subset question masks the blocks left out, a formula outside
@@ -114,11 +114,10 @@ def negative_cnf_of(relation: Relation) -> tuple[Clause, ...]:
 # Each engine is built once over every block of its premises, recording the
 # block that owns each clause or row, and then answers any number of literal
 # sets with any blocks masked out. Block masks are ints, block i at bit i.
-# ok says whether all the premises are consistent; consistent(masked) says
-# whether the blocks left are, and conflict(masked) gives None if so and
-# otherwise the blocks of one conflict among them. sat and core are
-# defined where the blocks left are consistent, as every subset of a
-# consistent set is too.
+# ok says whether all the premises are consistent; conflict(masked) gives
+# None if the blocks left are, and otherwise the blocks of one conflict
+# among them. sat and core are defined where the blocks left are
+# consistent, as every subset of a consistent set is too.
 # ---------------------------------------------------------------------------
 
 # The count of a satisfied clause: no run of decrements brings it to 1.
@@ -266,9 +265,6 @@ class _UnitPropagation:
     def conflict(self, masked: int = 0) -> int | None:
         return self._state(masked)[2]
 
-    def consistent(self, masked: int = 0) -> bool:
-        return self._state(masked)[2] is None
-
     def sat(self, lits: list[int], masked: int = 0) -> bool:
         return self._refute(lits, masked) is None
 
@@ -327,10 +323,6 @@ class _ImplicationGraph:
         if lit is None:
             return None
         return self.core([lit], masked) | self.core([lit ^ 1], masked)
-
-    def consistent(self, masked: int = 0) -> bool:
-        """The lockstep search alone, with no core."""
-        return (_complementary_literal(self.succ, masked) if masked else self.first) is None
 
     def sat(self, lits: list[int], masked: int = 0) -> bool:
         return self._refute(lits, masked) is None
@@ -504,9 +496,6 @@ class _Gf2Elimination:
 
     def conflict(self, masked: int = 0) -> int | None:
         return self._state(masked)[1]
-
-    def consistent(self, masked: int = 0) -> bool:
-        return self._state(masked)[1] is None
 
     def core(self, lits: list[int], masked: int = 0) -> int | None:
         """The blocks one refutation of lits used, or None if satisfiable."""

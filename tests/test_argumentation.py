@@ -1556,7 +1556,7 @@ class TestRoute:
             monkeypatch.setattr(argumentation, name, forbidden)
         for alpha, want in ((yes, True), (no, False)):
             route = argumentation._route(
-                delta, alpha, "auto", DEFAULT_MAX_MODELS, DEFAULT_MAX_KB, True
+                delta, alpha, "auto", DEFAULT_MAX_MODELS, DEFAULT_MAX_KB
             )
             assert isinstance(route, argumentation._Whole)
             assert type(route.premises.engine) is logic._ENGINES[fragment]
@@ -1594,7 +1594,7 @@ class TestRoute:
         def answers(route_type):
             for alpha, (exists, support) in zip(claims, want):
                 route = argumentation._route(
-                    delta, alpha, "auto", DEFAULT_MAX_MODELS, DEFAULT_MAX_KB, True
+                    delta, alpha, "auto", DEFAULT_MAX_MODELS, DEFAULT_MAX_KB
                 )
                 assert type(route) is route_type
                 assert getattr(route, "premises", None) is None
@@ -1653,7 +1653,7 @@ class TestRoute:
                     if route_type is _KB:
                         patched.setattr(argumentation, "_Premises", forbidden)
                     route = argumentation._route(
-                        delta, alpha, "auto", DEFAULT_MAX_MODELS, DEFAULT_MAX_KB, True
+                        delta, alpha, "auto", DEFAULT_MAX_MODELS, DEFAULT_MAX_KB
                     )
                     assert type(route) is route_type
                     assert arg_exists(delta, alpha) is kb.exists()
@@ -1721,7 +1721,7 @@ class TestRoute:
         the small route's bound lowered to 0."""
         delta, alpha = instance
         route = argumentation._route(
-            delta, alpha, "auto", DEFAULT_MAX_MODELS, DEFAULT_MAX_KB, True
+            delta, alpha, "auto", DEFAULT_MAX_MODELS, DEFAULT_MAX_KB
         )
         assert type(route) is _KB
         exists, support = arg_exists(delta, alpha), find_minimal_support(delta, alpha)
@@ -1732,7 +1732,7 @@ class TestRoute:
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(argumentation, "_SMALL_VARS", 0)
             route = argumentation._route(
-                delta, alpha, "auto", DEFAULT_MAX_MODELS, DEFAULT_MAX_KB, True
+                delta, alpha, "auto", DEFAULT_MAX_MODELS, DEFAULT_MAX_KB
             )
             assert type(route) is argumentation._Whole
             assert arg_exists(delta, alpha) is exists
@@ -1792,15 +1792,14 @@ class TestRoute:
     )
     def test_contradicting_pairs(self, pairs, fillers, capped, monkeypatch):
         """k pairs T(x), F(x) and some IMPL formulas on fresh variables
-        have 2**k MCSes of equal size. Past the mask limit the engine lists
-        their complements in canonical order, unless the 2 + 4 + ... + 2**k
-        nodes below the root pass the number of formulas. Inside the limit
-        it hands over at the first inconsistent node below the root, so it
-        lists them only for one pair. Whichever route answers, inside the
-        limit and past a limit lowered to 1, the answers are the signature
-        base's, and on up to 8 formulas the generic engine's. The small
-        route's bound is lowered to 0, so that these bases take the
-        fragment compile."""
+        have 2**k MCSes of equal size. The engine lists their complements
+        in canonical order, unless the 2 + 4 + ... + 2**k nodes below the
+        root pass the number of formulas. Whichever route answers, inside
+        the limit and past a limit lowered to 1, the answers are the
+        signature base's, and on up to 8 formulas the generic engine's;
+        inside the limit an uncapped tree answers with no signature base.
+        The small route's bound is lowered to 0, so that these bases take
+        the fragment compile."""
         names = [f"x{i}" for i in range(pairs)]
         delta = [gamma(Constraint(unit, (v,))) for v in names for unit in (T, F)]
         delta += [gamma(Constraint(IMPL, (f"a{i}", f"b{i}"))) for i in range(fillers)]
@@ -1817,17 +1816,21 @@ class TestRoute:
             for picks in itertools.product((0, 1), repeat=pairs)
         ]
         listed = [full & ~m for m in argumentation._canonical(mcses)]
-        past = list(argumentation._corrections(engine, len(delta), False))
-        assert past == ([None] if capped else listed)
-        inside = list(argumentation._corrections(engine, len(delta), True))
-        assert inside == (listed if pairs == 1 else [None])
+        found = list(argumentation._corrections(engine, len(delta)))
+        assert found == ([None] if capped else listed)
         kbs = [_KB(delta, a, _mask_order(delta, a, DEFAULT_MAX_MODELS)) for a in claims]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an uncapped tree handed over to the signature base")
+
         for fits in (True, False):
             with monkeypatch.context() as patched:
                 # Else the small route would answer from the signature base.
                 patched.setattr(argumentation, "_SMALL_VARS", 0)
                 if not fits:
                     patched.setattr(argumentation, "_MASK_LIMIT", 1)
+                elif not capped:
+                    patched.setattr(argumentation, "_KB", forbidden)
                 for alpha, kb in zip(claims, kbs):
                     assert arg_exists(delta, alpha) is kb.exists()
                     assert find_minimal_support(delta, alpha) == kb.first_support()
@@ -1849,14 +1852,14 @@ class TestRoute:
         (1-3 contradicting pairs T(x), F(x) and up to six formulas more,
         which on every other base one plant satisfies), existence and one
         support under auto equal the signature base's, called directly,
-        and existence the generic engine's. Past a mask limit lowered to
-        1 the search hands over only past its node cap, so it answers
-        more bases; those are checked there too. Subset search, which
-        takes the others past the limit, is tested elsewhere. The small
-        route's bound is lowered to 0, so that these bases take the
-        fragment compile."""
+        and existence the generic engine's. Where the search lists every
+        MCS within its node cap, it lists the signature base's MCSes in
+        their order, and the answers are checked again past a mask limit
+        lowered to 1. Subset search, which takes the others past the
+        limit, is tested elsewhere. The small route's bound is lowered to
+        0, so that these bases take the fragment compile."""
         rng = random.Random(2323)
-        answered = {True: 0, False: 0}
+        answered = 0
         seen = set()
         for trial in range(200):
             language = ConstraintLanguage(self.FRAGMENT_LANGUAGES[trial % 4] + (T, F))
@@ -1882,11 +1885,14 @@ class TestRoute:
             assert kb.exists() is exists
             compiled = argumentation._fragment_premises(delta, alpha)
             assert compiled is not None and not compiled.engine.ok
-            for fits in (True, False):
-                done = None not in argumentation._corrections(compiled.engine, len(delta), fits)
-                answered[fits] += done
-                if not (fits or done):
-                    continue
+            listed = list(argumentation._corrections(compiled.engine, len(delta)))
+            done = None not in listed
+            answered += done
+            if done:
+                full = (1 << len(delta)) - 1
+                assert listed == [full & ~m for m in kb.mcs]
+                seen.add((type(compiled.engine).__name__, exists))
+            for fits in (True, False) if done else (True,):
                 with monkeypatch.context() as patched:
                     # Else the small route would answer from the signature base.
                     patched.setattr(argumentation, "_SMALL_VARS", 0)
@@ -1898,9 +1904,8 @@ class TestRoute:
                 assert (support is not None) is exists
                 if support is not None:
                     assert argcheck(support.formulas(delta), alpha, engine="generic")
-                if done:
-                    seen.add((type(compiled.engine).__name__, exists))
-        assert 20 <= answered[True] < answered[False] <= 160
+        # Some bases are answered by the search and some handed over.
+        assert 20 <= answered <= 160
         assert len(seen) == 6
 
     # 21 formulas over 8 variables: T(a) and F(a) make the base

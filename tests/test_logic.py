@@ -542,9 +542,8 @@ def test_cores_are_sound(language, data):
 def test_conflicts_are_sound_under_masks(language, data):
     """On an inconsistent base (0-8 unplanted formulas over p0..p7, and
     T(x) and F(x) at drawn places), with no blocks, some drawn blocks or
-    any one block masked: the engine's conflict is None, and consistent
-    True, iff the formulas left are consistent under enumeration, and a
-    conflict misses the mask
+    any one block masked: the engine's conflict is None iff the formulas
+    left are consistent under enumeration, and a conflict misses the mask
     and is inconsistent on its own formulas. Where the formulas left are
     consistent, sat on a drawn literal agrees with enumeration too."""
     variables = [f"p{i}" for i in range(8)]
@@ -572,9 +571,8 @@ def test_conflicts_are_sound_under_masks(language, data):
     masked = data.draw(st.integers(0, (1 << len(delta)) - 1))
     for mask in (0, masked, *(1 << i for i in range(len(delta)))):
         kept = [f for i, f in enumerate(delta) if not mask >> i & 1]
-        consistent = engine.consistent(mask)
         conflict = engine.conflict(mask)
-        assert (conflict is None) is consistent is is_consistent(kept, engine="generic")
+        assert (conflict is None) is is_consistent(kept, engine="generic")
         if conflict is None:
             assert engine.sat([lit], mask) is is_consistent(kept + [unit], engine="generic")
         else:
@@ -871,18 +869,17 @@ def two_cnfs(draw):
 @settings(max_examples=400, deadline=None, database=None)
 @given(two_cnfs(), st.data())
 def test_two_sat_consistency_matches_enumeration(blocks, data):
-    """ok agrees with enumeration, and so, with a drawn block mask, do
-    consistent and conflict on the blocks left; a conflict misses the
-    mask and is inconsistent on its own blocks."""
+    """ok agrees with enumeration, and so, with a drawn block mask, does
+    conflict on the blocks left; a conflict misses the mask and is
+    inconsistent on its own blocks."""
     engine = _Premises("bijunctive", blocks).engine
     assert isinstance(engine, logic._ImplicationGraph)
     formulas = [GammaFormula(tuple(b)) for b in blocks]
     assert engine.ok is naive_consistent(formulas)
     mask = data.draw(st.integers(0, (1 << len(blocks)) - 1))
     kept = [f for i, f in enumerate(formulas) if not mask >> i & 1]
-    consistent = engine.consistent(mask)
     conflict = engine.conflict(mask)
-    assert consistent is naive_consistent(kept) is (conflict is None)
+    assert naive_consistent(kept) is (conflict is None)
     if conflict is not None:
         assert not conflict & mask
         assert not naive_consistent([f for i, f in enumerate(formulas) if conflict >> i & 1])

@@ -114,14 +114,17 @@ _MASK_LIMIT = 1 << 20
 # Existence and one support on a base of at most 16 formulas (the subset
 # bitset's own bound) over at most this many variables, the claim's
 # included, compile the signature base (`_KB`) at once, with no fragment
-# compile first. Over 60 random Horn, 2-CNF and affine bases of 6-16
-# formulas per variable count, _KB took 1.3-1.5x the fragment route's
-# time on consistent bases at 6-11 variables and 1.8x at 12, and 0.5-0.6x
-# on inconsistent ones at 6-11 and 0.64x at 12, as those pay the fragment
-# compile before its MCS search hands over to _KB: an even mix breaks
-# even between 11 and 12. On kb-search's inconsistent 12-formula bases,
-# with two MCSes each, _KB took 0.61x at 10 variables, 0.74x at 11 and
-# 0.94x at 12 (medians per base, 2-core Xeon VM).
+# compile first. On the targets of reduction-sweep's four ARG kinds, all
+# inside this bound, arg_exists took 85-99 us per target with the bound
+# at 11 and 322-376 us with it at 0 (3-SAT to NEQ), 49-50 against 171-232
+# us (positive 1-in-3 to AND_NOT) and 24-34 against 31-43 us (the two
+# abduction kinds): there the fragment compile and its MCS tree cost more
+# than one _KB compile. Over 60 random Horn, 2-CNF and affine bases of
+# 6-16 formulas per variable count, _KB took 1.3-1.5x the fragment
+# route's time on consistent bases at 6-11 variables and 1.8x at 12. On
+# kb-search's inconsistent 12-formula bases, with two MCSes each, it took
+# 0.61x at 10 variables, 0.74x at 11 and 0.94x at 12 (the targets: means
+# over each kind, two runs; the bases: medians per base; 2-core Xeon VM).
 _SMALL_VARS = 11
 
 COMPLEXITY_CLASSES = (

@@ -5,18 +5,23 @@ entails the claim and is subset-minimal with that property. By
 monotonicity a support exists iff some maximal consistent subset (MCS) of
 the base entails the claim.
 
-Verification compiles phi once into one fragment engine when phi and the
-claim lie in one tractable fragment. Otherwise, under the "auto" engine
-and inside the mask limit, it builds each formula's models as one int
-over the joint assignments, and consistency, entailment and every
-one-formula removal are ANDs of those ints; past the limit it goes
-through is_consistent and entails. Under the "auto" engine, relevance on
-monotone languages is decided by clause decomposition, with no compile:
-point evaluations give the claim clauses each formula alone entails, and
-a cover test over those decides.
+Verification, outside the monotone case below, compiles phi once into
+one fragment engine when phi and the claim lie in one tractable
+fragment. Otherwise, under the "auto" engine and inside the mask limit,
+it builds each formula's models as one int over the joint assignments,
+and consistency, entailment and every one-formula removal are ANDs of
+those ints; past the limit it goes through is_consistent and entails.
 
-Existence, one minimal support, all minimal supports and every other
-relevance query take the first of three routes that answers, picked once
+Under the "auto" engine, an instance whose relations are all
+upward-closed or all downward-closed (monotone) is decided by clause
+covers (`_Covers`) for existence, one support, verification and
+relevance alike, with no compile: point evaluations give the claim
+clauses each formula alone entails, and tests on those bitmasks decide.
+The query's language report, read once, gives that test and the
+fragment.
+
+Otherwise existence, one minimal support, all minimal supports and
+relevance take the first of three routes that answers, picked once
 by `_route` for existence and one support and by `_all_route` for the
 others:
 
@@ -29,11 +34,12 @@ others:
    over: route 2 answers inside the mask limit and route 3 past it. A
    small base, at most 16 formulas over at most `_SMALL_VARS` variables
    with the claim's, skips this route for route 2, which answers it in
-   one compile whether or not it is consistent. A base in no fragment is
-   taken whole only past the mask limit, when is_consistent finds it
-   consistent, and entails calls answer; inside the limit route 2
-   answers it with no enumeration, as a consistent base's one MCS is
-   itself.
+   one compile whether or not it is consistent, unless its language is
+   eps-valid, so that the base is consistent and its fragment compile
+   answers with no search. A base in no fragment is taken whole only
+   past the mask limit, when is_consistent finds it consistent, and
+   entails calls answer; inside the limit route 2 answers it with no
+   enumeration, as a consistent base's one MCS is itself.
 2. The signature base (`_KB`), when the assignment space fits the mask
    limit: the base and the claim are compiled once into per-assignment
    signatures, the claim as one more bit, so every query is read off
@@ -69,7 +75,6 @@ from .formulas import (
     _LACKING_16,
     _ModelBits,
     _lacking,
-    satisfies,
     variables_of,
 )
 from .logic import (
@@ -84,7 +89,7 @@ from .logic import (
     is_consistent,
 )
 from .kernels import transpose_codes
-from .relations import ConstraintLanguage, language_properties
+from .relations import ConstraintLanguage, PropertyReport, language_properties
 
 __all__ = [
     "DEFAULT_MAX_KB",
@@ -119,12 +124,16 @@ _MASK_LIMIT = 1 << 20
 # at 11 and 322-376 us with it at 0 (3-SAT to NEQ), 49-50 against 171-232
 # us (positive 1-in-3 to AND_NOT) and 24-34 against 31-43 us (the two
 # abduction kinds): there the fragment compile and its MCS tree cost more
-# than one _KB compile. Over 60 random Horn, 2-CNF and affine bases of
-# 6-16 formulas per variable count, _KB took 1.3-1.5x the fragment
-# route's time on consistent bases at 6-11 variables and 1.8x at 12. On
-# kb-search's inconsistent 12-formula bases, with two MCSes each, it took
-# 0.61x at 10 variables, 0.74x at 11 and 0.94x at 12 (the targets: means
-# over each kind, two runs; the bases: medians per base; 2-core Xeon VM).
+# than one _KB compile. On kb-search's inconsistent 12-formula bases,
+# with two MCSes each, it took 0.61x at 10 variables, 0.74x at 11 and
+# 0.94x at 12. A base over an eps-valid language is consistent, so its
+# fragment compile answers with no MCS tree, and such bases skip this
+# bound: over 54 random ones (0-valid Horn, 1-valid dual Horn and 0-valid
+# affine languages, 6, 10 and 16 formulas at 6-11 variables, two claims
+# each), _KB took a median 1.26-1.34x the fragment route's time for
+# existence and 1.32-1.41x for one support, over three runs (the
+# targets: means over each kind, two runs; the bases: medians per base,
+# best of 5 per query; 2-core Xeon VM).
 _SMALL_VARS = 11
 
 COMPLEXITY_CLASSES = (
@@ -209,6 +218,12 @@ def argcheck(
     which is what gets checked. Duplicate formulas are collapsed first
     (set semantics).
 
+    Under the auto engine the language report of phi and alpha is read
+    once. When every relation is upward-closed, or every one
+    downward-closed, phi is consistent and its clause covers (`_Covers`)
+    decide, with no compile: phi is an argument iff its covers hold every
+    clause of alpha and each formula covers a clause no other does.
+
     When phi and alpha lie in one tractable fragment, phi is compiled
     once into one engine with one block per formula. Each refutation of
     one of alpha's clauses yields a core, the formulas that refutation
@@ -226,7 +241,10 @@ def argcheck(
     _check_engine(engine)
     formulas = _dedup(phi)
     if engine != "generic":
-        premises = _fragment_premises(formulas, alpha)
+        report = _language(formulas, alpha)
+        if report.positive or report.negative:
+            return _Covers(formulas, alpha, report.positive).argument()
+        premises = _fragment_premises(formulas, alpha, _fragment(report))
         if premises is not None:
             return _argcheck_compiled(premises, len(formulas))
         order = _mask_order(formulas, alpha, max_models)
@@ -290,16 +308,21 @@ def _argcheck_bits(formulas: Sequence[GammaFormula], alpha: GammaFormula, order)
     return True
 
 
+def _language(formulas: Sequence[GammaFormula], alpha: GammaFormula) -> PropertyReport:
+    """The report of the query's language, the relations of the formulas
+    and alpha (`language_properties`, cached per frozenset of them). A
+    query reads it once, for its route and its fragment alike."""
+    return language_properties(_relations([f.constraints for f in (*formulas, alpha)]))
+
+
 def _fragment_premises(
-    formulas: Sequence[GammaFormula], alpha: GammaFormula
+    formulas: Sequence[GammaFormula], alpha: GammaFormula, fragment: str
 ) -> _Premises | None:
-    """The formulas compiled one block each, with alpha, when they and
-    alpha lie in one tractable fragment; None otherwise."""
-    blocks = [f.constraints for f in formulas]
-    fragment = _fragment(_relations([*blocks, alpha.constraints]))
+    """The formulas compiled one block each, with alpha, for the fragment
+    that holds them and alpha (`_fragment`); None when it is "generic"."""
     if fragment == "generic":
         return None
-    return _Premises(fragment, blocks, alpha)
+    return _Premises(fragment, [f.constraints for f in formulas], alpha)
 
 
 def _mask_order(
@@ -688,6 +711,123 @@ class _Search:
         return any(idx in s for s in self.supports())
 
 
+def _monotone_clauses(alpha: GammaFormula) -> list[frozenset[str]]:
+    """The clauses of a claim over upward- or downward-closed relations as
+    variable sets, deduplicated keep-first. Every clause of such a claim
+    is positive, or every one negative, so its variables name it."""
+    clauses = {
+        frozenset(c.args[j] for j, _ in clause): None
+        for c in alpha.constraints
+        for clause in _literal_template(c.relation)
+    }
+    return list(clauses)
+
+
+class _Covers:
+    """A monotone instance, every relation upward-closed (upward) or every
+    one downward-closed, compiled into clause covers: the route of
+    existence, one support, verification and relevance under auto.
+
+    The claim is the conjunction of its prime-implicate clauses C_k
+    (`_monotone_clauses`), all positive or all negative, and the base is
+    consistent, as every relation holds at all-ones (all-zeros). Take
+    value = upward, and C_k's point: its variables at not-value, every
+    other variable at value. A conjunction of closed constraints entails
+    C_k iff one of them is false at that point: the point lies above
+    (below) every assignment that falsifies C_k, so it is a model if any
+    of those is. So a formula's
+    cover, the bitmask of the clauses it alone entails, takes one point
+    evaluation per constraint and clause that share a variable, and a set
+    of formulas entails the claim iff its covers OR to `full`. A
+    constraint off the claim's variables shares none and is skipped.
+
+    None of these queries compiles a fragment or enumerates assignments,
+    and max_models and max_kb do not bind.
+    """
+
+    def __init__(self, delta: Sequence[GammaFormula], alpha: GammaFormula, upward: bool):
+        clauses = _monotone_clauses(alpha)
+        self.full = (1 << len(clauses)) - 1
+        # The clauses each variable lies in, as a bitmask.
+        holding: dict[str, int] = {}
+        for k, clause in enumerate(clauses):
+            for v in clause:
+                holding[v] = holding.get(v, 0) | 1 << k
+        off_claim = holding.keys().isdisjoint
+        covers = []
+        for f in delta:
+            cover = 0
+            for c in f.constraints:
+                args = c.args
+                if off_claim(args):
+                    continue
+                arity, tuples = len(args), c.relation.tuples
+                held = [holding.get(a, 0) for a in args]
+                left = functools.reduce(operator.or_, held) & ~cover
+                # The point at value everywhere, first coordinate the MSB.
+                base = (1 << arity) - 1 if upward else 0
+                while left:
+                    low = left & -left
+                    left ^= low
+                    point = base
+                    for j, h in enumerate(held):
+                        if h & low:
+                            point ^= 1 << (arity - 1 - j)
+                    if point not in tuples:
+                        cover |= low
+            covers.append(cover)
+        self.covers = covers
+
+    @functools.cached_property
+    def after(self) -> list[int]:
+        """Entry i is the OR of the covers from formula i on; entry n is 0."""
+        return list(itertools.accumulate(reversed(self.covers), operator.or_, initial=0))[::-1]
+
+    def exists(self) -> bool:
+        """The base is consistent, so a support exists iff it entails the claim."""
+        return self.after[0] == self.full
+
+    def first_support(self) -> Support | None:
+        """Shrink the base, ascending, while the formulas left entail the
+        claim: formula i goes when those kept before it and every one
+        after it cover every clause."""
+        if not self.exists():
+            return None
+        kept, before = [], 0
+        for i, cover in enumerate(self.covers):
+            if before | self.after[i + 1] != self.full:
+                kept.append(i)
+                before |= cover
+        return Support(tuple(kept))
+
+    def argument(self) -> bool:
+        """argcheck on distinct formulas: they entail the claim, and none
+        can go, as each covers a clause that the others do not."""
+        if not self.exists():
+            return False
+        before = 0
+        for i, cover in enumerate(self.covers):
+            if before | self.after[i + 1] == self.full:
+                return False
+            before |= cover
+        return True
+
+    def relevant(self, idx: int) -> bool:
+        """Does some minimal support contain delta[idx]. For each clause
+        C_i, the candidate base keeps delta[idx] and every formula that
+        does not cover C_i; delta[idx] is relevant iff one candidate still
+        covers every clause."""
+        covers = self.covers
+        for i in range(self.full.bit_length()):
+            held = covers[idx]
+            for j, cover in enumerate(covers):
+                if j != idx and not cover >> i & 1:
+                    held |= cover
+            if held == self.full:
+                return True
+        return False
+
+
 def _corrections(engine, n: int) -> Iterator[int | None]:
     """The minimal correction sets H of n formulas compiled one block each
     into engine: the sets whose complements ~H are the MCSes. They come
@@ -756,17 +896,19 @@ class _Whole:
     limit, its own one MCS, where entails calls decide. Only existence and
     one support reach this route.
 
-    premises and the joint variable order are each made once, when first
-    read, and `_route` reads them here to pick the route.
+    premises, for the fragment `_route` read off the query's language, and
+    the joint variable order are each made once, when first read, and
+    `_route` reads them here to pick the route.
     """
 
-    def __init__(self, delta, alpha, max_models: int, max_kb: int):
+    def __init__(self, delta, alpha, max_models: int, max_kb: int, fragment: str):
         self.delta, self.alpha = delta, alpha
         self.max_models, self.max_kb = max_models, max_kb
+        self.fragment = fragment
 
     @functools.cached_property
     def premises(self) -> _Premises | None:
-        return _fragment_premises(self.delta, self.alpha)
+        return _fragment_premises(self.delta, self.alpha, self.fragment)
 
     @functools.cached_property
     def order(self) -> tuple[str, ...] | None:
@@ -802,13 +944,23 @@ class _Whole:
 def _route(delta, alpha, engine: str, max_models: int, max_kb: int):
     """The first route, in the order the module docstring gives, that
     answers existence and one support. These meet max_kb only on the
-    subset search."""
+    subset search. The query's language report is read once, for the
+    monotone test and the fragment."""
     if engine == "generic":
         return _Search(delta, alpha, engine, max_models, max_kb)
-    route = _Whole(delta, alpha, max_models, max_kb)
-    # len(delta) is tested first, so a larger base makes its order only
-    # when its fragment compile or the next route needs it.
-    small = len(delta) <= 16 and route.order is not None and len(route.order) <= _SMALL_VARS
+    report = _language(delta, alpha)
+    if report.positive or report.negative:
+        return _Covers(delta, alpha, report.positive)
+    route = _Whole(delta, alpha, max_models, max_kb, _fragment(report))
+    # An eps-valid base is consistent, and its fragment compile answers
+    # at any size. len(delta) is tested next, so a larger base makes its
+    # order only when its fragment compile or the next route needs it.
+    small = (
+        not report.eps_valid
+        and len(delta) <= 16
+        and route.order is not None
+        and len(route.order) <= _SMALL_VARS
+    )
     if not small and route.premises is not None:
         return route
     if route.order is not None:
@@ -838,7 +990,8 @@ def arg_exists(
     """Decide whether some consistent subset of delta entails alpha.
 
     A support exists iff some MCS of delta entails alpha; a consistent
-    base is its own one MCS.
+    base is its own one MCS. A monotone instance is consistent, and under
+    the auto engine its clause covers (`_Covers`) decide.
 
     Raises:
         BudgetExceededError: the instance exceeds the model budget, or
@@ -862,10 +1015,11 @@ def find_minimal_support(
     whole base when it is consistent, and otherwise the first entailing
     MCS in canonical MCS order (most formulas first, ties broken by the
     ascending bitmask of their indices), and removes indices in ascending
-    order whenever entailment survives. On the subset search (under the
-    generic engine, and past the mask limit for a base outside every
-    fragment or one whose MCS search hands over) it is the first support
-    in canonical subset order. The returned support always passes
+    order whenever entailment survives. A monotone instance is consistent,
+    and there clause covers (`_Covers`) decide each removal, with no
+    compile. On the subset search (under the generic engine, and past the
+    mask limit for a base outside every fragment or one whose MCS search
+    hands over) it is the first support in canonical subset order. The returned support always passes
     argcheck.
 
     Raises:
@@ -957,78 +1111,6 @@ def _psi_index(delta: Sequence[GammaFormula], psi: int | GammaFormula) -> int:
     return idx
 
 
-def _monotone_clauses(alpha: GammaFormula) -> list[frozenset[str]]:
-    """The clauses of a claim over upward- or downward-closed relations as
-    variable sets, deduplicated keep-first. Every clause of such a claim
-    is positive, or every one negative, so its variables name it."""
-    clauses: list[frozenset[str]] = []
-    for c in alpha.constraints:
-        for clause in _literal_template(c.relation):
-            lits = frozenset(c.args[j] for j, _ in clause)
-            if lits not in clauses:
-                clauses.append(lits)
-    return clauses
-
-
-def _cover(formula: GammaFormula, clauses: list[frozenset[str]], value: bool) -> int:
-    """The clauses the formula alone entails, as a bitmask over clauses.
-
-    The formula is upward-closed when value is True and downward-closed
-    when it is False. It then has a model with every clause variable at
-    not-value iff the point that sets them so and every other variable to
-    value is a model, so one evaluation decides each clause. A clause off
-    the formula's variables is never entailed, as relations are nonempty.
-    """
-    variables = formula.variables
-    cover = 0
-    for k, clause in enumerate(clauses):
-        if clause & variables:
-            point = {v: (v in clause) != value for v in variables}
-            if not all(satisfies(point, c) for c in formula.constraints):
-                cover |= 1 << k
-    return cover
-
-
-def _argrel_monotone(
-    delta: list[GammaFormula], alpha: GammaFormula, idx: int, upward: bool
-) -> bool:
-    """Relevance of delta[idx] over an upward-closed (upward) or
-    downward-closed language, by clause covers.
-
-    The claim is the conjunction of its positive (or negative) clauses
-    C_k, and a conjunction of such formulas entails C_k iff one conjunct
-    does. So each formula's cover is computed once, and the candidate
-    base for C_i, psi and every formula not covering C_i, entails the
-    claim iff its members' covers hold every clause.
-    """
-    clauses = _monotone_clauses(alpha)
-    claim = frozenset().union(*clauses)
-    # A formula off the claim clauses' variables covers none of them.
-    covers = [
-        _cover(f, clauses, upward)
-        if any(a in claim for c in f.constraints for a in c.args)
-        else 0
-        for f in delta
-    ]
-    full = (1 << len(clauses)) - 1
-    for i in range(len(clauses)):
-        held = covers[idx]
-        for j, cover in enumerate(covers):
-            if j != idx and not cover >> i & 1:
-                held |= cover
-        if held == full:
-            return True
-    return False
-
-
-def _direction(delta: list[GammaFormula], alpha: GammaFormula) -> bool | None:
-    """True if every relation of the instance is upward-closed, False if
-    every one is downward-closed, None otherwise, read off the language's
-    report; no relation is both (none is full)."""
-    props = language_properties(_relations([f.constraints for f in (*delta, alpha)]))
-    return props.positive if props.positive or props.negative else None
-
-
 def _argrel_closed(
     delta: Sequence[GammaFormula],
     alpha: GammaFormula,
@@ -1036,13 +1118,16 @@ def _argrel_closed(
     upward: bool,
     engine: str,
 ) -> bool:
-    """_argrel_monotone after checking the engine and `_direction`."""
+    """Relevance by clause covers (`_Covers`), after checking the engine
+    and that every relation of the instance is upward-closed (upward) or
+    every one downward-closed."""
     _check_engine(engine)
     delta = list(delta)
-    if _direction(delta, alpha) != upward:
+    report = _language(delta, alpha)
+    if not (report.positive if upward else report.negative):
         direction = "upward" if upward else "downward"
         raise PreconditionError(f"instance relations are not all {direction}-closed")
-    return _argrel_monotone(delta, alpha, _psi_index(delta, psi), upward)
+    return _Covers(delta, alpha, upward).relevant(_psi_index(delta, psi))
 
 
 def argrel_positive(
@@ -1062,8 +1147,8 @@ def argrel_positive(
     upward-closed formulas requires a single conjunct to entail it; by
     the same fact a candidate entails the claim iff each C_k is entailed
     by one of its formulas. Every test is one point evaluation of one
-    formula, under either engine, so no assignment space is enumerated
-    and max_models does not bind.
+    constraint (`_Covers`), under either engine, so no assignment space
+    is enumerated and max_models does not bind.
 
     Raises:
         PreconditionError: some relation in the instance is not
@@ -1099,8 +1184,9 @@ def argrel(
 
     psi may be given as an index into delta or as a formula (its first
     occurrence is used). Under the auto engine a monotone (upward- or
-    downward-closed) instance is decided by clause decomposition, as in
-    argrel_positive and argrel_negative, and max_kb does not bind there.
+    downward-closed) instance is decided by clause covers (`_Covers`), as
+    in argrel_positive and argrel_negative, the route of existence, one
+    support and verification there too, and max_kb does not bind there.
 
     Raises:
         BudgetExceededError: when len(delta) exceeds max_kb outside the
@@ -1109,10 +1195,11 @@ def argrel(
     _check_engine(engine)
     delta = list(delta)
     idx = _psi_index(delta, psi)
-    upward = None if engine == "generic" else _direction(delta, alpha)
-    if upward is not None:
-        logger.debug("argrel: clause decomposition (upward=%s)", upward)
-        return _argrel_monotone(delta, alpha, idx, upward)
+    if engine != "generic":
+        report = _language(delta, alpha)
+        if report.positive or report.negative:
+            logger.debug("argrel: clause covers (upward=%s)", report.positive)
+            return _Covers(delta, alpha, report.positive).relevant(idx)
     return _all_route(delta, alpha, engine, max_models, max_kb).relevant(idx)
 
 

@@ -12,8 +12,9 @@ assumption check per clause against that single compile.
 
 Per-relation work is done once per query: _relations collects the
 query's relations by identity, so each distinct relation is hashed once
-and not once per constraint, and _fragment reads the language report
-that relations.language_properties caches per language. The
+and not once per constraint, and _fragment reads the fragment off the
+language report that relations.language_properties caches per language.
+The
 compile, _Premises, then instantiates every constraint in one pass from
 its relation's literal template (the prime-implicate clauses as
 (coordinate, sign) pairs, cached per relation like cnf_of itself, and
@@ -56,6 +57,7 @@ from .formulas import (
 from .relations import (
     RELATION_CACHE_SIZE,
     Clause,
+    PropertyReport,
     Relation,
     _coord_mask,
     _literal_template,
@@ -726,10 +728,9 @@ def _relations(blocks: Iterable[Iterable[Constraint]]) -> frozenset[Relation]:
     return frozenset({id(c.relation): c.relation for block in blocks for c in block}.values())
 
 
-def _fragment(relations: frozenset[Relation]) -> str:
+def _fragment(report: PropertyReport) -> str:
     """The first tractable fragment holding every relation of a language,
-    or "generic", read off the language's cached report."""
-    report = language_properties(relations)
+    or "generic", read off the language's report (`language_properties`)."""
     for flag in ("horn", "dual_horn", "bijunctive", "affine"):
         if getattr(report, flag):
             return flag
@@ -770,10 +771,10 @@ def is_consistent(
         return True
     if engine == "generic":
         return _enumeration_sat(constraints, max_models)
-    relations = _relations([constraints])
-    if language_properties(relations).eps_valid:
+    report = language_properties(_relations([constraints]))
+    if report.eps_valid:
         return True
-    fragment = _fragment(relations)
+    fragment = _fragment(report)
     logger.debug("is_consistent via %s engine", fragment)
     if fragment == "generic":
         return _enumeration_sat(constraints, max_models)
@@ -802,9 +803,10 @@ def entails(
     """
     _check_engine(engine)
     premises = _as_constraints(phi)
-    fragment = (
-        "generic" if engine == "generic" else _fragment(_relations([premises, alpha.constraints]))
-    )
+    if engine == "generic":
+        fragment = "generic"
+    else:
+        fragment = _fragment(language_properties(_relations([premises, alpha.constraints])))
     if fragment == "generic":
         order = _model_order(
             {a for c in premises for a in c.args} | set(alpha.variables), max_models

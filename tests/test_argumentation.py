@@ -68,6 +68,12 @@ def or2(a, b):
     return gamma(Constraint(OR2, (a, b)))
 
 
+def fragment_premises(delta, alpha):
+    """The base's fragment compile with alpha, as `_route` makes it."""
+    fragment = logic._fragment(argumentation._language(delta, alpha))
+    return argumentation._fragment_premises(delta, alpha, fragment)
+
+
 class TestSupport:
     def test_indices_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
@@ -188,7 +194,7 @@ def nonfragment_argchecks(draw):
         alpha = gamma(Constraint(WIDE6, (v,) * 6))
     else:
         alpha = formula()
-    assume(logic._fragment(logic._relations([f.constraints for f in (*phi, alpha)])) == "generic")
+    assume(logic._fragment(argumentation._language(phi, alpha)) == "generic")
     return phi, alpha
 
 
@@ -214,23 +220,16 @@ class TestArgcheck:
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        """The deduplicated formulas each argcheck engine goes on with:
-        the fragment route's compile input under auto, the consistency
-        check's under generic."""
+        """The deduplicated formulas argcheck dispatches on, one list per
+        call, whichever route then answers and under either engine."""
         seen = []
-        fragment_premises = argumentation._fragment_premises
-        is_consistent = argumentation.is_consistent
+        dedup = argumentation._dedup
 
-        def spy_premises(formulas, alpha):
-            seen.append(formulas)
-            return fragment_premises(formulas, alpha)
+        def spy(formulas):
+            seen.append(dedup(formulas))
+            return seen[-1]
 
-        def spy_consistent(formulas, **kwargs):
-            seen.append(formulas)
-            return is_consistent(formulas, **kwargs)
-
-        monkeypatch.setattr(argumentation, "_fragment_premises", spy_premises)
-        monkeypatch.setattr(argumentation, "is_consistent", spy_consistent)
+        monkeypatch.setattr(argumentation, "_dedup", spy)
         return seen
 
     @pytest.mark.parametrize("engine", ["auto", "generic"])
@@ -651,13 +650,16 @@ MONOTONE_LANGUAGES = {
 
 @st.composite
 def monotone_instances(draw):
-    """1-6 formulas of one or two constraints over p0..p3, in an upward- or
-    downward-closed language, so arguments often repeat; some formulas are
-    copies of earlier ones. A claim of 1-3 constraints over p0..p3 and q0,
-    which no premise mentions, and the index of psi."""
+    """1-6 formulas of one or two constraints over p0..p3, or 17-40 over
+    p0..p9, in an upward- or downward-closed language, so arguments often
+    repeat; some formulas are copies of earlier ones. A claim of 1-3
+    constraints over the premise variables and q0, which no premise
+    mentions, and the index of psi. Last a phi of 0-6 formulas, each
+    a base formula or, as often, one of the claim's constraints alone."""
     upward = draw(st.booleans())
     language = MONOTONE_LANGUAGES[upward]
-    premise_vars = [f"p{i}" for i in range(4)]
+    large = draw(st.booleans())
+    premise_vars = [f"p{i}" for i in range(10 if large else 4)]
 
     def formula(variables, size):
         constraints = []
@@ -668,11 +670,17 @@ def monotone_instances(draw):
         return GammaFormula(tuple(constraints))
 
     delta = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(17, 40) if large else st.integers(1, 6))):
         copy = delta and draw(st.integers(0, 4)) == 0
         delta.append(draw(st.sampled_from(delta)) if copy else formula(premise_vars, 2))
     alpha = formula(premise_vars + ["q0"], 3)
-    return upward, delta, alpha, draw(st.integers(0, len(delta) - 1))
+    psi = draw(st.integers(0, len(delta) - 1))
+    sources = (delta, [gamma(c) for c in alpha.constraints])
+    phi = [
+        draw(st.sampled_from(sources[draw(st.integers(0, 1))]))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    return upward, delta, alpha, psi, phi
 
 
 class TestMonotoneArgrel:
@@ -746,12 +754,46 @@ class TestMonotoneArgrel:
     @settings(max_examples=400, deadline=None, database=None)
     @given(monotone_instances())
     def test_covers_match_generic(self, instance):
-        upward, delta, alpha, psi = instance
-        want = argrel(delta, alpha, psi, engine="generic")
-        assert argrel(delta, alpha, psi) == want
+        """Every query the clause covers answer agrees with the generic
+        engine, and the one support is the fragment route's, reached with
+        the monotone test patched off. On the 17-40 formula bases, out of
+        the generic subset search's reach, existence is checked against
+        the base's generic entailment, as a monotone base is consistent,
+        and relevance against the signature base with max_kb raised."""
+        upward, delta, alpha, psi, phi = instance
+        assert is_consistent(delta, engine="generic")
+        if len(delta) <= 6:
+            exists = arg_exists(delta, alpha, engine="generic")
+            relevant = argrel(delta, alpha, psi, engine="generic")
+        else:
+            exists = logic.entails(delta, alpha, engine="generic")
+            relevant = None
+        assert arg_exists(delta, alpha) is exists
+        assert argcheck(phi, alpha) is argcheck(phi, alpha, engine="generic")
+        support = find_minimal_support(delta, alpha)
+        assert (support is not None) is exists
+        if support is not None:
+            chosen = support.formulas(delta)
+            assert argcheck(chosen, alpha) is argcheck(chosen, alpha, engine="generic") is True
+        language = argumentation._language
+
+        def not_monotone(formulas, claim):
+            return dataclasses.replace(language(formulas, claim), positive=False, negative=False)
+
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(argumentation, "_language", not_monotone)
+            patched.setattr(argumentation, "_SMALL_VARS", 0)
+            route = argumentation._route(
+                delta, alpha, "auto", DEFAULT_MAX_MODELS, DEFAULT_MAX_KB
+            )
+            assert type(route) is argumentation._Whole
+            assert find_minimal_support(delta, alpha) == support
+            if relevant is None:
+                relevant = argrel(delta, alpha, psi, max_kb=len(delta))
+        assert argrel(delta, alpha, psi) is relevant
         public = argrel_positive if upward else argrel_negative
-        assert public(delta, alpha, psi) == want
-        assert public(delta, alpha, psi, engine="generic") == want
+        assert public(delta, alpha, psi) is relevant
+        assert public(delta, alpha, psi, engine="generic") is relevant
 
     def test_no_compile_and_no_oracle(self, monkeypatch):
         # psi = 0 is relevant to the first claim of each direction only.
@@ -797,11 +839,67 @@ class TestMonotoneArgrel:
             monkeypatch.setattr(module, name, counting(f"{module.__name__}.{name}"))
         for upward, (delta, claims) in cases.items():
             public = argrel_positive if upward else argrel_negative
-            for alpha, want in claims:
+            # The one support of each claim, the shrink of the whole base;
+            # the second formula fixes c, and alone supports the second.
+            supports = [Support((0,)), Support((2,))]
+            for (alpha, want), support in zip(claims, supports):
                 assert argrel(delta, alpha, 0) is want
                 for engine in ("auto", "generic"):
                     assert public(delta, alpha, 0, engine=engine) is want
+                assert arg_exists(delta, alpha) is True
+                assert find_minimal_support(delta, alpha) == support
+                assert argcheck(support.formulas(delta), alpha) is True
+                assert argcheck(delta, alpha) is False
+                assert argcheck(delta[1:2], alpha) is not want
         assert calls == []
+
+    def test_point_evaluations_grow_linearly(self):
+        """Existence, one support and verification on positive bases of
+        100 to 6400 formulas make a number of point evaluations linear in
+        the base, counted as membership tests on the relation's tuples.
+        Half of each base is an OR2 chain on x0, x1, ..., and the other
+        half OR2 formulas on fresh variables; the claim holds every
+        second link of the chain, a clause per four formulas. Each chain
+        link meets at most two claim clauses, so it takes at most two
+        evaluations, and each fresh formula none, where testing every
+        formula against every clause would take a number quadratic in the
+        base."""
+        evaluations = 0
+
+        class Counting(frozenset):
+            def __contains__(self, item):
+                nonlocal evaluations
+                evaluations += 1
+                return frozenset.__contains__(self, item)
+
+        counted = Relation("OR2_COUNTED", 2, OR2.tuples)
+        object.__setattr__(counted, "tuples", Counting(counted.tuples))
+
+        def link(a, b):
+            return gamma(Constraint(counted, (a, b)))
+
+        per_formula = []
+        for n in (100, 200, 400, 800, 1600, 3200, 6400):
+            chain = [link(f"x{i}", f"x{i + 1}") for i in range(n // 2)]
+            fresh = [link(f"y{i}", f"z{i}") for i in range(n // 2)]
+            delta = chain + fresh
+            alpha = gamma(*(f.constraints[0] for f in chain[::2]))
+            support = Support(range(0, n // 2, 2))
+            # Warm the per-relation caches, whose first fill reads the tuples.
+            arg_exists(delta, alpha)
+            counts = []
+            for query, want in (
+                (lambda: arg_exists(delta, alpha), True),
+                (lambda: find_minimal_support(delta, alpha), support),
+                (lambda: argcheck(support.formulas(delta), alpha), True),
+            ):
+                evaluations = 0
+                assert query() == want
+                counts.append(evaluations)
+            # Each support link is evaluated, and no link more than twice.
+            assert n // 4 <= min(counts) and max(counts) <= n
+            per_formula.append(counts[0] / n)
+        assert max(per_formula) - min(per_formula) < 0.01
 
 
 KB_RELATIONS = (NEQ, IMPL, OR2, EQ2, AND_NOT, NAE3, ONE_IN_THREE, T, F)
@@ -1668,15 +1766,10 @@ class TestRoute:
         (EQ2, TestOneCompile.EVEN3),  # 0-valid, affine
     )
 
-    @pytest.mark.parametrize("n_formulas, n_vars", [(17, 6), (12, 12)])
-    @pytest.mark.parametrize("language", range(len(EPS_VALID_LANGUAGES)))
-    def test_eps_valid_base_above_the_bound_never_builds_the_signature_base(
-        self, language, n_formulas, n_vars, monkeypatch
-    ):
-        """A base over an eps-valid Schaefer language is consistent, and
-        existence on it is in P. Above the small route's bound, by its
-        formulas or by its variables, existence and one support read its
-        one fragment compile and never build the signature base."""
+    def eps_valid_base(self, language, n_formulas, n_vars):
+        """A random base over the language, every one of n_vars variables
+        used, with one claim copied from the base, one on fresh variables
+        that no base entails, and two at random."""
         relations = self.EPS_VALID_LANGUAGES[language]
         assert classify_complexity(ConstraintLanguage(relations)).arg == "P"
         rng = random.Random(3500 + 10 * language + n_vars)
@@ -1687,30 +1780,68 @@ class TestRoute:
             # Every variable is used: the i-th formula's first argument.
             args = [names[i % n_vars]] + rng.sample(names, relation.arity - 1)
             delta.append(gamma(Constraint(relation, tuple(args))))
-        # One claim copied from the base, one on fresh variables that no
-        # base entails, two at random.
         claims = [gamma(rng.choice(delta).constraints[0])]
         fresh = rng.choice(relations)
         claims.append(gamma(Constraint(fresh, tuple(f"z{i}" for i in range(fresh.arity)))))
         for _ in range(2):
             relation = rng.choice(relations)
             claims.append(gamma(Constraint(relation, tuple(rng.sample(names, relation.arity)))))
+        return delta, claims
+
+    @staticmethod
+    def answers_from_the_compile(delta, claims, monkeypatch):
+        """Existence and one support equal the signature base's, with the
+        signature base, subset search and the two oracles patched to
+        raise."""
         want = []
         for alpha in claims:
-            order = _mask_order(delta, alpha, DEFAULT_MAX_MODELS)
-            assert len(delta) > 16 or len(order) > argumentation._SMALL_VARS
-            kb = _KB(delta, alpha, order)
+            kb = _KB(delta, alpha, _mask_order(delta, alpha, DEFAULT_MAX_MODELS))
             want.append((kb.exists(), kb.first_support()))
         assert {exists for exists, _ in want} == {True, False}
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("an eps-valid base above the bound left its compile")
+            raise AssertionError("an eps-valid base left its compile")
 
         for name in ("_KB", "_Search", "is_consistent", "entails"):
             monkeypatch.setattr(argumentation, name, forbidden)
         for alpha, (exists, support) in zip(claims, want):
             assert arg_exists(delta, alpha) is exists
             assert find_minimal_support(delta, alpha) == support
+
+    @pytest.mark.parametrize("n_formulas, n_vars", [(17, 6), (12, 12)])
+    @pytest.mark.parametrize("language", range(len(EPS_VALID_LANGUAGES)))
+    def test_eps_valid_base_above_the_bound_never_builds_the_signature_base(
+        self, language, n_formulas, n_vars, monkeypatch
+    ):
+        """A base over an eps-valid Schaefer language is consistent, and
+        existence on it is in P. Above the small route's bound, by its
+        formulas or by its variables, existence and one support read its
+        one fragment compile and never build the signature base."""
+        delta, claims = self.eps_valid_base(language, n_formulas, n_vars)
+        for alpha in claims:
+            order = _mask_order(delta, alpha, DEFAULT_MAX_MODELS)
+            assert len(delta) > 16 or len(order) > argumentation._SMALL_VARS
+        self.answers_from_the_compile(delta, claims, monkeypatch)
+
+    @pytest.mark.parametrize("n_formulas, n_vars", [(6, 6), (16, 11)])
+    @pytest.mark.parametrize("language", range(len(EPS_VALID_LANGUAGES)))
+    def test_small_eps_valid_base_takes_its_fragment_compile(
+        self, language, n_formulas, n_vars, monkeypatch
+    ):
+        """Inside the small route's bound too, existence and one support
+        on an eps-valid Schaefer base read its fragment compile, which
+        answers with no MCS search, as the base is consistent; over such
+        bases the signature base took a median 1.3x its time."""
+        delta, claims = self.eps_valid_base(language, n_formulas, n_vars)
+        # The second claim's fresh variables may take it past the bound.
+        for alpha in claims[:1] + claims[2:]:
+            order = _mask_order(delta, alpha, DEFAULT_MAX_MODELS)
+            assert len(order) <= argumentation._SMALL_VARS
+            route = argumentation._route(
+                delta, alpha, "auto", DEFAULT_MAX_MODELS, DEFAULT_MAX_KB
+            )
+            assert type(route) is argumentation._Whole
+        self.answers_from_the_compile(delta, claims, monkeypatch)
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(small_inconsistent_fragment_bases())
@@ -1808,7 +1939,7 @@ class TestRoute:
             gamma(Constraint(T, ("x0",))),
             gamma(Constraint(T, ("y",))),
         ]
-        engine = argumentation._fragment_premises(delta, claims[0]).engine
+        engine = fragment_premises(delta, claims[0]).engine
         full = (1 << len(delta)) - 1
         rest = full & ~((1 << 2 * pairs) - 1)
         mcses = [
@@ -1883,7 +2014,7 @@ class TestRoute:
             kb = _KB(delta, alpha, _mask_order(delta, alpha, DEFAULT_MAX_MODELS))
             exists = arg_exists(delta, alpha, engine="generic")
             assert kb.exists() is exists
-            compiled = argumentation._fragment_premises(delta, alpha)
+            compiled = fragment_premises(delta, alpha)
             assert compiled is not None and not compiled.engine.ok
             listed = list(argumentation._corrections(compiled.engine, len(delta)))
             done = None not in listed

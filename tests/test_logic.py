@@ -30,6 +30,7 @@ from argcl import (
     enumerate_minimal_supports,
     find_minimal_support,
     is_consistent,
+    language_properties,
     negative_cnf_of,
     positive_cnf_of,
     relation_properties,
@@ -512,7 +513,7 @@ def test_cores_are_sound(language, data):
     masked = data.draw(st.integers(0, (1 << len(delta)) - 1))
     relations = frozenset(c.relation for f in (*delta, alpha) for c in f.constraints)
     blocks = [f.constraints for f in delta]
-    premises = _Premises(_fragment(relations), blocks, alpha)
+    premises = _Premises(_fragment(language_properties(relations)), blocks, alpha)
     engine = premises.engine
     assert engine.ok
     names = first_occurrence(blocks)
@@ -561,7 +562,8 @@ def test_conflicts_are_sound_under_masks(language, data):
     x = data.draw(st.sampled_from(variables))
     for unit in (T, F):
         delta.insert(data.draw(st.integers(0, len(delta))), gamma(Constraint(unit, (x,))))
-    fragment = _fragment(frozenset(c.relation for f in delta for c in f.constraints))
+    relations = frozenset(c.relation for f in delta for c in f.constraints)
+    fragment = _fragment(language_properties(relations))
     blocks = [f.constraints for f in delta]
     engine = _Premises(fragment, blocks).engine
     assert not engine.ok
@@ -623,7 +625,7 @@ def test_relation_caches_are_bounded():
     shapes = (OR2.tuples, NAND2.tuples, NEQ.tuples)
     for i in range(1000):
         relation = Relation(f"FRESH{i}", 2, shapes[i % 3])
-        _fragment(frozenset({relation, T}))
+        _fragment(language_properties(frozenset({relation, T})))
         truth_table(relation)
         relation_properties(relation)
         cnf_of(relation)
@@ -644,8 +646,8 @@ def test_fragment_cache_matches_the_uncached_choice():
             reports = [relation_properties(r) for r in language]
             flags = ("horn", "dual_horn", "bijunctive", "affine")
             want = next((f for f in flags if all(getattr(p, f) for p in reports)), "generic")
-            assert _fragment(frozenset(language)) == want
-            assert _fragment(frozenset(reversed(language))) == want
+            assert _fragment(language_properties(frozenset(language))) == want
+            assert _fragment(language_properties(frozenset(reversed(language)))) == want
 
 
 @pytest.mark.parametrize("fragment", ["horn", "affine", "generic"])
@@ -668,11 +670,16 @@ def test_relation_hashes_do_not_grow_with_the_base(fragment):
         ]
 
     alpha = gamma(Constraint(relations[0], ("x0", "x1")))
+
+    def compile_base(delta):
+        fragment = _fragment(argumentation._language(delta, alpha))
+        argumentation._fragment_premises(delta, alpha, fragment)
+
     hash_of = Relation.__hash__
     counts = []
     for size in (20, 160):
         delta = base(size)
-        argumentation._fragment_premises(delta, alpha)
+        compile_base(delta)
         hashes = []
 
         def counting(relation):
@@ -680,7 +687,7 @@ def test_relation_hashes_do_not_grow_with_the_base(fragment):
             return hash_of(relation)
 
         with mock.patch.object(Relation, "__hash__", counting):
-            argumentation._fragment_premises(delta, alpha)
+            compile_base(delta)
             if fragment != "generic":
                 is_consistent(delta)
                 entails(delta, alpha)

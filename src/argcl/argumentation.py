@@ -816,9 +816,10 @@ class _Covers:
         """Does some minimal support contain delta[idx]. For each clause
         C_i, the candidate base keeps delta[idx] and every formula that
         does not cover C_i; delta[idx] is relevant iff one candidate still
-        covers every clause."""
+        covers every clause. Only the clauses delta[idx] covers are tried,
+        as no other member of C_i's candidate covers C_i."""
         covers = self.covers
-        for i in range(self.full.bit_length()):
+        for i in _members(covers[idx]):
             held = covers[idx]
             for j, cover in enumerate(covers):
                 if j != idx and not cover >> i & 1:

@@ -854,9 +854,10 @@ class TestMonotoneArgrel:
         assert calls == []
 
     def test_point_evaluations_grow_linearly(self):
-        """Existence, one support and verification on positive bases of
-        100 to 6400 formulas make a number of point evaluations linear in
-        the base, counted as membership tests on the relation's tuples.
+        """Existence, one support, verification and relevance on positive
+        bases of 100 to 6400 formulas make a number of point evaluations
+        linear in the base, counted as membership tests on the relation's
+        tuples.
         Half of each base is an OR2 chain on x0, x1, ..., and the other
         half OR2 formulas on fresh variables; the claim holds every
         second link of the chain, a clause per four formulas. Each chain
@@ -892,6 +893,8 @@ class TestMonotoneArgrel:
                 (lambda: arg_exists(delta, alpha), True),
                 (lambda: find_minimal_support(delta, alpha), support),
                 (lambda: argcheck(support.formulas(delta), alpha), True),
+                (lambda: argrel(delta, alpha, 0), True),
+                (lambda: argrel(delta, alpha, n - 1), False),
             ):
                 evaluations = 0
                 assert query() == want

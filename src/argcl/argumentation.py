@@ -735,11 +735,11 @@ class _Covers:
     other variable at value. A conjunction of closed constraints entails
     C_k iff one of them is false at that point: the point lies above
     (below) every assignment that falsifies C_k, so it is a model if any
-    of those is. So a formula's
-    cover, the bitmask of the clauses it alone entails, takes one point
-    evaluation per constraint and clause that share a variable, and a set
-    of formulas entails the claim iff its covers OR to `full`. A
-    constraint off the claim's variables shares none and is skipped.
+    of those is. So a formula's cover, the bitmask of the clauses it
+    alone entails, takes one point evaluation per constraint and clause
+    that share a variable, and a set of formulas entails the claim iff
+    its covers OR to `full`. A constraint off the claim's variables
+    shares none and is skipped.
 
     None of these queries compiles a fragment or enumerates assignments,
     and max_models and max_kb do not bind.

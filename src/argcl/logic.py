@@ -14,8 +14,7 @@ Per-relation work is done once per query: _relations collects the
 query's relations by identity, so each distinct relation is hashed once
 and not once per constraint, and _fragment reads the fragment off the
 language report that relations.language_properties caches per language.
-The
-compile, _Premises, then instantiates every constraint in one pass from
+The compile, _Premises, then instantiates every constraint in one pass from
 its relation's literal template (the prime-implicate clauses as
 (coordinate, sign) pairs, cached per relation like cnf_of itself, and
 fetched once per compile for each relation it meets, looked up by

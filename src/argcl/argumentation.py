@@ -226,10 +226,14 @@ def argcheck(
 
     When phi and alpha lie in one tractable fragment, phi is compiled
     once into one engine with one block per formula. Each refutation of
-    one of alpha's clauses yields a core, the formulas that refutation
-    used. A formula in no core can go with every refutation intact, so
-    phi is not minimal. Otherwise each formula is masked out in turn and
-    only the refutations whose core holds it are tried again.
+    one of alpha's clauses, or on the affine fragment of one of its GF(2)
+    rows, yields a core, the formulas that refutation used. A formula in
+    no core can go with every refutation intact, so phi is not minimal.
+    When phi's rows are independent (engine.exact), each affine core is
+    the one set of formulas whose rows sum to the refuted row, so every
+    formula in a core is needed and phi is an argument. Otherwise each
+    formula is masked out in turn and only the refutations whose core
+    holds it are tried again.
 
     Otherwise the auto engine, inside the mask limit, compiles each
     formula and alpha once into its models over the joint variables
@@ -267,22 +271,26 @@ def _argcheck_compiled(premises: _Premises, n: int) -> bool:
     if not engine.ok:
         return False
     # The refutations whose core holds each formula, in claim order.
-    held: list[list[list[int]]] = [[] for _ in range(n)]
+    held: list[list] = [[] for _ in range(n)]
     covered = 0
-    for lits in claim:
-        core = engine.core(lits)
+    for refutation in claim:
+        core = engine.core(refutation)
         if core is None:
             return False
         covered |= core
         while core:
             low = core & -core
-            held[low.bit_length() - 1].append(lits)
+            held[low.bit_length() - 1].append(refutation)
             core ^= low
     if covered != (1 << n) - 1:
         return False
+    # With exact cores, phi without formula i refutes a claim row iff
+    # i is outside its core, and every i lies in one.
+    if engine.exact():
+        return True
     # Removing formula i keeps every refutation whose core misses i, so
     # only the others are tried with i masked; one of them must now hold.
-    return all(any(engine.sat(lits, 1 << i) for lits in held[i]) for i in range(n))
+    return all(any(engine.sat(refutation, 1 << i) for refutation in held[i]) for i in range(n))
 
 
 def _argcheck_bits(formulas: Sequence[GammaFormula], alpha: GammaFormula, order) -> bool:

@@ -8,7 +8,9 @@ compiled once per call into that fragment's polynomial engine: counter
 unit propagation, an implication graph, or a GF(2) echelon form.
 Entailment then reduces to unsatisfiability of the premises plus the
 unit literals refuting one prime-implicate clause of the claim, one
-assumption check per clause against that single compile.
+assumption check per clause against that single compile; on the affine
+fragment it is one check per GF(2) row of the claim, that row with its
+rhs flipped.
 
 Per-relation work is done once per query: _relations collects the
 query's relations by identity, so each distinct relation is hashed once
@@ -24,17 +26,21 @@ merge literals or make a tautology, and wider relations take the general
 path. The claim goes through the same routine after the premises,
 continuing their variable ids in the same table, so cnf_of is the one
 source of every clause (positive_cnf_of and negative_cnf_of only reorder
-it). The compile builds one engine over all of its caller-given blocks,
+it); the affine claim takes its rows from _affine_rows, as the premises
+do. The compile builds one engine over all of its caller-given blocks,
 and records the block that owns each clause or row. That engine decides
 consistency, answers each assumption check with any blocks masked out,
 and reports the core of a refutation: the blocks it used. With blocks
 masked out of inconsistent premises it also names the blocks of one
-conflict among the blocks left, or None when they are consistent.
-So the argumentation queries compile a base once, one block per formula,
-and read existence, verification and one minimal support off that one
-engine: a subset question masks the blocks left out, a formula outside
-every core needs no check at all, and the conflicts lead to the maximal
-consistent subsets.
+conflict among the blocks left, or None when they are consistent. The
+GF(2) engine's cores are exact when the premises' rows are independent
+(exact): each is then the one set of blocks whose rows sum to the
+refuted row, so a block outside it can go and every block in it is
+needed. So the argumentation queries compile a base once, one block per
+formula, and read existence, verification and one minimal support off
+that one engine: a subset question masks the blocks left out, a formula
+outside every core needs no check at all, and the conflicts lead to the
+maximal consistent subsets.
 """
 
 from __future__ import annotations
@@ -113,12 +119,16 @@ def negative_cnf_of(relation: Relation) -> tuple[Clause, ...]:
 # Fragment engines. Variables are interned to ints; literal 2v stands for
 # variable v true and 2v + 1 for v false, so l ^ 1 is the complement of l.
 # Each engine is built once over every block of its premises, recording the
-# block that owns each clause or row, and then answers any number of literal
-# sets with any blocks masked out. Block masks are ints, block i at bit i.
-# ok says whether all the premises are consistent; conflict(masked) gives
-# None if the blocks left are, and otherwise the blocks of one conflict
-# among them. sat and core are defined where the blocks left are
-# consistent, as every subset of a consistent set is too.
+# block that owns each clause or row, and then answers any number of
+# refutations with any blocks masked out: literal sets, one per claim
+# clause, or on affine GF(2) rows, one per claim row. Block masks are ints,
+# block i at bit i. ok says whether all the premises are consistent;
+# conflict(masked) gives None if the blocks left are, and otherwise the
+# blocks of one conflict among them. sat and core are defined where the
+# blocks left are consistent, as every subset of a consistent set is too.
+# exact(masked) says that each core among the blocks left is the only one,
+# so the blocks left without block b refute iff b is outside the core; it
+# is True only on the GF(2) engine, when the rows left are independent.
 # ---------------------------------------------------------------------------
 
 # The count of a satisfied clause: no run of decrements brings it to 1.
@@ -266,6 +276,9 @@ class _UnitPropagation:
     def conflict(self, masked: int = 0) -> int | None:
         return self._state(masked)[2]
 
+    def exact(self, masked: int = 0) -> bool:
+        return False
+
     def sat(self, lits: list[int], masked: int = 0) -> bool:
         return self._refute(lits, masked) is None
 
@@ -324,6 +337,9 @@ class _ImplicationGraph:
         if lit is None:
             return None
         return self.core([lit], masked) | self.core([lit ^ 1], masked)
+
+    def exact(self, masked: int = 0) -> bool:
+        return False
 
     def sat(self, lits: list[int], masked: int = 0) -> bool:
         return self._refute(lits, masked) is None
@@ -436,53 +452,63 @@ def _affine_rows(relation: Relation) -> tuple[tuple[int, int], ...]:
 
 
 def _eliminate(
-    pivots: dict[int, tuple[int, int, int]],
-    rows: Iterable[tuple[int, int, int]],
-    added: dict[int, tuple[int, int, int]] | None = None,
+    pivots: dict[int, tuple[int, int, int]], rows: Iterable[tuple[int, int, int]]
 ) -> int | None:
-    """Add GF(2) rows (variable mask, rhs, block mask) to an echelon form
-    keyed by leading bit. The new pivots go to `pivots`, or to `added`
-    when it is given: the two are read as one form, and `pivots` is left
-    as it is. Each reduction ORs in the pivot's blocks, so a row that
-    reduces to 0 = 1 carries the blocks whose rows sum to it: that block
-    mask is returned, or None when every row fits."""
-    if added is None:
-        added = pivots
-    for mask, rhs, blocks in rows:
+    """Add GF(2) rows (variable mask, rhs, tag) to the echelon form
+    `pivots`, keyed by leading bit. Premise row j comes tagged with bit j,
+    and each reduction XORs in the pivot's tag, so a tag is exactly the
+    set of premise rows that sum to its row. A row that reduces to 0 = 1
+    returns its tag, the rows of one conflict; None when every row fits."""
+    for mask, rhs, tag in rows:
         while mask:
             lead = mask.bit_length()
             pivot = pivots.get(lead)
             if pivot is None:
-                pivot = added.get(lead)
-                if pivot is None:
-                    added[lead] = (mask, rhs, blocks)
-                    break
+                pivots[lead] = (mask, rhs, tag)
+                break
             mask ^= pivot[0]
             rhs ^= pivot[1]
-            blocks |= pivot[2]
+            tag ^= pivot[2]
         else:
             if rhs:
-                return blocks
+                return tag
     return None
 
 
 class _Gf2Elimination:
     """Gaussian elimination over GF(2), complete for affine premises.
 
-    The premises' rows are brought to echelon form once; each literal set
-    reduces its unit rows against those pivots, which it leaves as they
-    are, and keeps the pivots its rows add in a dict of its own. With
-    blocks masked, the rows left are eliminated afresh; the echelon form
-    of the last mask is kept for the next query. A row that reduces to
-    0 = 1 carries the blocks of its conflict.
+    The premises' rows are brought to echelon form once, each pivot
+    tagged with the premise rows that sum to it (`_eliminate`), and the
+    tags map to blocks through `owners`. A claim row (mask, rhs) reduces
+    against those pivots, which it leaves as they are: it is refuted iff
+    it reduces to 0 = 1, and the tag it gathers on the way is the one set
+    of premise rows that sum to it when they are independent, and one of
+    them otherwise. With blocks masked, the rows left are eliminated
+    afresh; the echelon form of the last mask is kept for the next query.
+
+    exact(masked) says whether the rows left are consistent and each of
+    them became a pivot. Their sums are then unique, so the blocks left
+    without block b still refute a claim row iff b is outside its core.
     """
 
     def __init__(self, n_lits: int, rows: list[tuple[int, int]], owners: list[int]):
-        self.rows = [(mask, rhs, 1 << block) for (mask, rhs), block in zip(rows, owners)]
+        self.rows = [(mask, rhs, 1 << j) for j, (mask, rhs) in enumerate(rows)]
+        self.owners = owners
         pivots: dict[int, tuple[int, int, int]] = {}
-        self.first = (pivots, _eliminate(pivots, self.rows))
+        self.first = (pivots, self._owned(_eliminate(pivots, self.rows)))
         self.ok = self.first[1] is None
         self.last = (0, *self.first)
+
+    def _owned(self, tag: int | None) -> int | None:
+        """The blocks owning the premise rows of a tag."""
+        if tag is None:
+            return None
+        owners = self.owners
+        blocks = 0
+        for j in _blocks(tag):
+            blocks |= 1 << owners[j]
+        return blocks
 
     def _state(self, masked: int):
         """(the echelon form of the rows left, the blocks of a conflict
@@ -491,20 +517,35 @@ class _Gf2Elimination:
             return self.first
         if masked != self.last[0]:
             pivots: dict[int, tuple[int, int, int]] = {}
-            conflict = _eliminate(pivots, (row for row in self.rows if not row[2] & masked))
-            self.last = (masked, pivots, conflict)
+            left = (row for row, b in zip(self.rows, self.owners) if not masked >> b & 1)
+            self.last = (masked, pivots, self._owned(_eliminate(pivots, left)))
         return self.last[1:]
 
     def conflict(self, masked: int = 0) -> int | None:
         return self._state(masked)[1]
 
-    def core(self, lits: list[int], masked: int = 0) -> int | None:
-        """The blocks one refutation of lits used, or None if satisfiable."""
-        units = [(1 << (lit >> 1), ~lit & 1, 0) for lit in lits]
-        return _eliminate(self._state(masked)[0], units, {})
+    def exact(self, masked: int = 0) -> bool:
+        pivots, conflict = self._state(masked)
+        left = sum(not masked >> b & 1 for b in self.owners) if masked else len(self.rows)
+        return conflict is None and len(pivots) == left
 
-    def sat(self, lits: list[int], masked: int = 0) -> bool:
-        return self.core(lits, masked) is None
+    def core(self, row: tuple[int, int], masked: int = 0) -> int | None:
+        """The blocks whose rows sum to the refutation row, or None if it
+        is satisfiable."""
+        mask, rhs = row
+        pivots = self._state(masked)[0]
+        tag = 0
+        while mask:
+            pivot = pivots.get(mask.bit_length())
+            if pivot is None:
+                return None
+            mask ^= pivot[0]
+            rhs ^= pivot[1]
+            tag ^= pivot[2]
+        return self._owned(tag) if rhs else None
+
+    def sat(self, row: tuple[int, int], masked: int = 0) -> bool:
+        return self.core(row, masked) is None
 
 
 _ENGINES = {
@@ -619,12 +660,16 @@ def _instantiate_clauses(
     return lit_of, items, owners
 
 
-def _instantiate_rows(blocks: Iterable[Iterable[Constraint]]):
+def _instantiate_rows(
+    blocks: Iterable[Iterable[Constraint]], bit_of: dict[str, int] | None = None
+):
     """_instantiate_clauses for the affine fragment: (the bit 1 << id of
-    each variable; every block's GF(2) rows (variable mask, rhs), in
+    each variable, ids going on after those already in bit_of, which is
+    extended in place; every block's GF(2) rows (variable mask, rhs), in
     order; the block owning each row). A row's mask XORs the bits of the
     arguments its coefficients name, so a repeated argument cancels."""
-    bit_of: dict[str, int] = {}
+    if bit_of is None:
+        bit_of = {}
     templates: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
     held: list[Relation] = []
     items: list[tuple[int, int]] = []
@@ -673,15 +718,18 @@ class _Premises:
     premises' consistency (engine.ok), and with any blocks masked out
     whether the blocks left are consistent and, when they are not, which
     blocks one conflict among them used (engine.conflict). Where they are
-    consistent it decides whether they are satisfiable with a literal set
-    (engine.sat), and which blocks one refutation used (engine.core).
+    consistent it decides whether they are satisfiable with one refutation
+    of the claim (engine.sat), which blocks that refutation used
+    (engine.core), and whether those cores are exact (engine.exact).
 
-    The claim alpha's clauses then go through `_instantiate_clauses` with
-    the premises' id table, which the claim's new variables extend in
-    place (id i has bit 1 << i on the affine fragment), and each is
-    negated into `claim`: the unit literals refuting it, on the
-    premise variables only, as the others are free. Consistent premises
-    entail alpha iff no refutation is satisfiable (`_entailed`).
+    The claim alpha then goes through the same routine with the premises'
+    id table, which the claim's new variables extend in place, and each
+    of its clauses is negated into `claim`: the unit literals refuting
+    it, on the premise variables only, as the others are free. On the
+    affine fragment `claim` holds one refutation row per GF(2) row of
+    alpha, the row with its rhs flipped; a new variable keeps its bit,
+    which no premise pivot clears, so its row is never refuted. Consistent
+    premises entail alpha iff no refutation is satisfiable (`_entailed`).
     """
 
     def __init__(
@@ -690,17 +738,17 @@ class _Premises:
         blocks: Iterable[Iterable[Constraint]],
         alpha: GammaFormula | None = None,
     ):
-        if fragment == "affine":
-            bit_of, items, owners = _instantiate_rows(blocks)
-            lit_of = {v: 2 * i for i, v in enumerate(bit_of)}
-        else:
-            lit_of, items, owners = _instantiate_clauses(blocks)
-        n_lits = 2 * len(lit_of)
+        instantiate = _instantiate_rows if fragment == "affine" else _instantiate_clauses
+        ids, items, owners = instantiate(blocks)
+        n_lits = 2 * len(ids)
         self.engine = _ENGINES[fragment](n_lits, items, owners)
-        _, clauses, _ = _instantiate_clauses([alpha.constraints] if alpha else [], lit_of)
+        claimed = instantiate([alpha.constraints] if alpha else [], ids)[1]
+        if fragment == "affine":
+            self.claim = [(mask, rhs ^ 1) for mask, rhs in claimed]
+            return
         # Plain loops: a nested comprehension costs a call per clause.
         claim: list[list[int]] = []
-        for clause in clauses:
+        for clause in claimed:
             lits = []
             for lit in clause:
                 if lit < n_lits:
@@ -794,8 +842,10 @@ def entails(
     once and refutes one prime-implicate clause of alpha at a time: the
     clause's negation is a set of unit literals, so each check is one
     assumption call on the compiled premises. Literals on variables the
-    premises do not mention are free. Inconsistent premises entail
-    everything.
+    premises do not mention are free. On the affine fragment each check
+    is one GF(2) row of alpha with its rhs flipped, which a variable the
+    premises do not mention leaves unrefuted. Inconsistent premises
+    entail everything.
 
     Raises:
         BudgetExceededError: enumeration would exceed max_models.

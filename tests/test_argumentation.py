@@ -1,6 +1,7 @@
 """Tests for argument existence, verification, relevance, and classification."""
 
 import dataclasses
+import functools
 import itertools
 import pickle
 import random
@@ -29,6 +30,7 @@ from argcl import (
     argrel_negative,
     argrel_positive,
     classify_complexity,
+    entails,
     enumerate_minimal_supports,
     find_minimal_support,
     is_consistent,
@@ -537,6 +539,259 @@ class TestOneCompile:
         assert not is_consistent(delta, engine="generic")
         for alpha, want in ((yes, Support(support)), (no, None)):
             assert find_minimal_support(delta, alpha, engine="generic") == want
+
+
+# Odd parity of three: affine, and neither Horn, dual Horn nor bijunctive,
+# so a language holding it takes the GF(2) engine.
+XOR3 = Relation("XOR3", 3, frozenset({0b001, 0b010, 0b100, 0b111}))
+# The affine test language, the units drawn less often.
+AFFINE_DRAWS = (EQ2, NEQ, XOR3, EQ2, NEQ, XOR3, T, F)
+
+
+def disjoint_reference(phi, alpha):
+    """Generic answers on pairwise variable-disjoint formulas, from small
+    generic calls. Their models are the product of each formula's own,
+    so when all are consistent a subset entails a claim constraint iff
+    its formulas sharing a variable with that constraint do. Returns
+    (entails, arg_exists, the support find_minimal_support gives: the
+    base's one MCS, its consistent formulas, shrunk in ascending order,
+    argcheck of the whole base)."""
+    consistent = [is_consistent([f], engine="generic") for f in phi]
+    touching = [
+        [j for j, f in enumerate(phi) if f.variables & set(c.args)] for c in alpha.constraints
+    ]
+
+    @functools.lru_cache(maxsize=None)
+    def holds(k, kept):
+        return entails([phi[j] for j in kept], gamma(alpha.constraints[k]), engine="generic")
+
+    def entailed(subset):
+        return all(holds(k, tuple(j for j in t if j in subset)) for k, t in enumerate(touching))
+
+    mcs = {i for i in range(len(phi)) if consistent[i]}
+    support = None
+    if entailed(mcs):
+        kept = set(mcs)
+        for i in sorted(mcs):
+            if entailed(kept - {i}):
+                kept.discard(i)
+        support = Support(tuple(sorted(kept)))
+    whole = set(range(len(phi)))
+    argument = (
+        all(consistent)
+        and entailed(whole)
+        and not any(entailed(whole - {i}) for i in whole)
+    )
+    return not all(consistent) or entailed(whole), support is not None, support, argument
+
+
+def subset_reference(delta, alpha):
+    """find_minimal_support's auto answer from generic calls over every
+    subset: the first MCS in canonical order (most formulas first, ties
+    by ascending index bitmask) that entails alpha, shrunk in ascending
+    order while it entails; None when no MCS entails alpha."""
+    n = len(delta)
+    subsets = argumentation._canonical(range(1 << n))
+    consistent = {
+        s for s in subsets if is_consistent([delta[i] for i in _members(s)], engine="generic")
+    }
+    for s in subsets:
+        if s not in consistent or any(
+            s | 1 << j in consistent for j in range(n) if not s >> j & 1
+        ):
+            continue
+        kept = list(_members(s))
+        if not entails([delta[i] for i in kept], alpha, engine="generic"):
+            continue
+        for i in list(kept):
+            rest = [delta[j] for j in kept if j != i]
+            if entails(rest, alpha, engine="generic"):
+                kept.remove(i)
+        return Support(tuple(kept))
+    return None
+
+
+@st.composite
+def affine_instances(draw, disjoint: bool):
+    """A base and claim over EQ2, NEQ, XOR3, T and F with an XOR3 among
+    them, so that the fragment is affine. Disjoint: 1-24 formulas, each
+    over three variables of its own; overlapping: 1-6 formulas over
+    p0..p4. The claim copies one constraint from each formula or from
+    some, or is drawn afresh. The base's constraints may all hold at a drawn
+    assignment, which makes a consistent base likely. In half of the
+    instances args may repeat (XOR3(x, x, y), EQ2(x, x), NEQ(x, x)) and a
+    formula may hold EQ2(x, y) with EQ2(y, x), or x = y, y != z and
+    x != z, the last row the sum of the other two. The claim may name q0
+    and q1, which no premise does."""
+    n = draw(st.integers(1, 24) if disjoint else st.integers(1, 6))
+    pools = [[f"v{i}_{j}" for j in range(3)] if disjoint else [f"p{j}" for j in range(5)] for i in range(n)]
+    plant: dict[str, int] = {}
+    planted = draw(st.integers(0, 3)) > 0
+    # Repeated arguments and dependent rows, in half of the instances.
+    odd = draw(st.booleans())
+
+    def holds(relation, args):
+        values = [plant.setdefault(a, draw(st.integers(0, 1))) for a in args]
+        return sum(x << (len(values) - 1 - j) for j, x in enumerate(values)) in relation.tuples
+
+    def constraint(variables, relations=AFFINE_DRAWS, plain=False):
+        if not odd or draw(st.integers(0, 5)):
+            args = draw(st.lists(st.sampled_from(variables), min_size=3, max_size=3, unique=True))
+        else:
+            args = [draw(st.sampled_from(variables)) for _ in range(3)]
+        if planted and not plain:
+            relations = [r for r in relations if holds(r, args[: r.arity])] or relations
+        relation = draw(st.sampled_from(relations))
+        return Constraint(relation, tuple(args[: relation.arity]))
+
+    def pair(x, y):
+        """EQ2 or NEQ, the one that holds at the plant when it is drawn."""
+        if planted:
+            return EQ2 if holds(EQ2, (x, y)) else NEQ
+        return draw(st.sampled_from((EQ2, NEQ)))
+
+    def formula(variables):
+        constraints = [constraint(variables) for _ in range(draw(st.integers(1, 2)))]
+        a, b, c = draw(st.lists(st.sampled_from(variables), min_size=3, max_size=3, unique=True))
+        ab, bc = (pair(x, y) for x, y in ((a, b), (b, c)))
+        shape = draw(st.integers(0, 3)) if odd else 0
+        if shape == 1:
+            constraints += [Constraint(ab, (a, b)), Constraint(ab, (b, a))]
+        elif shape == 2:
+            ac = EQ2 if ab is bc else NEQ
+            constraints += [Constraint(ab, (a, b)), Constraint(bc, (b, c)), Constraint(ac, (a, c))]
+        return GammaFormula(tuple(constraints))
+
+    delta = [formula(pool) for pool in pools]
+    fresh = ["q0", "q1"]
+    copied = draw(st.integers(0, 2))
+    if copied:
+        chosen = delta if copied == 1 else [f for f in delta if draw(st.booleans())] or delta
+        claim = [draw(st.sampled_from(f.constraints)) for f in chosen]
+    else:
+        variables = sorted({a for f in delta for a in f.variables}) + fresh
+        claim = [constraint(variables, plain=True) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        claim.append(constraint(sorted(delta[0].variables) + fresh, (XOR3,), plain=True))
+    else:
+        i = draw(st.integers(0, n - 1))
+        extra = constraint(pools[i], (XOR3,))
+        delta[i] = GammaFormula(delta[i].constraints + (extra,))
+    return delta, GammaFormula(tuple(claim))
+
+
+class TestAffineCores:
+    """The GF(2) engine tags each premise row with its own bit and XORs
+    the tags in each reduction, so the core of a claim row is exactly the
+    set of formulas whose rows sum to it. When the rows are independent
+    that sum is unique, and argcheck reads minimality off the cores with
+    no masked elimination."""
+
+    def test_a_cancelled_row_is_outside_the_core(self):
+        # NEQ(y, x) alone gives the claim: reducing its row passes through
+        # the XOR3 row twice, and the two cancel.
+        phi = [gamma(Constraint(XOR3, ("z", "y", "x"))), gamma(Constraint(NEQ, ("y", "x")))]
+        alpha = gamma(Constraint(NEQ, ("y", "x")))
+        assert logic._fragment(argumentation._language(phi, alpha)) == "affine"
+        premises = fragment_premises(phi, alpha)
+        assert [premises.engine.core(row) for row in premises.claim] == [0b10]
+        for engine in ("auto", "generic"):
+            assert argcheck(phi, alpha, engine=engine) is False
+            assert argcheck(phi[1:], alpha, engine=engine) is True
+
+    @pytest.fixture
+    def masks(self, monkeypatch):
+        """The masks of every echelon form the GF(2) engine asks for."""
+        seen = []
+        state = logic._Gf2Elimination._state
+
+        def recording(self, masked):
+            seen.append(masked)
+            return state(self, masked)
+
+        monkeypatch.setattr(logic._Gf2Elimination, "_state", recording)
+        return seen
+
+    def test_independent_rows_need_no_masked_elimination(self, masks):
+        # Formula i is XOR3(a, b, c) and c = d on its own variables; the
+        # claim takes c = d from the even ones, and XOR3(a, b, d), which
+        # needs both rows, from the odd ones.
+        phi = [
+            gamma(Constraint(XOR3, (f"a{i}", f"b{i}", f"c{i}")), Constraint(EQ2, (f"c{i}", f"d{i}")))
+            for i in range(24)
+        ]
+        alpha = gamma(
+            *(
+                Constraint(XOR3, (f"a{i}", f"b{i}", f"d{i}")) if i % 2 else f.constraints[1]
+                for i, f in enumerate(phi)
+            )
+        )
+        assert argcheck(phi, alpha) is True
+        assert masks and not any(masks)
+        assert disjoint_reference(phi, alpha)[3] is True
+
+    @pytest.mark.parametrize(
+        "phi, alpha",
+        [
+            # EQ2(a, d) twice over: no row of the second becomes a pivot.
+            (
+                [
+                    gamma(Constraint(XOR3, ("a", "b", "c"))),
+                    gamma(Constraint(EQ2, ("a", "d")), Constraint(EQ2, ("d", "a"))),
+                ],
+                gamma(Constraint(XOR3, ("d", "b", "c"))),
+            ),
+            # a = c follows from a = b and b = c, and from the last formula
+            # alone, which makes the first two redundant.
+            (
+                [
+                    gamma(Constraint(EQ2, ("a", "b"))),
+                    gamma(Constraint(EQ2, ("b", "c"))),
+                    gamma(Constraint(EQ2, ("a", "c")), Constraint(XOR3, ("c", "d", "e"))),
+                ],
+                gamma(Constraint(EQ2, ("a", "c")), Constraint(XOR3, ("c", "d", "e"))),
+            ),
+        ],
+    )
+    def test_dependent_rows_keep_the_masked_checks(self, masks, phi, alpha):
+        premises = fragment_premises(phi, alpha)
+        assert premises.engine.ok and not premises.engine.exact()
+        masks.clear()
+        assert argcheck(phi, alpha) is argcheck(phi, alpha, engine="generic")
+        assert any(masks)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(affine_instances(disjoint=True))
+    def test_disjoint_bases_match_generic(self, instance):
+        delta, alpha = instance
+        assert logic._fragment(argumentation._language(delta, alpha)) == "affine"
+        entailed, exists, support, argument = disjoint_reference(delta, alpha)
+        assert argcheck(delta, alpha) is argument
+        assert entails(delta, alpha) is entailed
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(argumentation, "_SMALL_VARS", 0)
+            assert arg_exists(delta, alpha) is exists
+            assert find_minimal_support(delta, alpha) == support
+        if support is not None:
+            chosen = support.formulas(delta)
+            assert argcheck(chosen, alpha) is disjoint_reference(chosen, alpha)[3] is True
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(affine_instances(disjoint=False))
+    def test_overlapping_bases_match_generic(self, instance):
+        delta, alpha = instance
+        assert logic._fragment(argumentation._language(delta, alpha)) == "affine"
+        assert argcheck(delta, alpha) is argcheck(delta, alpha, engine="generic")
+        assert entails(delta, alpha) is entails(delta, alpha, engine="generic")
+        support = subset_reference(delta, alpha)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(argumentation, "_SMALL_VARS", 0)
+            assert arg_exists(delta, alpha) is arg_exists(delta, alpha, engine="generic")
+            assert arg_exists(delta, alpha) is (support is not None)
+            assert find_minimal_support(delta, alpha) == support
+        if support is not None:
+            chosen = support.formulas(delta)
+            assert argcheck(chosen, alpha) is argcheck(chosen, alpha, engine="generic") is True
 
 
 class TestEnumerateMinimalSupports:

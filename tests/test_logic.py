@@ -500,15 +500,36 @@ def first_occurrence(blocks):
     return list(dict.fromkeys(a for block in blocks for c in block for a in c.args))
 
 
+def refutation_formulas(refutation, names):
+    """A claim refutation as formulas, for enumeration: the unit literals
+    of a clause engine, or on the affine fragment the parity constraint
+    of its row (mask, rhs) on the variables of the mask's bits (none for
+    0 = 0, and T and F on a fresh variable for 0 = 1)."""
+    if isinstance(refutation, list):
+        return [gamma(Constraint(F if lit & 1 else T, (names[lit >> 1],))) for lit in refutation]
+    mask, rhs = refutation
+    args = tuple(names[v] for v in range(mask.bit_length()) if mask >> v & 1)
+    if not args:
+        return [gamma(Constraint(T, ("fresh",))), gamma(Constraint(F, ("fresh",)))] if rhs else []
+    k = len(args)
+    parity = Relation(
+        f"PARITY{k}_{rhs}", k, frozenset(t for t in range(1 << k) if t.bit_count() & 1 == rhs)
+    )
+    return [gamma(Constraint(parity, args))]
+
+
 @pytest.mark.parametrize("language", sorted(SCHAEFER_LANGUAGES))
 @settings(max_examples=200, deadline=None, database=None)
 @given(data=st.data())
 def test_cores_are_sound(language, data):
-    """For each refutation of a claim clause, with no blocks, some drawn
-    blocks or any one block masked: the engine's sat agrees with
-    enumeration over the formulas left, and a core misses the mask and
-    refutes on its own formulas. A formula in no core of an entailed
-    claim can go with the claim still entailed."""
+    """For each refutation of the claim (the unit literals refuting one
+    of its clauses, or on affine one of its rows with the rhs flipped),
+    with no blocks, some drawn blocks or any one block masked: the
+    engine's sat agrees with enumeration over the formulas left, and a
+    core misses the mask and refutes on its own formulas. Where the
+    engine calls the blocks left exact, every block of a core is needed:
+    without it the refutation is satisfiable. A formula in no core of an
+    entailed claim can go with the claim still entailed."""
     delta, alpha = data.draw(consistent_bases((language,)))
     masked = data.draw(st.integers(0, (1 << len(delta)) - 1))
     relations = frozenset(c.relation for f in (*delta, alpha) for c in f.constraints)
@@ -516,20 +537,27 @@ def test_cores_are_sound(language, data):
     premises = _Premises(_fragment(language_properties(relations)), blocks, alpha)
     engine = premises.engine
     assert engine.ok
-    names = first_occurrence(blocks)
+    # A claim row keeps the bits of the claim's new variables.
+    names = first_occurrence(blocks + [alpha.constraints])
     cores = []
-    for lits in premises.claim:
-        units = [gamma(Constraint(F if lit & 1 else T, (names[lit >> 1],))) for lit in lits]
+    for refutation in premises.claim:
+        units = refutation_formulas(refutation, names)
         for mask in (0, masked, *(1 << i for i in range(len(delta)))):
             kept = [f for i, f in enumerate(delta) if not mask >> i & 1]
-            core = engine.core(lits, mask)
+            core = engine.core(refutation, mask)
             sat = is_consistent(kept + units, engine="generic")
-            assert engine.sat(lits, mask) is sat is (core is None)
+            assert engine.sat(refutation, mask) is sat is (core is None)
             if core is not None:
                 assert not core & mask
                 used = [f for i, f in enumerate(delta) if core >> i & 1]
                 assert not is_consistent(used + units, engine="generic")
-        cores.append(engine.core(lits))
+                if engine.exact(mask):
+                    for b in range(len(delta)):
+                        if core >> b & 1:
+                            assert engine.sat(refutation, mask | 1 << b)
+                            rest = [f for i, f in enumerate(delta) if not (mask | 1 << b) >> i & 1]
+                            assert is_consistent(rest + units, engine="generic")
+        cores.append(engine.core(refutation))
     if None not in cores:
         used = functools.reduce(operator.or_, cores, 0)
         for i in range(len(delta)):
@@ -570,13 +598,15 @@ def test_conflicts_are_sound_under_masks(language, data):
     names = first_occurrence(blocks)
     lit = data.draw(st.integers(0, 2 * len(names) - 1))
     unit = gamma(Constraint(F if lit & 1 else T, (names[lit >> 1],)))
+    # The literal as the GF(2) engine takes it: the row x = 1 or x = 0.
+    refutation = (1 << (lit >> 1), ~lit & 1) if fragment == "affine" else [lit]
     masked = data.draw(st.integers(0, (1 << len(delta)) - 1))
     for mask in (0, masked, *(1 << i for i in range(len(delta)))):
         kept = [f for i, f in enumerate(delta) if not mask >> i & 1]
         conflict = engine.conflict(mask)
         assert (conflict is None) is is_consistent(kept, engine="generic")
         if conflict is None:
-            assert engine.sat([lit], mask) is is_consistent(kept + [unit], engine="generic")
+            assert engine.sat(refutation, mask) is is_consistent(kept + [unit], engine="generic")
         else:
             assert not conflict & mask
             used = [f for i, f in enumerate(delta) if conflict >> i & 1]
@@ -769,11 +799,11 @@ def reference_clauses(c, index):
     return out
 
 
-def reference_compile(fragment, blocks):
-    """The variable index and each block's clauses (reference_clauses) or
-    GF(2) rows, in order, instantiated straight from cnf_of and
-    _affine_rows."""
-    index: dict[str, int] = {}
+def reference_compile(fragment, blocks, index=None):
+    """The variable index, going on after the one given, and each block's
+    clauses (reference_clauses) or GF(2) rows, in order, instantiated
+    straight from cnf_of and _affine_rows."""
+    index = {} if index is None else index
     per_block = []
     for block in blocks:
         made = []
@@ -793,10 +823,14 @@ def reference_compile(fragment, blocks):
     return index, per_block
 
 
-def reference_refutations(index, alpha):
+def reference_refutations(fragment, index, alpha):
     """Each claim clause (reference_clauses, the claim's new variables
     indexed after the premises' by first occurrence) negated on the
-    premise variables, in order."""
+    premise variables, in order; on affine each of the claim's GF(2)
+    rows (reference_compile) with its rhs flipped, in order."""
+    if fragment == "affine":
+        _, rows = reference_compile(fragment, [alpha.constraints], dict(index))
+        return [(mask, rhs ^ 1) for mask, rhs in rows[0]]
     n = len(index)
     index = dict(index)
     for c in alpha.constraints:
@@ -847,7 +881,7 @@ def test_template_compile_matches_cnf_of(instance):
     assert built["n_lits"] == 2 * len(index)
     assert built["items"] == [item for made in want for item in made]
     assert built["owners"] == [i for i, made in enumerate(want) for _ in made]
-    assert premises.claim == reference_refutations(index, alpha)
+    assert premises.claim == reference_refutations(fragment, index, alpha)
 
 
 @st.composite

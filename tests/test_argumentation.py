@@ -624,7 +624,10 @@ def affine_instances(draw, disjoint: bool):
     x != z, the last row the sum of the other two. The claim may name q0
     and q1, which no premise does."""
     n = draw(st.integers(1, 24) if disjoint else st.integers(1, 6))
-    pools = [[f"v{i}_{j}" for j in range(3)] if disjoint else [f"p{j}" for j in range(5)] for i in range(n)]
+    pools = [
+        [f"v{i}_{j}" for j in range(3)] if disjoint else [f"p{j}" for j in range(5)]
+        for i in range(n)
+    ]
     plant: dict[str, int] = {}
     planted = draw(st.integers(0, 3)) > 0
     # Repeated arguments and dependent rows, in half of the instances.
@@ -717,7 +720,10 @@ class TestAffineCores:
         # claim takes c = d from the even ones, and XOR3(a, b, d), which
         # needs both rows, from the odd ones.
         phi = [
-            gamma(Constraint(XOR3, (f"a{i}", f"b{i}", f"c{i}")), Constraint(EQ2, (f"c{i}", f"d{i}")))
+            gamma(
+                Constraint(XOR3, (f"a{i}", f"b{i}", f"c{i}")),
+                Constraint(EQ2, (f"c{i}", f"d{i}")),
+            )
             for i in range(24)
         ]
         alpha = gamma(
@@ -731,7 +737,7 @@ class TestAffineCores:
         assert disjoint_reference(phi, alpha)[3] is True
 
     @pytest.mark.parametrize(
-        "phi, alpha",
+        "phi, alpha, want",
         [
             # EQ2(a, d) twice over: no row of the second becomes a pivot.
             (
@@ -740,6 +746,7 @@ class TestAffineCores:
                     gamma(Constraint(EQ2, ("a", "d")), Constraint(EQ2, ("d", "a"))),
                 ],
                 gamma(Constraint(XOR3, ("d", "b", "c"))),
+                True,
             ),
             # a = c follows from a = b and b = c, and from the last formula
             # alone, which makes the first two redundant.
@@ -750,14 +757,15 @@ class TestAffineCores:
                     gamma(Constraint(EQ2, ("a", "c")), Constraint(XOR3, ("c", "d", "e"))),
                 ],
                 gamma(Constraint(EQ2, ("a", "c")), Constraint(XOR3, ("c", "d", "e"))),
+                False,
             ),
         ],
     )
-    def test_dependent_rows_keep_the_masked_checks(self, masks, phi, alpha):
+    def test_dependent_rows_keep_the_masked_checks(self, masks, phi, alpha, want):
         premises = fragment_premises(phi, alpha)
         assert premises.engine.ok and not premises.engine.exact()
         masks.clear()
-        assert argcheck(phi, alpha) is argcheck(phi, alpha, engine="generic")
+        assert argcheck(phi, alpha) is argcheck(phi, alpha, engine="generic") is want
         assert any(masks)
 
     @settings(max_examples=150, deadline=None, database=None)

@@ -26,7 +26,7 @@ from .relations import (
     RELATION_CACHE_SIZE,
     ConstraintLanguage,
     Relation,
-    _IDENT_RE,
+    _is_identifier,
     _literal_template,
     parse_relation_line,
     parse_relations,
@@ -55,26 +55,37 @@ Variable = str
 
 DEFAULT_MAX_MODELS = 2**22
 
-@dataclass(frozen=True)
+# Constraint and GammaFormula are frozen, so their constructors store each
+# field once through object.__setattr__. That keeps the fields in the
+# instance's inline values; writing to self.__dict__ instead would build
+# the dict and make every later attribute read slower.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class Constraint:
     """One applied constraint: a relation on a variable tuple.
 
-    Variables may repeat; the arg count must match the relation arity.
+    `args` may be any iterable and is stored as a tuple. Variables may
+    repeat. The constructor checks, in this order, that the arg count
+    equals the relation's arity and that every arg is an identifier
+    (`relations._is_identifier`), and raises ValueError otherwise.
     """
 
     relation: Relation
     args: tuple[Variable, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) != self.relation.arity:
+    def __init__(self, relation: Relation, args: Iterable[Variable]):
+        args = tuple(args)
+        if len(args) != relation.arity:
             raise ValueError(
-                f"{self.relation.name} expects {self.relation.arity} args, "
-                f"got {len(self.args)}"
+                f"{relation.name} expects {relation.arity} args, got {len(args)}"
             )
-        for v in self.args:
-            if not _IDENT_RE.match(v):
+        for v in args:
+            if not _is_identifier(v):
                 raise ValueError(f"invalid variable name {v!r}")
+        _set(self, "relation", relation)
+        _set(self, "args", args)
 
     @property
     def variables(self) -> frozenset[Variable]:
@@ -101,16 +112,21 @@ def substitute(constraint: Constraint, variables: Iterable[Variable], replacemen
     return Constraint(constraint.relation, args)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GammaFormula:
-    """A nonempty conjunction of constraints."""
+    """A nonempty conjunction of constraints.
+
+    `constraints` may be any iterable, a generator included, and is stored
+    as a tuple; an empty one raises ValueError.
+    """
 
     constraints: tuple[Constraint, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        if not self.constraints:
+    def __init__(self, constraints: Iterable[Constraint]):
+        constraints = tuple(constraints)
+        if not constraints:
             raise ValueError("formula must contain at least one constraint")
+        _set(self, "constraints", constraints)
 
     @property
     def variables(self) -> frozenset[Variable]:
@@ -455,7 +471,7 @@ def _parse_constraints(
                 f"{name} expects {relation.arity} args, got {len(args)}", lineno
             )
         for a in args:
-            if not _IDENT_RE.match(a):
+            if not _is_identifier(a):
                 raise ParseError(f"invalid variable name {a!r}", lineno)
         constraints.append(Constraint(relation, args))
     return GammaFormula(tuple(constraints))
@@ -501,7 +517,7 @@ class _Reader:
             elif keyword == "formula":
                 name, eq, body = rest.partition("=")
                 name = name.strip()
-                if not eq or not _IDENT_RE.match(name):
+                if not eq or not _is_identifier(name):
                     raise ParseError("expected `formula <name> = <constraints>`", lineno)
                 if name in self.formulas:
                     raise ParseError(f"duplicate formula {name}", lineno)

@@ -44,7 +44,7 @@ from .relations import (
     MAX_ARITY,
     ConstraintLanguage,
     Relation,
-    _IDENT_RE,
+    _is_identifier,
     language_properties,
 )
 
@@ -230,7 +230,7 @@ def parse_abduction(
     for keyword, rest, lineno in reader.read(text, own):
         if keyword == "hypotheses":
             for v in rest.split():
-                if not _IDENT_RE.match(v):
+                if not _is_identifier(v):
                     raise ParseError(f"invalid variable name {v!r}", lineno)
                 if v in hypotheses:
                     raise ParseError(f"duplicate hypothesis {v}", lineno)
@@ -240,7 +240,7 @@ def parse_abduction(
                 raise ParseError("multiple observation lines", lineno)
             if len(rest.split()) != 1:
                 raise ParseError("observation needs exactly one variable", lineno)
-            if not _IDENT_RE.match(rest):
+            if not _is_identifier(rest):
                 raise ParseError(f"invalid variable name {rest!r}", lineno)
             observation = rest
         else:

@@ -41,7 +41,17 @@ __all__ = [
 
 MAX_ARITY = 16
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+def _is_identifier(s: str) -> bool:
+    """Whether s is an identifier: an ASCII letter or underscore, then ASCII
+    letters, digits and underscores. Relation, variable and formula names
+    are all checked here; a non-str raises TypeError. On ASCII text
+    `str.isidentifier` admits exactly these, keywords included, and
+    `str.isascii` keeps out the other Unicode letters and digits it would
+    admit."""
+    return str.isascii(s) and str.isidentifier(s)
+
 
 # Every cache keyed on a Relation keeps at most this many entries, so a
 # stream of fresh relations holds memory flat.
@@ -57,11 +67,17 @@ class Relation:
     """A named k-ary Boolean relation given by its satisfying tuples.
 
     Args:
-        name: identifier; the single non-identifier name "=" is reserved
-            for the built-in equality relation, which cannot be declared
-            in files or placed in a constraint language.
+        name: an identifier of ASCII letters, digits and underscores, not
+            starting with a digit (`_is_identifier`); the single
+            non-identifier name "=" is reserved for the built-in equality
+            relation, which cannot be declared in files or placed in a
+            constraint language.
         arity: number of coordinates, 1 <= arity <= MAX_ARITY.
-        tuples: satisfying tuples as bitmasks (first coordinate = MSB).
+        tuples: satisfying tuples as bitmasks (first coordinate = MSB),
+            each below 2**arity; neither empty nor all 2**arity of them.
+            Any iterable is stored as a frozenset.
+
+    A field that breaks one of these rules raises ValueError.
 
     The hash, that of (name, arity, tuples), is computed once at
     construction: relations key every per-relation cache and fragment
@@ -74,7 +90,7 @@ class Relation:
     tuples: frozenset[int]
 
     def __post_init__(self):
-        if self.name != "=" and not _IDENT_RE.match(self.name):
+        if self.name != "=" and not _is_identifier(self.name):
             raise ValueError(f"invalid relation name {self.name!r}")
         if not 1 <= self.arity <= MAX_ARITY:
             raise ValueError(f"arity must be in 1..{MAX_ARITY}, got {self.arity}")
@@ -390,7 +406,7 @@ def parse_relation_line(line: str, lineno: int | None = None) -> Relation:
     if not m:
         raise ParseError("malformed relation declaration", lineno)
     name = m.group("name")
-    if not _IDENT_RE.match(name):
+    if not _is_identifier(name):
         raise ParseError(f"invalid relation name {name!r}", lineno)
     try:
         arity = int(m.group("arity"))

@@ -1,10 +1,16 @@
 """Tests for constraint formulas, model enumeration, and instance files."""
 
+import dataclasses
+import pickle
 import random
+import re
+import string
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from argcl import (
     ArgInstance,
@@ -19,6 +25,7 @@ from argcl import (
     enumerate_models,
     is_consistent,
     models_mask,
+    parse_abduction,
     parse_instance,
     satisfies,
     serialize_instance,
@@ -28,6 +35,7 @@ from argcl import (
 )
 
 from argcl.formulas import _ModelBits, _block_literals
+from argcl.relations import _is_identifier
 from conftest import (
     IMPL,
     NEQ,
@@ -53,12 +61,14 @@ class TestConstraint:
         assert c.variables == frozenset({"x"})
 
     def test_arity_mismatch(self):
-        with pytest.raises(ValueError, match="expects 2 args"):
+        with pytest.raises(ValueError, match=r"^NEQ expects 2 args, got 1$"):
             Constraint(NEQ, ("x",))
 
     def test_bad_variable_name(self):
         with pytest.raises(ValueError, match="variable"):
             Constraint(T, ("1x",))
+        with pytest.raises(ValueError, match=r"^invalid variable name 'x-1'$"):
+            Constraint(NEQ, ("x", "x-1"))
 
     def test_substitute_merges_positions(self):
         c = Constraint(NEQ, ("x", "y"))
@@ -76,8 +86,9 @@ class TestGammaFormula:
         assert str(phi) == "OR2(a,b) & T(a)"
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            GammaFormula(())
+        for empty in ((), iter(())):
+            with pytest.raises(ValueError, match=r"^formula must contain at least one constraint$"):
+                GammaFormula(empty)
 
     def test_variables(self):
         phi = gamma(Constraint(OR2, ("a", "b")), Constraint(T, ("c",)))
@@ -92,6 +103,152 @@ class TestGammaFormula:
     def test_variables_of_union(self):
         phis = [gamma(Constraint(T, ("a",))), gamma(Constraint(T, ("b",)))]
         assert variables_of(phis) == frozenset({"a", "b"})
+
+
+class TestConstructorContracts:
+    """What callers rely on from the Constraint and GammaFormula
+    constructors: the keyword form, any iterable stored as a tuple,
+    dataclasses.replace, pickling, equality and hashing by value, frozen
+    fields, and the arity checked before the names."""
+
+    def test_keyword_form_stores_a_tuple(self):
+        c = Constraint(relation=NEQ, args=["x", "y"])
+        assert c.relation is NEQ
+        assert c.args == ("x", "y") and type(c.args) is tuple
+        assert c == Constraint(NEQ, ("x", "y"))
+
+    def test_formula_from_a_generator(self):
+        phi = GammaFormula(Constraint(T, (v,)) for v in "abc")
+        assert type(phi.constraints) is tuple
+        assert phi == gamma(*(Constraint(T, (v,)) for v in "abc"))
+
+    def test_replace_builds_through_the_constructor(self):
+        c = Constraint(NEQ, ("x", "y"))
+        swapped = dataclasses.replace(c, args=["y", "x"])
+        assert swapped == Constraint(NEQ, ("y", "x")) and type(swapped.args) is tuple
+        with pytest.raises(ValueError, match="invalid variable name 'x-1'"):
+            dataclasses.replace(c, args=("x-1", "y"))
+        phi = gamma(c)
+        longer = dataclasses.replace(phi, constraints=[c, swapped])
+        assert longer.constraints == (c, swapped)
+        with pytest.raises(ValueError, match="at least one constraint"):
+            dataclasses.replace(phi, constraints=[])
+
+    def test_pickle_equality_and_hash(self):
+        c = Constraint(IMPL, ["x", "y"])
+        phi = GammaFormula([c, Constraint(T, ["x"])])
+        for obj, fresh in (
+            (c, Constraint(IMPL, ("x", "y"))),
+            (phi, gamma(Constraint(IMPL, ("x", "y")), Constraint(T, ("x",)))),
+        ):
+            back = pickle.loads(pickle.dumps(obj))
+            assert back == obj == fresh
+            assert hash(back) == hash(obj) == hash(fresh)
+        assert c != Constraint(IMPL, ("y", "x"))
+        assert len({c, Constraint(IMPL, ("x", "y"))}) == 1
+
+    def test_fields_are_frozen(self):
+        c = Constraint(NEQ, ("x", "y"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.args = ("y", "x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gamma(c).constraints = ()
+
+    def test_arity_is_checked_before_names(self):
+        with pytest.raises(ValueError, match=r"^NEQ expects 2 args, got 1$"):
+            Constraint(NEQ, ("1x",))
+        with pytest.raises(ValueError, match=r"^T expects 1 args, got 2$"):
+            Constraint(T, ("x-1", 5))
+
+
+def _old_rule(s):
+    """The identifier rule as a regex, the oracle for `_is_identifier`."""
+    return re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", s) is not None
+
+
+# \u00e9 is e-acute, \uff58 a full-width x and \u0663 an Arabic-Indic three:
+# Unicode letters and digits that str.isidentifier alone would admit.
+IDENTIFIER_CASES = (
+    "", "_", "x1", "1x", "x-1", "a b", "a\n", "\u00e9", "\uff58", "x\u0663",
+    "if", "None", "x\x00",
+)
+ASCII_HEAVY = string.ascii_letters + string.digits + "_-. \n\x00\u00e9\uff58\u0663\u00aa"
+
+# The cases that reach a file's name checks unchanged: a file splits its
+# lines and words on whitespace before it checks a name.
+WORD_CASES = tuple(s for s in IDENTIFIER_CASES if s.split() == [s])
+
+
+class TestIdentifierRule:
+    """Relation, variable and formula names are ASCII identifiers, one rule
+    (`relations._is_identifier`) wherever a name is checked."""
+
+    @given(st.text())
+    def test_matches_the_regex_on_any_text(self, s):
+        assert _is_identifier(s) == _old_rule(s)
+
+    @given(st.text(st.sampled_from(ASCII_HEAVY)))
+    def test_matches_the_regex_on_ascii_heavy_text(self, s):
+        assert _is_identifier(s) == _old_rule(s)
+
+    @pytest.mark.parametrize("name", IDENTIFIER_CASES)
+    def test_constraint_arguments(self, name):
+        assert _is_identifier(name) == _old_rule(name)
+        if _old_rule(name):
+            assert Constraint(T, (name,)).args == (name,)
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"invalid variable name {name!r}")):
+                Constraint(T, (name,))
+
+    @pytest.mark.parametrize("name", IDENTIFIER_CASES)
+    def test_relation_names(self, name):
+        if _old_rule(name):
+            assert Relation(name, 1, {1}).name == name
+        else:
+            with pytest.raises(ValueError, match="invalid relation name"):
+                Relation(name, 1, {1})
+
+    @pytest.mark.parametrize("name", WORD_CASES)
+    def test_relation_names_in_files(self, name):
+        text = f"relation {name} 1 {{ 1 }}\nformula f = {name}(x)\nkb f\nclaim {name}(x)\n"
+        if _old_rule(name):
+            assert parse_instance(text).language.names == (name,)
+        else:
+            with pytest.raises(ParseError, match="invalid relation name"):
+                parse_instance(text)
+
+    @pytest.mark.parametrize("name", WORD_CASES)
+    def test_instance_formula_names_and_arguments(self, name):
+        named = f"relation T 1 {{ 1 }}\nformula {name} = T(x)\nkb {name}\nclaim T(x)\n"
+        applied = f"relation T 1 {{ 1 }}\nformula f = T({name})\nkb f\nclaim T({name})\n"
+        if _old_rule(name):
+            assert parse_instance(named).delta == (gamma(Constraint(T, ("x",))),)
+            assert parse_instance(applied).alpha == gamma(Constraint(T, (name,)))
+        else:
+            with pytest.raises(ParseError, match="expected `formula <name> = <constraints>`"):
+                parse_instance(named)
+            with pytest.raises(ParseError, match="invalid variable name"):
+                parse_instance(applied)
+
+    @pytest.mark.parametrize("name", WORD_CASES)
+    def test_abduction_hypotheses_and_observation(self, name):
+        theory = "relation IMPL 2 { 00 01 11 }\nformula r = IMPL(h,q)\nkb r\n"
+        hypothesis = theory + f"hypotheses {name}\nobservation q\n"
+        observation = theory + f"hypotheses h\nobservation {name}\n"
+        if _old_rule(name):
+            assert parse_abduction(hypothesis).hypotheses == (name,)
+            assert parse_abduction(observation).q == name
+        else:
+            for text in (hypothesis, observation):
+                with pytest.raises(ParseError, match="invalid variable name"):
+                    parse_abduction(text)
+
+    @pytest.mark.parametrize("value", [5, b"x", None])
+    def test_a_non_string_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            _is_identifier(value)
+        with pytest.raises(TypeError):
+            Constraint(T, (value,))
 
 
 class TestQuantifiedFormula:

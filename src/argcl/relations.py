@@ -42,7 +42,6 @@ __all__ = [
 MAX_ARITY = 16
 
 
-
 def _is_identifier(s: str) -> bool:
     """Whether s is an identifier: an ASCII letter or underscore, then ASCII
     letters, digits and underscores. Relation, variable and formula names

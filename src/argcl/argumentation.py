@@ -75,7 +75,6 @@ from .formulas import (
     _LACKING_16,
     _ModelBits,
     _lacking,
-    variables_of,
 )
 from .logic import (
     _Premises,
@@ -83,6 +82,7 @@ from .logic import (
     _check_engine,
     _entailed,
     _fragment,
+    _lazy,
     _literal_template,
     _relations,
     entails,
@@ -299,13 +299,12 @@ def _argcheck_bits(formulas: Sequence[GammaFormula], alpha: GammaFormula, order)
     and entails alpha iff that AND misses alpha's non-models. phi without
     formula i is the AND of the rows before i, kept as prefixes, and of
     those after it, gathered from the back."""
-    space = _ModelBits(order)
     full = (1 << (1 << len(order))) - 1
-    rows = [space.bits(f.constraints) for f in formulas]
+    *rows, claim = _int_rows((*formulas, alpha), order)
     before = list(itertools.accumulate(rows, operator.and_, initial=full))
     if not before[-1]:
         return False
-    outside = full ^ space.bits(alpha.constraints)
+    outside = full ^ claim
     if before[-1] & outside:
         return False
     after = full
@@ -340,8 +339,10 @@ def _mask_order(
     The limit counts the formulas' 64-bit signature words; alpha's bit
     rides in their code whenever `_KB` takes the subset bitset, and in
     one byte of its own otherwise, at most 1 MB more at 2**20
-    assignments."""
-    order = tuple(sorted(variables_of(delta) | alpha.variables))
+    assignments. The variables are gathered by one set union over the
+    constraints' argument tuples."""
+    args = [c.args for f in (*delta, alpha) for c in f.constraints]
+    order = tuple(sorted(set().union(*args)))
     words = (len(delta) + 63) // 64
     if (1 << len(order)) > max_models or (1 << len(order)) * words > _MASK_LIMIT:
         return None
@@ -503,15 +504,19 @@ def _hitting_sets(
             done |= bit
 
 
+def _int_rows(formulas: Sequence[GammaFormula], order) -> list[int]:
+    """The formulas' model bitsets over one order as ints, bit a for
+    assignment a, from one kernel pass (`_ModelBits.rows`)."""
+    rows = _ModelBits(order).rows([f.constraints for f in formulas])
+    return [int.from_bytes(row, "little") for row in rows]
+
+
 def _model_rows(formulas: Sequence[GammaFormula], order) -> np.ndarray:
-    """The formulas' packed model bitsets (`_ModelBits`) over the
-    2**len(order) assignments, one row each, in the form
-    `transpose_codes` takes."""
-    space = _ModelBits(order)
-    rows = bytearray()
-    for f in formulas:
-        rows += space.packed(f.constraints)
-    return np.frombuffer(rows, dtype=np.uint8).reshape(len(formulas), -1)
+    """The formulas' packed model bitsets over the 2**len(order)
+    assignments, one row each, from one kernel pass (`_ModelBits.rows`),
+    in the form `transpose_codes` takes."""
+    rows = _ModelBits(order).rows([f.constraints for f in formulas])
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(formulas), -1)
 
 
 class _KB:
@@ -523,13 +528,14 @@ class _KB:
     maximal signatures `mcs` are the maximal consistent subsets of delta,
     in canonical order (`_canonical`).
 
-    The compile builds each formula's models as a packed bitset over the
-    2**len(order) assignments (`formulas._ModelBits`, its variable index
-    and literals made once per compile): one int AND or OR per clause
-    and literal, in blocks of 2**16 assignments past 16 variables. One
-    bit transpose of the packed rows (`transpose_codes`) then gives one
-    narrow code per assignment, so the numpy calls per compile do not
-    grow with the formulas.
+    The compile builds every formula's models as a packed bitset over
+    the 2**len(order) assignments in one kernel call (`_model_rows`, by
+    `formulas._ModelBits.rows`, its variable index, literals and
+    relation templates fetched once per compile): one int AND or OR per
+    clause and literal, in blocks of 2**16 assignments past 16
+    variables. One bit transpose of the packed rows (`transpose_codes`)
+    then gives one narrow code per assignment, so the numpy calls per
+    compile do not grow with the formulas.
 
     The compile takes the subset bitset (`bitset`) up to 16 formulas, and
     past that while the 2**n subsets number at most 8 per assignment (n
@@ -585,23 +591,23 @@ class _KB:
         self.mcs = _maximal(sig)
         self.bad = _maximal(sig[outside])
 
-    @functools.cached_property
+    @_lazy
     def consistent(self) -> int:
         """Bit s is set iff subset s is consistent (`bitset` only)."""
         return _zeta(self.rows, self.lacking)
 
-    @functools.cached_property
+    @_lazy
     def unentailing(self) -> int:
         """Bit s is set iff subset s does not entail alpha (`bitset` only)."""
         return _zeta(self.outside, self.lacking)
 
-    @functools.cached_property
+    @_lazy
     def minimal(self) -> int:
         """Bit s is set iff subset s is a minimal support (`bitset` only)."""
         supports = self.consistent & ~self.unentailing
         return supports & ~_step(supports, self.lacking, True)
 
-    @functools.cached_property
+    @_lazy
     def mcs(self) -> list[int]:
         """The maximal rows (`bitset` only)."""
         below = _step(self.consistent, self.lacking, False)
@@ -679,10 +685,9 @@ class _Search:
         delta, alpha, engine, max_models = self.delta, self.alpha, self.engine, self.max_models
         order = _mask_order(delta, alpha, max_models)
         if order is not None:
-            space = _ModelBits(order)
-            rows = [space.bits(f.constraints) for f in delta]
+            *rows, claim = _int_rows((*delta, alpha), order)
             full = (1 << (1 << len(order))) - 1
-            outside = full ^ space.bits(alpha.constraints)
+            outside = full ^ claim
 
             def qualifies(subset):
                 models = functools.reduce(operator.and_, [rows[i] for i in subset], full)
@@ -786,7 +791,7 @@ class _Covers:
             covers.append(cover)
         self.covers = covers
 
-    @functools.cached_property
+    @_lazy
     def after(self) -> list[int]:
         """Entry i is the OR of the covers from formula i on; entry n is 0."""
         return list(itertools.accumulate(reversed(self.covers), operator.or_, initial=0))[::-1]
@@ -915,11 +920,11 @@ class _Whole:
         self.max_models, self.max_kb = max_models, max_kb
         self.fragment = fragment
 
-    @functools.cached_property
+    @_lazy
     def premises(self) -> _Premises | None:
         return _fragment_premises(self.delta, self.alpha, self.fragment)
 
-    @functools.cached_property
+    @_lazy
     def order(self) -> tuple[str, ...] | None:
         return _mask_order(self.delta, self.alpha, self.max_models)
 

@@ -242,12 +242,12 @@ _LACKING_16 = _lacking(16)
 
 # Relations of at most this arity take their model bitsets from their CNF
 # (`_literal_template`), wider ones from their collapsed truth table
-# (`kernels.filter_models`). Over six random relations per arity, one
-# constraint took 7 / 24 / 176 us from its CNF at arity 5 over 10 / 14 / 18
-# variables, against 23 / 36 / 165 us from its table, and 14 / 47 / 388 us
-# at arity 6 against 23 / 30 / 164 us (2-core Xeon VM). Finding the CNF also
-# tries 3**arity candidate clauses once per relation: 2 ms at arity 5 and
-# 32 ms at arity 7.
+# (`kernels.filter_models`). In `_ModelBits.rows`, over six random relations
+# per arity (each tuple kept with probability 0.7), one constraint took
+# 5 / 8 / 81 us from its CNF at arity 5 over 10 / 14 / 18 variables, against
+# 15 / 18 / 89 us from its table, and 6 / 18 / 199 us at arity 6 against
+# 10 / 19 / 119 us (2-core Xeon VM). Finding the CNF also tries 3**arity
+# candidate clauses once per relation: 2 ms at arity 5 and 32 ms at arity 7.
 _CNF_ARITY = 5
 
 
@@ -295,6 +295,10 @@ class _ModelBits:
     case of its own: x or not x comes out full. Relations wider than
     _CNF_ARITY take one `kernels.filter_models` mask per conjunction,
     packed and ANDed in.
+
+    `rows` is the one kernel loop: one call builds every conjunction's
+    row of a compile, and `packed` and `bits` are its one-conjunction
+    case.
     """
 
     def __init__(self, order: tuple[Variable, ...]):
@@ -302,48 +306,101 @@ class _ModelBits:
         self.index = {v: i for i, v in enumerate(order)}
         self.full, self.width, self.blocks = _block_literals(self.n)
 
+    def rows(self, formulas: Iterable[Sequence[Constraint]]) -> list[bytes]:
+        """Each conjunction's models, packed little-endian, one row per
+        conjunction in one pass: bit a % 8 of byte a // 8 says whether
+        assignment a satisfies every constraint.
+
+        Each relation's template is fetched from _literal_template once
+        per call and kept in a local dict keyed by the relation's id, as
+        in `logic._instantiate_clauses`, so an equal relation that is not
+        the cached key costs one Relation.__eq__ per call, not one per
+        constraint; the relations are held beside it, so no id is reused
+        while the dict lives. Unary, binary and ternary constraints, most
+        of any base, take straight-line code.
+        """
+        index, full, width, blocks = self.index, self.full, self.width, self.blocks
+        templates: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
+        held: list[Relation] = []
+        out: list[bytes] = []
+        for constraints in formulas:
+            parts = []
+            wide = False
+            for lits in blocks:
+                bits = full
+                for c in constraints:
+                    args = c.args
+                    arity = len(args)
+                    if arity > _CNF_ARITY:
+                        wide = True
+                        continue
+                    relation = c.relation
+                    template = templates.get(id(relation))
+                    if template is None:
+                        template = templates[id(relation)] = _literal_template(relation)
+                        held.append(relation)
+                    if arity == 2:
+                        a, b = args
+                        x, y = lits[index[a]], lits[index[b]]
+                        for clause in template:
+                            if len(clause) == 2:
+                                (j, s), (_, t) = clause
+                                bits &= y[s] | x[t] if j else x[s] | y[t]
+                            else:
+                                ((j, s),) = clause
+                                bits &= y[s] if j else x[s]
+                    elif arity == 1:
+                        x = lits[index[args[0]]]
+                        for ((_, s),) in template:
+                            bits &= x[s]
+                    elif arity == 3:
+                        a, b, d = args
+                        p = (lits[index[a]], lits[index[b]], lits[index[d]])
+                        for clause in template:
+                            if len(clause) == 3:
+                                (j, s), (k, t), (m, u) = clause
+                                bits &= p[j][s] | p[k][t] | p[m][u]
+                            elif len(clause) == 2:
+                                (j, s), (k, t) = clause
+                                bits &= p[j][s] | p[k][t]
+                            else:
+                                ((j, s),) = clause
+                                bits &= p[j][s]
+                    else:
+                        p = [lits[index[a]] for a in args]
+                        for clause in template:
+                            either = 0
+                            for j, s in clause:
+                                either |= p[j][s]
+                            bits &= either
+                    if not bits:
+                        # An empty block stays empty whatever the constraints
+                        # left say, wide ones included.
+                        break
+                parts.append(bits.to_bytes(width, "little"))
+            packed = parts[0] if len(parts) == 1 else b"".join(parts)
+            if wide:
+                tables, positions = [], []
+                for c in constraints:
+                    if len(c.args) > _CNF_ARITY:
+                        pos = [index[a] for a in c.args]
+                        axes = sorted(set(pos))
+                        pattern = tuple(map(axes.index, pos))
+                        tables.append(_constraint_template(c.relation, pattern))
+                        positions.append(tuple(axes))
+                mask = kernels.filter_models(self.n, tables, positions)
+                mask = np.packbits(mask, bitorder="little")
+                packed = (np.frombuffer(packed, np.uint8) & mask).tobytes()
+            out.append(packed)
+        return out
+
     def packed(self, constraints: Sequence[Constraint]) -> bytes:
-        """The conjunction's models, packed little-endian: bit a % 8 of
-        byte a // 8 says whether assignment a satisfies every constraint."""
-        index, full = self.index, self.full
-        out = []
-        wide = False
-        for lits in self.blocks:
-            bits = full
-            for c in constraints:
-                relation = c.relation
-                if relation.arity > _CNF_ARITY:
-                    wide = True
-                    continue
-                args = [lits[index[a]] for a in c.args]
-                for clause in _literal_template(relation):
-                    either = 0
-                    for j, sign in clause:
-                        either |= args[j][sign]
-                    bits &= either
-                if not bits:
-                    # An empty block stays empty whatever the constraints
-                    # left say, wide ones included.
-                    break
-            out.append(bits.to_bytes(self.width, "little"))
-        packed = b"".join(out)
-        if wide:
-            tables, positions = [], []
-            for c in constraints:
-                if c.relation.arity > _CNF_ARITY:
-                    pos = [index[a] for a in c.args]
-                    axes = sorted(set(pos))
-                    pattern = tuple(map(axes.index, pos))
-                    tables.append(_constraint_template(c.relation, pattern))
-                    positions.append(tuple(axes))
-            mask = kernels.filter_models(self.n, tables, positions)
-            mask = np.packbits(mask, bitorder="little")
-            packed = (np.frombuffer(packed, np.uint8) & mask).tobytes()
-        return packed
+        """One conjunction's row of `rows`."""
+        return self.rows((constraints,))[0]
 
     def bits(self, constraints: Sequence[Constraint]) -> int:
         """The conjunction's models as an int: bit a for assignment a."""
-        return int.from_bytes(self.packed(constraints), "little")
+        return int.from_bytes(self.rows((constraints,))[0], "little")
 
 
 def models_mask(constraints: Iterable[Constraint], order: tuple[Variable, ...]) -> np.ndarray:

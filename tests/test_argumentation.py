@@ -1753,6 +1753,125 @@ class TestCompiledBase:
         assert enumerate_minimal_supports(delta, alpha) == want[2]
 
 
+class TestCompileSetUp:
+    """What one signature compile and its route pay besides the kernel:
+    relation templates fetched once per compile, and each lazily read
+    part computed once per object."""
+
+    @staticmethod
+    def base():
+        """An inconsistent base of six formulas, two MCSes, and a claim
+        one of them entails."""
+        delta = [
+            gamma(Constraint(T, ("a",))),
+            gamma(Constraint(IMPL, ("a", "b"))),
+            gamma(Constraint(F, ("a",))),
+            gamma(Constraint(IMPL, ("b", "c"))),
+            or2("c", "d"),
+            gamma(Constraint(NEQ, ("d", "e"))),
+        ]
+        return delta, gamma(Constraint(T, ("c",)))
+
+    def test_equal_relations_cost_one_lookup_per_compile(self, monkeypatch):
+        # The template cache holds IMPL, NEQ and OR2 already; the base
+        # uses copies that are equal to them but not the same objects, so
+        # every cache lookup of a copy runs Relation.__eq__ on the key.
+        for relation in (IMPL, NEQ, OR2, T, F):
+            formulas._literal_template(relation)
+        impl, neq, or_, t, f = (
+            Relation(r.name, r.arity, r.tuples) for r in (IMPL, NEQ, OR2, T, F)
+        )
+        names = [f"v{i}" for i in range(10)]
+        delta = [gamma(Constraint(t, ("v0",))), gamma(Constraint(f, ("v0",)))]
+        for i in range(1, 10):
+            delta.append(
+                gamma(
+                    Constraint(impl, (names[i - 1], names[i])),
+                    Constraint(or_, (names[i], names[(i + 3) % 10])),
+                )
+            )
+        alpha = gamma(Constraint(neq, ("v3", "v7")), Constraint(impl, ("v2", "v8")))
+        constraints = sum(len(f.constraints) for f in (*delta, alpha))
+        assert constraints == 22
+        order = _mask_order(delta, alpha, 1 << 22)
+        fetched, compared = [], []
+        fetch, equal = formulas._literal_template, Relation.__eq__
+
+        def counting_fetch(relation):
+            fetched.append(relation)
+            return fetch(relation)
+
+        def counting_equal(self, other):
+            compared.append(self)
+            return equal(self, other)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(formulas, "_literal_template", counting_fetch)
+            patched.setattr(Relation, "__eq__", counting_equal)
+            kb = _KB(delta, alpha, order)
+        # One fetch per distinct relation object, and so at most one
+        # compare each, where a fetch per constraint made 22 compares.
+        assert sorted(map(id, fetched)) == sorted(map(id, (impl, neq, or_, t, f)))
+        assert len(compared) <= 5
+        assert kb.exists() is _KB(delta, alpha, order).exists()
+
+    def test_each_transform_runs_once_per_compile(self, monkeypatch):
+        delta, alpha = self.base()
+        order = _mask_order(delta, alpha, 1 << 22)
+        calls = []
+        zeta = argumentation._zeta
+
+        def counting(rows, lacking):
+            calls.append(rows)
+            return zeta(rows, lacking)
+
+        monkeypatch.setattr(argumentation, "_zeta", counting)
+        kb = _KB(delta, alpha, order)
+        assert kb.bitset
+        first = (kb.consistent, kb.unentailing, kb.minimal, kb.mcs)
+        for _ in range(3):
+            assert (kb.consistent, kb.unentailing, kb.minimal, kb.mcs) == first
+            kb_answers(kb, len(delta))
+        assert calls == [kb.rows, kb.outside]
+
+    def test_whole_builds_its_premises_and_order_once(self, monkeypatch):
+        delta, alpha = self.base()
+        delta = delta[:4]
+        built, ordered = [], []
+        premises, mask_order = argumentation._Premises, argumentation._mask_order
+
+        def counting_premises(*args):
+            built.append(args)
+            return premises(*args)
+
+        def counting_order(*args):
+            ordered.append(args)
+            return mask_order(*args)
+
+        monkeypatch.setattr(argumentation, "_Premises", counting_premises)
+        monkeypatch.setattr(argumentation, "_mask_order", counting_order)
+        whole = argumentation._Whole(delta, alpha, 1 << 22, 20, "horn")
+        for _ in range(3):
+            assert whole.premises is whole.premises and whole.order == whole.order
+            whole.exists()
+            whole.first_support()
+        assert len(built) == len(ordered) == 1
+
+    def test_lazy_values_stay_with_their_compile(self):
+        # The descriptor stores each value in the instance, never on the
+        # class: two compiles read their own values, in either order.
+        one = self.base()
+        two = ([f for i, f in enumerate(one[0]) if i != 2], one[1])
+        kbs = [_KB(d, a, _mask_order(d, a, 1 << 22)) for d, a in (one, two)]
+        assert all("consistent" not in vars(kb) for kb in kbs)
+        fresh = [_KB(d, a, _mask_order(d, a, 1 << 22)) for d, a in (one, two)]
+        values = [(kb.consistent, kb.minimal) for kb in reversed(kbs)][::-1]
+        assert values == [(kb.consistent, kb.minimal) for kb in fresh]
+        assert values[0] != values[1]
+        descriptor = vars(_KB)["consistent"]
+        assert set(vars(descriptor)) == {"compute", "name", "__doc__"}
+
+
 def berge(edges):
     """The minimal hitting sets of edges, by Berge's method."""
     transversals = [0]

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from argcl import (
@@ -34,9 +34,11 @@ from argcl import (
     variables_of,
 )
 
-from argcl.formulas import _ModelBits, _block_literals
+from argcl.formulas import _CNF_ARITY, _ModelBits, _block_literals
 from argcl.relations import _is_identifier
 from conftest import (
+    CATALOG,
+    F,
     IMPL,
     NEQ,
     OR2,
@@ -471,6 +473,110 @@ kb left right
 claim OR2(b,a)
 relevant right
 """
+
+
+@st.composite
+def kernel_cases(draw):
+    """An order of 0-20 variables, drawn in any permutation, and 1-4
+    conjunctions of 0-3 constraints each over relations of arity 1-8,
+    both sides of the CNF cut. A conjunction's arguments come from a pool
+    of at most 9 of the order's variables, so they repeat and come in any
+    order; its relations come from a per-case list of random and catalog
+    relations, so a relation object recurs across conjunctions, some as
+    an equal copy, beside others of its arity. A unit constraint
+    on the order's first variable, the leading one past 16 variables, is
+    common, so a conjunction often empties a block before its wide
+    constraints."""
+    # sampled_from draws sizes about evenly, where integers favours small.
+    names = [f"v{i:02d}" for i in range(draw(st.sampled_from(range(21))))]
+    order = tuple(draw(st.permutations(names)))
+    relations = []
+    for r in range(draw(st.integers(1, 4))):
+        arity = draw(st.sampled_from(range(1, 9)))
+        # Neither empty nor full, either way round.
+        size = min(12, (1 << arity) - 1)
+        tuples = draw(st.frozensets(st.integers(0, (1 << arity) - 1), min_size=1, max_size=size))
+        if draw(st.booleans()):
+            tuples = frozenset(range(1 << arity)) - tuples
+        relations.append(Relation(f"R{r}", arity, tuples))
+    relations += [Relation(r.name, r.arity, r.tuples) for r in relations[:1]]
+    relations += draw(st.lists(st.sampled_from(CATALOG), max_size=4))
+    conjunctions = []
+    for _ in range(draw(st.integers(1, 4))):
+        constraints = []
+        if order:
+            pool = draw(st.lists(st.sampled_from(order), min_size=1, max_size=9, unique=True))
+            if draw(st.booleans()):
+                constraints.append(Constraint(draw(st.sampled_from((T, F))), order[:1]))
+            for _ in range(draw(st.integers(0, 3))):
+                relation = draw(st.sampled_from(relations))
+                args = [draw(st.sampled_from(pool)) for _ in range(relation.arity)]
+                constraints.append(Constraint(relation, args))
+        conjunctions.append(constraints)
+    return order, conjunctions
+
+
+def oracle_mask(constraints, order):
+    """Which of the 2**len(order) assignments satisfy the conjunction,
+    position p of the order at assignment bit n-1-p, from the naive
+    models over the conjunction's own variables (`naive_models`): an
+    assignment is a model iff its values there are one."""
+    n = len(order)
+    own = sorted({a for c in constraints for a in c.args})
+    codes = [
+        sum(m[v] << (len(own) - 1 - i) for i, v in enumerate(own))
+        for m in naive_models([gamma(*constraints)] if constraints else [], own)
+    ]
+    assignments = np.arange(1 << n, dtype=np.int64)
+    position = {v: p for p, v in enumerate(order)}
+    projected = np.zeros(1 << n, dtype=np.int64)
+    for v in own:
+        projected = (projected << 1) | (assignments >> (n - 1 - position[v]) & 1)
+    return np.isin(projected, codes)
+
+
+class TestModelRows:
+    """`_ModelBits.rows`, the one kernel loop, against the naive models."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_cases())
+    def test_every_row_is_exactly_its_models(self, case):
+        order, conjunctions = case
+        n = len(order)
+        rows = _ModelBits(order).rows(conjunctions)
+        assert len(rows) == len(conjunctions)
+        for constraints, row in zip(conjunctions, rows):
+            want = oracle_mask(constraints, order)
+            assert len(row) == max(1, (1 << n) >> 3)
+            assert int.from_bytes(row, "little") >> (1 << n) == 0
+            got = np.unpackbits(np.frombuffer(row, np.uint8), count=1 << n, bitorder="little")
+            assert np.array_equal(got.view(np.bool_), want), (order, constraints)
+            assert np.array_equal(models_mask(constraints, order), want)
+            assert _ModelBits(order).packed(constraints) == row
+            assert _ModelBits(order).bits(constraints) == int.from_bytes(row, "little")
+
+    @pytest.mark.parametrize("n_vars", [16, 18])
+    def test_a_block_emptied_early_still_takes_its_wide_constraints(self, n_vars):
+        # T(v00) empties every block where the leading v00 is false (or,
+        # at 16 variables, half the one block) before the wide
+        # constraint is read, and F(v00) every block where it is true,
+        # the last one included; the blocks where it holds must still
+        # take the wide constraint, and a formula after it in the same
+        # call must start from a full row.
+        order = tuple(f"v{i:02d}" for i in range(n_vars))
+        wide = Relation("W7", 7, frozenset(t for t in range(128) if t.bit_count() != 3))
+        assert wide.arity > _CNF_ARITY
+        conjunctions = [
+            [Constraint(T, ("v00",)), Constraint(wide, order[-7:])],
+            [Constraint(F, ("v00",)), Constraint(wide, order[-7:])],
+            [Constraint(F, ("v00",)), Constraint(T, ("v00",)), Constraint(wide, order[:7])],
+            [Constraint(IMPL, (order[-1], order[1])), Constraint(NEQ, (order[1], order[2]))],
+        ]
+        rows = _ModelBits(order).rows(conjunctions)
+        for constraints, row in zip(conjunctions, rows):
+            got = np.unpackbits(np.frombuffer(row, np.uint8), count=1 << n_vars, bitorder="little")
+            assert np.array_equal(got.view(np.bool_), oracle_mask(constraints, order))
+        assert not any(rows[2])
 
 
 class TestInstanceParsing:

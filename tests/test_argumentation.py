@@ -1773,7 +1773,7 @@ class TestCompileSetUp:
         return delta, gamma(Constraint(T, ("c",)))
 
     def test_equal_relations_cost_one_lookup_per_compile(self, monkeypatch):
-        # The template cache holds IMPL, NEQ and OR2 already; the base
+        # The template cache holds IMPL, NEQ, OR2, T and F already; the base
         # uses copies that are equal to them but not the same objects, so
         # every cache lookup of a copy runs Relation.__eq__ on the key.
         for relation in (IMPL, NEQ, OR2, T, F):
@@ -1790,7 +1790,8 @@ class TestCompileSetUp:
                     Constraint(or_, (names[i], names[(i + 3) % 10])),
                 )
             )
-        alpha = gamma(Constraint(neq, ("v3", "v7")), Constraint(impl, ("v2", "v8")))
+        delta.append(gamma(Constraint(neq, ("v7", "v9"))))
+        alpha = gamma(Constraint(impl, ("v1", "v3")))
         constraints = sum(len(f.constraints) for f in (*delta, alpha))
         assert constraints == 22
         order = _mask_order(delta, alpha, 1 << 22)
@@ -1813,7 +1814,9 @@ class TestCompileSetUp:
         # compare each, where a fetch per constraint made 22 compares.
         assert sorted(map(id, fetched)) == sorted(map(id, (impl, neq, or_, t, f)))
         assert len(compared) <= 5
-        assert kb.exists() is _KB(delta, alpha, order).exists()
+        supports = kb.minimal_supports()
+        assert Support((3, 4)) in supports
+        assert supports == enumerate_minimal_supports(delta, alpha, engine="generic")
 
     def test_each_transform_runs_once_per_compile(self, monkeypatch):
         delta, alpha = self.base()

@@ -1,6 +1,7 @@
 """Tests for constraint formulas, model enumeration, and instance files."""
 
 import dataclasses
+import itertools
 import pickle
 import random
 import re
@@ -535,6 +536,11 @@ def oracle_mask(constraints, order):
     return np.isin(projected, codes)
 
 
+def row_mask(row, n):
+    """A packed row of `_ModelBits.rows` as one bool per assignment."""
+    return np.unpackbits(np.frombuffer(row, np.uint8), count=1 << n, bitorder="little").view(np.bool_)
+
+
 class TestModelRows:
     """`_ModelBits.rows`, the one kernel loop, against the naive models."""
 
@@ -549,11 +555,24 @@ class TestModelRows:
             want = oracle_mask(constraints, order)
             assert len(row) == max(1, (1 << n) >> 3)
             assert int.from_bytes(row, "little") >> (1 << n) == 0
-            got = np.unpackbits(np.frombuffer(row, np.uint8), count=1 << n, bitorder="little")
-            assert np.array_equal(got.view(np.bool_), want), (order, constraints)
+            assert np.array_equal(row_mask(row, n), want), (order, constraints)
             assert np.array_equal(models_mask(constraints, order), want)
             assert _ModelBits(order).packed(constraints) == row
             assert _ModelBits(order).bits(constraints) == int.from_bytes(row, "little")
+
+    def test_catalog_relations_on_every_argument_tuple(self):
+        # Every relation of the catalog (arity 1-3) on every tuple of
+        # three variables, repeats and every order included, one
+        # conjunction each, all from one call.
+        order = ("c", "a", "d", "b")
+        conjunctions = [
+            [Constraint(relation, args)]
+            for relation in CATALOG
+            for args in itertools.product(order[:3], repeat=relation.arity)
+        ]
+        rows = _ModelBits(order).rows(conjunctions)
+        for constraints, row in zip(conjunctions, rows):
+            assert np.array_equal(row_mask(row, 4), oracle_mask(constraints, order)), constraints
 
     @pytest.mark.parametrize("n_vars", [16, 18])
     def test_a_block_emptied_early_still_takes_its_wide_constraints(self, n_vars):
@@ -574,8 +593,7 @@ class TestModelRows:
         ]
         rows = _ModelBits(order).rows(conjunctions)
         for constraints, row in zip(conjunctions, rows):
-            got = np.unpackbits(np.frombuffer(row, np.uint8), count=1 << n_vars, bitorder="little")
-            assert np.array_equal(got.view(np.bool_), oracle_mask(constraints, order))
+            assert np.array_equal(row_mask(row, n_vars), oracle_mask(constraints, order))
         assert not any(rows[2])
 
 
